@@ -5,6 +5,12 @@ involution t -> 1/t, and pi-adic expansion at the uniformizer pi = 1/t.
 Polynomials over F_p are represented as trimmed tuples of ints in [0, p),
 index = exponent.  All values are immutable; every operation is a pure
 function, so everything here is safe to share between workers.
+
+Almost every value in the Burau setting is a Laurent polynomial, i.e. a
+RatFunc whose denominator is a power of t.  For those the gcd is a power of
+t as well, so normalization, addition and multiplication take a t-power fast
+path that strips low zeros instead of running Euclid; the general gcd path
+is kept for true quotients.
 """
 
 from __future__ import annotations
@@ -79,9 +85,9 @@ def pmul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return ptrim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return ptrim([c % p for c in out])
 
 
 def pscale(a, c, p):
@@ -309,6 +315,11 @@ class RatFunc:
                 raise ZeroDivisionError("rational function with zero denominator")
             if not num:
                 den = (1,)
+            elif den.count(0) == len(den) - 1:
+                # den = c*t^k: the gcd is a power of t, no Euclid needed
+                if den[-1] != 1:
+                    num = pscale(num, inv_mod(den[-1], p), p)
+                num, den = _over_t_power(num, len(den) - 1)
             else:
                 g = pgcd(num, den, p)
                 if pdeg(g) > 0:
@@ -354,8 +365,15 @@ class RatFunc:
     def __add__(self, other):
         self._check(other)
         p = self.p
-        num = padd(pmul(self.num, other.den, p), pmul(other.num, self.den, p), p)
-        return RatFunc(p, num, pmul(self.den, other.den, p), self.var)
+        a, b = self.den, other.den
+        if a.count(0) == len(a) - 1 and b.count(0) == len(b) - 1:
+            # both denominators are powers of t: shift to the larger one
+            j, k = len(a) - 1, len(b) - 1
+            m = max(j, k)
+            num = padd(pshift(self.num, m - j), pshift(other.num, m - k), p)
+            return RatFunc(p, *_over_t_power(num, m), self.var, normalize=False)
+        num = padd(pmul(self.num, b, p), pmul(other.num, a, p), p)
+        return RatFunc(p, num, pmul(a, b, p), self.var)
 
     def __neg__(self):
         return RatFunc(self.p, pneg(self.num, self.p), self.den, self.var,
@@ -366,8 +384,13 @@ class RatFunc:
 
     def __mul__(self, other):
         self._check(other)
-        return RatFunc(self.p, pmul(self.num, other.num, self.p),
-                       pmul(self.den, other.den, self.p), self.var)
+        p = self.p
+        a, b = self.den, other.den
+        if a.count(0) == len(a) - 1 and b.count(0) == len(b) - 1:
+            num = pmul(self.num, other.num, p)
+            return RatFunc(p, *_over_t_power(num, len(a) + len(b) - 2),
+                           self.var, normalize=False)
+        return RatFunc(p, pmul(self.num, other.num, p), pmul(a, b, p), self.var)
 
     def inverse(self):
         if self.is_zero():
@@ -459,6 +482,19 @@ class RatFunc:
             return render_poly(self.num, self.var)
         return "(%s)/(%s)" % (render_poly(self.num, self.var),
                               render_poly(self.den, self.var))
+
+
+def _over_t_power(num, k):
+    """(num, den) of num / t^k in lowest terms, for a trimmed num and k >= 0.
+
+    The gcd is t^min(k, ord_t(num)): strip that many low zeros.
+    """
+    if not num:
+        return (), (1,)
+    z = 0
+    while z < k and not num[z]:
+        z += 1
+    return num[z:], (0,) * (k - z) + (1,)
 
 
 class LaurentInt:
@@ -581,14 +617,16 @@ def laurent_prefix(x: RatFunc, bound: int) -> RatFunc:
     v = x.valuation()
     if v is INF or v >= bound:
         return RatFunc.zero(x.p, x.var)
-    v = int(v)
-    y = x.shift_pi(-v)
-    digits = pi_adic_expand(y, bound - v)
-    out = RatFunc.zero(x.p, x.var)
-    for j, d in enumerate(digits):
-        if d:
-            out = out + RatFunc.const(d, x.p, x.var).shift_pi(v + j)
-    return out
+    # x * t^(bound-1) = q + rem/den with nu(rem/den) >= 1, so q / t^(bound-1)
+    # holds exactly the digits below pi^bound
+    p = x.p
+    if bound >= 1:
+        q = pdivmod(pshift(x.num, bound - 1), x.den, p)[0]
+        return RatFunc(p, *_over_t_power(q, bound - 1), x.var, normalize=False)
+    # bound <= 0: the digits of q at t^0 .. t^(-bound) lie at or above pi^bound
+    q = pdivmod(x.num, x.den, p)[0]
+    return RatFunc(p, (0,) * (1 - bound) + q[1 - bound:], (1,), x.var,
+                   normalize=False)
 
 
 # ---------------------------------------------------------------------------

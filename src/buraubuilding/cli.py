@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from typing import NamedTuple
 
@@ -29,6 +30,9 @@ from .groupcalc import (IDENTITY_STAB_PRIME_BOUND, RELATION_FAMILIES,
                         tube_pattern_check, verify_relations)
 
 CACHE_ENV = "BURAUBUILDING_CACHE_DIR"
+# part of every cache key: bump it whenever a change alters cached results,
+# so that entries computed by an older algorithm are never served
+ALGORITHM_VERSION = "2"
 DEFAULT_SEED = 20240601
 
 IDENTITY_IMAGE_ORDERS = {2: 4, 3: 4, 5: 4, 7: 8, 11: 12}
@@ -134,18 +138,25 @@ def _cache_path(config, key_parts):
 
 
 def cache_get(config, key_parts):
-    path = _cache_path(config, key_parts)
-    if not os.path.exists(path):
+    """The cached payload, or None on a miss; an unreadable entry is a miss."""
+    try:
+        with open(_cache_path(config, key_parts), "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError):
         return None
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
 
 
 def cache_put(config, key_parts, payload):
+    """Write the entry atomically: a temp file in the cache dir, then rename."""
     os.makedirs(config.cache_dir, exist_ok=True)
-    path = _cache_path(config, key_parts)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(payload))
+    fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(dumps(payload))
+        os.replace(tmp, _cache_path(config, key_parts))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +252,8 @@ def cmd_explore(config: RunConfig, gens) -> ClaimResult:
         # u and the distinguished vertices are defined at p = 3 only
         gens = [g for g in gens if g != "u"]
     t0 = time.time()
-    key = ["explore", __version__, str(p), ".".join(gens), str(config.radius),
-           str(config.budget_nodes)]
+    key = ["explore", __version__, ALGORITHM_VERSION, str(p), ".".join(gens),
+           str(config.radius), str(config.budget_nodes)]
     cached = cache_get(config, key)
     if cached is not None:
         data = cached
@@ -447,6 +458,10 @@ def main(argv=None) -> int:
             raise ValueError("unknown command %r" % args.command)
     except (ValueError, KeyError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except Exception as exc:
+        # a failed internal check or a bug: report it, never a traceback
+        sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 2
     emit_result(config, result)
     return 0 if result.status == "pass" else 1

@@ -411,26 +411,35 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 alpha = MatrixRF(p, tuple(tuple(bycol[col][row]
                                                 for col in range(3))
                                           for row in range(3)))
-            if alpha.det().valuation() != 0:
-                continue
-            if alpha.star() * F0 * alpha != F0:
-                continue
-            g = M * alpha * Minv
-            key = _sign_key(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            if not all(g[a, b].is_laurent() for a in range(3) for b in range(3)):
-                raise AssertionError("conjugated stabilizer element is not Laurent")
-            if not is_unitary(g) or apply(g, v) != v:
-                raise AssertionError("enumerated matrix fails the independent re-check")
-            found.append(normalize_mod_homothety(g))
+                if alpha.det().valuation() != 0:
+                    continue
+                if alpha.star() * F0 * alpha != F0:
+                    continue
+                g = M * alpha * Minv
+                key = _sign_key(g)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if not all(g[a, b].is_laurent()
+                           for a in range(3) for b in range(3)):
+                    raise AssertionError(
+                        "conjugated stabilizer element is not Laurent")
+                if not is_unitary(g) or apply(g, v) != v:
+                    raise AssertionError(
+                        "enumerated matrix fails the independent re-check")
+                found.append(normalize_mod_homothety(g))
     found.sort(key=_matrix_sort_key)
+    if MatrixRF.identity(p) not in found:
+        raise AssertionError("the identity is missing from the stabilizer")
     perms = [induced_link_permutation(g, v).perm for g in found]
     orders = sorted(order_mod_homothety(g) for g in found)
+    image_order = perm_group_order(perms)
+    if len(found) % image_order:
+        raise AssertionError("image order %d does not divide order %d"
+                             % (image_order, len(found)))
     return StabReport(
         vertex=v, method="exact", complete=True, elements=tuple(found),
-        order=len(found), image_order=perm_group_order(perms),
+        order=len(found), image_order=image_order,
         element_orders=tuple(orders),
         image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
         bounds={"digitBound": digit_bound, "columnBudget": column_budget,

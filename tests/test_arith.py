@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,8 +11,10 @@ from buraubuilding.arith import (
     laurent_prefix,
     parse_laurent,
     pi_adic_expand,
+    pmul,
     render_laurent,
 )
+from buraubuilding.groupcalc import ball
 
 
 def L(text, p, var="t"):
@@ -107,6 +110,34 @@ def test_ratfunc_normalization_canonical():
         y = (x * scale) / scale
         assert y == x
         assert (y.num, y.den) == (x.num, x.den)
+
+
+def fields(x):
+    return (x.num, x.den)
+
+
+def test_laurent_fast_path_matches_general_path():
+    # Laurent operands take the t-power path; LaurentPoly arithmetic and the
+    # gcd normalization of a disguised quotient are the references
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            a, b = random_laurent(rng, p), random_laurent(rng, p)
+            x, y = a.to_ratfunc(), b.to_ratfunc()
+            assert fields((a + b).to_ratfunc()) == fields(x + y)
+            assert fields((a * b).to_ratfunc()) == fields(x * y)
+            assert fields((a - b).to_ratfunc()) == fields(x - y)
+            g = random_ratfunc(rng, p)
+            if not g.is_zero():
+                # num*g.num / (den*g.num) must reduce through pgcd to x
+                disguised = RatFunc(p, pmul(x.num, g.num, p),
+                                    pmul(x.den, g.num, p))
+                assert fields(disguised) == fields(x)
+                # mixed operands: one side has a general denominator
+                assert fields((x + g) - g) == fields(x)
+                assert fields((x * g) * g.inverse()) == fields(x)
+            assert fields(x + g) == fields(g + x)
+            assert fields(x * g) == fields(g * x)
 
 
 # -- valuation ----------------------------------------------------------------
@@ -210,6 +241,36 @@ def test_laurent_prefix_property():
         r = laurent_prefix(x, bound)
         assert (x - r).valuation() >= bound
         assert r.is_laurent()
+
+
+def test_laurent_prefix_matches_digit_expansion():
+    # the definition: digits of x from nu(x) up to bound - 1, one at a time
+    rng = random.Random(8)
+    for p in (2, 3, 5, 7):
+        for _ in range(150):
+            x = random_ratfunc(rng, p) if rng.random() < 0.5 \
+                else random_laurent(rng, p).to_ratfunc()
+            bound = rng.randint(-4, 5)
+            v = x.valuation()
+            ref = RatFunc.zero(p)
+            if v is not INF and v < bound:
+                digits = pi_adic_expand(x.shift_pi(-v), bound - v)
+                for j, d in enumerate(digits):
+                    ref = ref + RatFunc.const(d, p).shift_pi(v + j)
+            assert fields(laurent_prefix(x, bound)) == fields(ref)
+
+
+@pytest.mark.parametrize("p, radius, count, digest", [
+    (2, 2, 113, "95295504f33dfbed"),
+    (3, 2, 417, "ae6585fd897118fe"),
+    (5, 1, 63, "ae1b71a6c787b19d"),
+])
+def test_ball_canonical_forms_golden(p, radius, count, digest):
+    # canonical forms are built from this module's arithmetic; pinned values
+    # from before the t-power fast path
+    texts = sorted(v.to_text() for v in ball(p, radius))
+    assert len(texts) == count
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == digest
 
 
 # -- t = s^2 ------------------------------------------------------------------

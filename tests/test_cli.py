@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from buraubuilding import cli
 from buraubuilding.cli import (
     build_config,
     dumps,
@@ -148,3 +149,28 @@ def test_explore_cache_round_trip(tmp_path, capsys):
     assert cold == warm
     total = sum(o["sizeWithinRadius"] for o in cold["data"]["orbits"])
     assert total == 63          # [I] plus its 62-vertex link
+
+
+def test_explore_cache_unreadable_entry_is_a_miss(tmp_path, capsys):
+    argv = ["explore", "--p", "2", "--radius", "1", "--gens", "x,y", "--json"]
+    cold = json.loads(run(argv, capsys, cache_dir=tmp_path))
+    (entry,) = os.listdir(tmp_path)
+    path = tmp_path / entry
+    good = path.read_text()
+    path.write_text(good[:len(good) // 2])          # truncated write
+    again = json.loads(run(argv, capsys, cache_dir=tmp_path))
+    cold.pop("elapsed")
+    again.pop("elapsed")
+    assert again == cold
+    assert os.listdir(tmp_path) == [entry]
+    assert path.read_text() == good                 # the miss rewrote it
+
+
+def test_internal_error_exits_2_without_traceback(capsys, monkeypatch):
+    def broken(config):
+        raise AssertionError("enumerated matrix fails the independent re-check")
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    assert main(["verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: AssertionError:")
+    assert "Traceback" not in err

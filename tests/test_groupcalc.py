@@ -102,6 +102,18 @@ def test_stab_exact_n_point():
     assert rpt.element_orders == (1, 2, 3, 3, 6, 6)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_stab_exact_order_constant_along_orbits(p):
+    # order(Stab(g.v)) = order(Stab(v)) for every vertex of link([I]);
+    # y is left out for cost, and u.v exceeds the default digit bound
+    gens = [letter_matrix("x", p), letter_matrix("x", p).inverse()]
+    for lv in link(identity_vertex(p)):
+        v = lv.vclass
+        order = stab_exact(v).order
+        for g in gens:
+            assert stab_exact(apply(g, v)).order == order, v.to_text()
+
+
 def test_stab_words_lower_bound():
     rpt = stab_words(identity_vertex(3), ("x",), depth=4)
     assert not rpt.complete
