@@ -8,6 +8,14 @@ triangular matrix with diagonal pi^(a_i), min a_i = 0, and each entry below
 the diagonal reduced to its pi-adic Laurent prefix modulo pi^(a_row).  Row
 order is fixed (no row permutations), so diagonal exponents are positional;
 ``relative_position`` provides the sorted view.
+
+The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
+v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
+index n + i the plane annihilated by the functional ``projective_points(p)[i]``.
+A stabilizer g of v acts on the link through the residue matrix
+u-bar in GL3(F_p) of v.canon^-1 * g * v.canon (scaled by a power of pi into
+GL3(O)), so ``induced_link_permutation`` reads the permutation from u-bar
+without enumerating the link.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .arith import INF, RatFunc, laurent_prefix, render_laurent
+from .arith import INF, RatFunc, inv_mod, laurent_prefix, render_laurent
 from .rep import MatrixRF
 
 
@@ -253,23 +261,55 @@ def cycle_type_of(perm):
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
+def _point_index(p):
+    return {pt: i for i, pt in enumerate(projective_points(p))}
+
+
+def _normalize(vec, p):
+    """The representative in ``projective_points(p)`` of the line through vec."""
+    c = inv_mod(vec[_pivot(vec)], p)
+    return tuple(a * c % p for a in vec)
+
+
+def _cross(a, b, p):
+    return ((a[1] * b[2] - a[2] * b[1]) % p,
+            (a[2] * b[0] - a[0] * b[2]) % p,
+            (a[0] * b[1] - a[1] * b[0]) % p)
+
+
 def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
-    """The permutation g induces on link(v); g must stabilize v."""
+    """The permutation g induces on link(v); g must stabilize v.
+
+    h = v.canon^-1 * g * v.canon lies in pi^k GL3(O) with k the least entry
+    valuation; the residue matrix u-bar of pi^-k h in GL3(F_p) moves the line
+    through ``projective_points(p)[i]`` (link index i) to the line through
+    u-bar times it, and the plane ker phi_i (link index n + i, phi_i =
+    ``projective_points(p)[i]``, basis ``plane_basis``) to the plane whose
+    annihilator is the cross product of the images of its basis.  Lines go
+    to lines, so the result is always type preserving.
+    """
     if apply(g, v) != v:
         raise ValueError("matrix does not stabilize the vertex")
-    lk = link(v)
-    index = {lv.vclass: i for i, lv in enumerate(lk)}
-    perm = []
-    ok = True
-    for lv in lk:
-        w = apply(g, lv.vclass)
-        j = index.get(w)
-        if j is None:
-            raise ValueError("image of a link vertex left the link")
-        if lk[j].dim != lv.dim:
-            ok = False
-        perm.append(j)
-    return LinkPermutation(tuple(perm), cycle_type_of(perm), ok)
+    p = v.p
+    h = v.canon.inverse() * g * v.canon
+    k = min(e.valuation() for row in h.rows for e in row)
+    if h.det().valuation() != 3 * k:
+        raise AssertionError("conjugated stabilizer element is not in "
+                             "pi^k GL3(O)")
+    u = [[e.shift_pi(-k).residue() for e in row] for row in h.rows]
+
+    def act(vec):
+        return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in u)
+
+    pts = projective_points(p)
+    index = _point_index(p)
+    n = len(pts)
+    perm = [index[_normalize(act(pt), p)] for pt in pts]
+    for phi in pts:
+        b1, b2 = plane_basis(phi, p)
+        perm.append(n + index[_normalize(_cross(act(b1), act(b2), p), p)])
+    return LinkPermutation(tuple(perm), cycle_type_of(perm), True)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ CACHE_ENV = "BURAUBUILDING_CACHE_DIR"
 # part of every cache key: bump it whenever a change alters cached results,
 # so that entries computed by an older algorithm are never served
 ALGORITHM_VERSION = "2"
-DEFAULT_SEED = 20240601
 
 IDENTITY_IMAGE_ORDERS = {2: 4, 3: 4, 5: 4, 7: 8, 11: 12}
 
@@ -46,8 +45,6 @@ class RunConfig(NamedTuple):
     budget_nodes: int
     cache_dir: str
     output_format: str      # text | json | dot
-    seed: int
-    jobs: int
 
 
 class ClaimResult(NamedTuple):
@@ -88,7 +85,6 @@ def _read_config_file(path):
 _CONFIG_KEYS = {
     "prime": int, "radius": int, "wordDepth": int, "digitBound": int,
     "budgetNodes": int, "cacheDir": str, "outputFormat": str,
-    "seed": int, "jobs": int,
 }
 
 
@@ -97,7 +93,6 @@ def build_config(args) -> RunConfig:
     base = {
         "prime": 3, "radius": 1, "wordDepth": 3, "digitBound": 8,
         "budgetNodes": 200_000, "cacheDir": "", "outputFormat": "text",
-        "seed": DEFAULT_SEED, "jobs": 1,
     }
     if getattr(args, "config", None):
         for k, v in _read_config_file(args.config).items():
@@ -107,7 +102,7 @@ def build_config(args) -> RunConfig:
     flagmap = {
         "prime": "p", "radius": "radius", "wordDepth": "depth",
         "digitBound": "digit_bound", "budgetNodes": "budget",
-        "cacheDir": "cache_dir", "seed": "seed", "jobs": "jobs",
+        "cacheDir": "cache_dir",
     }
     for key, attr in flagmap.items():
         v = getattr(args, attr, None)
@@ -119,14 +114,13 @@ def build_config(args) -> RunConfig:
         base["outputFormat"] = "dot"
     cache = base["cacheDir"] or os.environ.get(CACHE_ENV) \
         or os.path.join(os.path.expanduser("~"), ".cache", "buraubuilding")
-    for k in ("radius", "wordDepth", "digitBound", "budgetNodes", "jobs"):
+    for k in ("radius", "wordDepth", "digitBound", "budgetNodes"):
         if base[k] < 1:
             raise ValueError("%s must be positive" % k)
     return RunConfig(prime=base["prime"], radius=base["radius"],
                      word_depth=base["wordDepth"], digit_bound=base["digitBound"],
                      budget_nodes=base["budgetNodes"], cache_dir=cache,
-                     output_format=base["outputFormat"], seed=base["seed"],
-                     jobs=base["jobs"])
+                     output_format=base["outputFormat"])
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +377,6 @@ def _add_common(sp):
     sp.add_argument("--depth", type=int, default=None, help="word-search depth")
     sp.add_argument("--digit-bound", dest="digit_bound", type=int, default=None)
     sp.add_argument("--budget", type=int, default=None, help="node budget")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=None, help="worker cap")
     sp.add_argument("--json", action="store_true", help="JSON output")
 
 

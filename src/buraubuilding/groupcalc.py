@@ -9,6 +9,7 @@ and the tube pattern walk.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -569,6 +570,16 @@ def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
     return seen
 
 
+@lru_cache(maxsize=None)
+def xyu_orbit(start: VertexClass) -> frozenset:
+    """The <x, y, u>-orbit of start to depth 6, computed once per vertex.
+
+    Deep enough to cover the radius-2 ball around [I]; the tube walk and the
+    group-point check ask for the orbits of [I] and the n-point repeatedly.
+    """
+    return frozenset(orbit_bfs(start, ("x", "y", "u"), 6))
+
+
 def ball(p: int, radius: int):
     """All vertices within the given link-distance of the identity vertex."""
     I = identity_vertex(p)
@@ -702,7 +713,7 @@ def link_group_points_check(p: int = 3):
     verts = [apply(word_evaluate(_relator_word(text), p), I)
              for text in LINK_GROUP_WORDS]
     distinct_in_link = len(set(verts)) == len(verts) and all(v in lk for v in verts)
-    orb = orbit_bfs(I, ("x", "y", "u"), 6)
+    orb = xyu_orbit(I)
     matches = set(verts) == {v for v in lk if v in orb}
     return verts, distinct_in_link, matches
 
@@ -788,8 +799,8 @@ def _tube_next(level: VertexClass, p: int, exclude):
     fixed_idx = set(range(n))
     for pm in [induced_link_permutation(g, level).perm for g in rpt.elements]:
         fixed_idx = {i for i in fixed_idx if pm[i] == i}
-    group_orb = orbit_bfs(identity_vertex(p), ("x", "y", "u"), 6)
-    n_orb = orbit_bfs(n_point_base(p), ("x", "y", "u"), 6)
+    group_orb = xyu_orbit(identity_vertex(p))
+    n_orb = xyu_orbit(n_point_base(p))
     cands = [lk[i].vclass for i in sorted(fixed_idx)]
     cands = [w for w in cands
              if w not in group_orb and w not in n_orb and w not in exclude]

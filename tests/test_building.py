@@ -16,6 +16,7 @@ from buraubuilding.building import (
     relative_position,
 )
 from buraubuilding.rep import MatrixRF, letter_matrix, named_matrix, word_evaluate, parse_word
+from buraubuilding.groupcalc import seven_star, stab_exact, stab_identity_exact
 
 
 def random_unit(rng, p, span=3):
@@ -215,6 +216,71 @@ def test_non_stabilizer_raises():
     v = canonicalize(named_matrix("M19", 3))
     with pytest.raises(ValueError):
         induced_link_permutation(x, v)
+
+
+def link_permutation_oracle(g, v):
+    """The permutation read off the link itself: the index in link(v) of the
+    canonical form of g applied to each link vertex."""
+    lk = link(v)
+    index = {lv.vclass: i for i, lv in enumerate(lk)}
+    return tuple(index[apply(g, lv.vclass)] for lv in lk)
+
+
+@pytest.fixture(scope="module")
+def seven_star_stab():
+    return stab_exact(seven_star(3))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_link_permutation_matches_oracle_identity_stabilizer(p):
+    rpt = stab_identity_exact(p)
+    for g in rpt.elements:
+        lp = induced_link_permutation(g, rpt.vertex)
+        assert lp.perm == link_permutation_oracle(g, rpt.vertex)
+        assert lp.type_preserving
+
+
+def test_link_permutation_matches_oracle_seven_star(seven_star_stab):
+    v = seven_star_stab.vertex
+    for g in seven_star_stab.elements:
+        assert induced_link_permutation(g, v).perm == link_permutation_oracle(g, v)
+
+
+@pytest.mark.parametrize("i", (0, 5, 13, 20))
+def test_link_permutation_matches_oracle_link_of_identity(i):
+    v = link(identity_vertex(3))[i].vclass
+    rpt = stab_exact(v)
+    for g in rpt.elements:
+        assert induced_link_permutation(g, v).perm == link_permutation_oracle(g, v)
+
+
+def test_link_permutation_is_a_homomorphism(seven_star_stab):
+    # (g h).w = g.(h.w): the permutation of a product is the composite
+    v = seven_star_stab.vertex
+    els = seven_star_stab.elements
+    perms = [induced_link_permutation(g, v).perm for g in els]
+    for g, pg in zip(els, perms):
+        for h, ph in zip(els, perms):
+            assert induced_link_permutation(g * h, v).perm == \
+                tuple(pg[j] for j in ph)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_link_permutation_raises_exactly_off_the_stabilizer(p):
+    gens = [word_evaluate(parse_word(w), p) for w in ("x", "x^-1", "y", "y^-1")]
+    fixed = moved = 0
+    for lv in link(identity_vertex(p)):
+        v = lv.vclass
+        for g in gens:
+            if apply(g, v) == v:
+                fixed += 1
+                assert induced_link_permutation(g, v).perm == \
+                    link_permutation_oracle(g, v)
+            else:
+                moved += 1
+                with pytest.raises(ValueError):
+                    induced_link_permutation(g, v)
+    assert fixed and moved
 
 
 def test_link_dot_shape():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +41,21 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg = build_config(args)
     assert cfg.prime == 7       # flag wins
     assert cfg.radius == 2      # file beats default
+
+
+def test_removed_jobs_flag_is_rejected():
+    # --seed and --jobs were parsed but never used; they are gone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from buraubuilding.cli import main; sys.exit(main())",
+         "verify", "--jobs", "2"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_config_rejects_unknown_key(tmp_path):
