@@ -1,6 +1,8 @@
 """Exact arithmetic over F_p: polynomials, Laurent polynomials in t and s
 (s^2 = t), normalized rational functions, the degree valuation, the bar
 involution t -> 1/t, and pi-adic expansion at the uniformizer pi = 1/t.
+``LaurentPoly`` is the one Laurent type: over F_p, or over Z with ``p=None``
+(the integral Burau matrices).
 
 Polynomials over F_p are represented as trimmed tuples of ints in [0, p),
 index = exponent.  All values are immutable; every operation is a pure
@@ -80,6 +82,7 @@ def psub(a, b, p):
 
 
 def pmul(a, b, p):
+    """Product over F_p, or the unreduced product over Z when p is None."""
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -87,7 +90,7 @@ def pmul(a, b, p):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
-    return ptrim([c % p for c in out])
+    return ptrim(out if p is None else [c % p for c in out])
 
 
 def pscale(a, c, p):
@@ -136,21 +139,16 @@ def preverse(a):
     return ptrim(reversed(a))
 
 
-def pevaluate(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Finite F_p-coefficient Laurent polynomial in the variable t or s.
+    """Finite Laurent polynomial in the variable t or s, with coefficients in
+    F_p, or in Z when ``p`` is None.
 
     Canonical trimming: ``coeffs`` is empty iff the value is zero; the first
     and last coefficients are nonzero otherwise.  ``minexp`` is meaningless
-    (kept 0) for the zero polynomial.
+    (kept 0) for the zero polynomial.  The constructor is the only place
+    that reduces mod p.
     """
 
     __slots__ = ("p", "var", "minexp", "coeffs")
@@ -158,7 +156,7 @@ class LaurentPoly:
     def __init__(self, p, coeffs, minexp=0, var="t"):
         self.p = p
         self.var = var
-        coeffs = [c % p for c in coeffs]
+        coeffs = list(coeffs) if p is None else [c % p for c in coeffs]
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1
@@ -206,7 +204,7 @@ class LaurentPoly:
 
     def _check(self, other):
         if self.p != other.p:
-            raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.p))
+            raise ValueError("modulus mismatch: %s vs %s" % (self.p, other.p))
         if self.var != other.var:
             raise ValueError("variable mismatch: %s vs %s" % (self.var, other.var))
 
@@ -220,21 +218,28 @@ class LaurentPoly:
         lo = min(self.minexp, other.minexp)
         hi = max(self.maxexp, other.maxexp)
         return LaurentPoly(self.p,
-                           [(self.coeff(k) + other.coeff(k)) % self.p
-                            for k in range(lo, hi + 1)],
+                           [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)],
                            lo, self.var)
 
     def __neg__(self):
-        return LaurentPoly(self.p, [(-c) % self.p for c in self.coeffs],
-                           self.minexp, self.var)
+        return LaurentPoly(self.p, [-c for c in self.coeffs], self.minexp, self.var)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        prod = pmul(self.coeffs, other.coeffs, self.p)
+        # the unreduced product; the constructor reduces it mod p
+        prod = pmul(self.coeffs, other.coeffs, None)
         return LaurentPoly(self.p, prod, self.minexp + other.minexp, self.var)
+
+    def inverse(self):
+        """Inverse of a unit c*t^k (c = +-1 over Z); ZeroDivisionError otherwise."""
+        if len(self.coeffs) != 1 or (self.p is None and self.coeffs[0] not in (1, -1)):
+            raise ZeroDivisionError("%s is not a unit" % self)
+        c = self.coeffs[0]
+        return LaurentPoly(self.p, (c if self.p is None else inv_mod(c, self.p),),
+                           -self.minexp, self.var)
 
     def __pow__(self, n):
         if n < 0:
@@ -282,7 +287,12 @@ class LaurentPoly:
         return LaurentPoly(self.p, self.coeffs[::2], self.minexp // 2, "t")
 
     def evaluate_at_one(self):
-        return sum(self.coeffs) % self.p
+        total = sum(self.coeffs)
+        return total if self.p is None else total % self.p
+
+    def reduce_mod(self, p):
+        """The image mod p of a polynomial over Z."""
+        return LaurentPoly(p, self.coeffs, self.minexp, self.var)
 
     def to_ratfunc(self):
         if self.minexp >= 0:
@@ -346,10 +356,6 @@ class RatFunc:
     def const(cls, c, p, var="t"):
         c %= p
         return cls(p, (c,) if c else (), (1,), var, normalize=False)
-
-    @classmethod
-    def from_laurent(cls, f):
-        return f.to_ratfunc()
 
     # -- structure ----------------------------------------------------------
     def is_zero(self):
@@ -495,98 +501,6 @@ def _over_t_power(num, k):
     while z < k and not num[z]:
         z += 1
     return num[z:], (0,) * (k - z) + (1,)
-
-
-class LaurentInt:
-    """Laurent polynomial in t with arbitrary-precision integer coefficients.
-
-    Exact characteristic-0 arithmetic; long braid words blow the entries up
-    to large integers, which is the point.
-    """
-
-    __slots__ = ("minexp", "coeffs")
-
-    def __init__(self, coeffs, minexp=0):
-        coeffs = list(coeffs)
-        lead = 0
-        while lead < len(coeffs) and coeffs[lead] == 0:
-            lead += 1
-        minexp += lead
-        coeffs = coeffs[lead:]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            minexp = 0
-        self.minexp = minexp
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def term(cls, c, k):
-        return cls((c,), k)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def maxexp(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return self.minexp + len(self.coeffs) - 1
-
-    def coeff(self, k):
-        i = k - self.minexp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.minexp, other.minexp)
-        hi = max(self.maxexp, other.maxexp)
-        return LaurentInt([self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)], lo)
-
-    def __neg__(self):
-        return LaurentInt([-c for c in self.coeffs], self.minexp)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return LaurentInt.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return LaurentInt(out, self.minexp + other.minexp)
-
-    def __eq__(self, other):
-        return (isinstance(other, LaurentInt) and self.minexp == other.minexp
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.minexp, self.coeffs))
-
-    def reduce_mod(self, p, var="t"):
-        return LaurentPoly(p, [c % p for c in self.coeffs], self.minexp, var)
-
-    def __str__(self):
-        return render_laurent_data(self.coeffs, self.minexp, "t")
-
-    def __repr__(self):
-        return "LaurentInt(%s)" % (self,)
 
 
 # ---------------------------------------------------------------------------

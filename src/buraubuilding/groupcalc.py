@@ -680,9 +680,7 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
     if stab_reports:
         for entry, rep in orbit_entries:
             label = entry["label"]
-            if label == "group-point":
-                rpt = stab_exact(rep)
-            elif label in ("n-point", "tube(1)"):
+            if label in ("group-point", "n-point", "tube(1)"):
                 rpt = stab_exact(rep)
             else:
                 rpt = stab_words(rep, ("u", "u1", "h"), depth=3)
@@ -736,21 +734,14 @@ RELATION_FAMILIES = (
 
 
 def _relator_word(text):
+    """parse_word, with each letter w expanded into the word of w."""
     w = named_word("w")
     out = []
-    for part in text.split("."):
-        name = part
-        e = 1
-        if "^" in part:
-            name, es = part.split("^")
-            e = int(es)
-        if name == "w":
-            seg = w if e > 0 else w.inverse()
-            for _ in range(abs(e)):
-                out.extend(seg)
+    for letter in parse_word(text):
+        if letter[0] == "w":
+            out.extend(w if letter[1] > 0 else w.inverse())
         else:
-            sign = 1 if e > 0 else -1
-            out.extend([(name, sign)] * abs(e))
+            out.append(letter)
     return GroupWord(out)
 
 

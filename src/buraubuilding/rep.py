@@ -3,6 +3,9 @@ form J, unitarity testing, word evaluation, homothety detection, element
 orders, and the named constant matrices u, h, u1, alpha_k, beta2, M19 and
 the kernel witness word.
 
+``MatrixRF`` is the one 3x3 matrix type: RatFunc entries mod p, or
+LaurentPoly entries over Z[t, 1/t] when ``p`` is None.
+
 Convention: several reduced-Burau conventions circulate, differing by
 transpose, inversion and t <-> 1/t.  The convention fixed here is the one
 under which all three generators are J-unitary *and* u^2 commutes with
@@ -14,11 +17,9 @@ of J-unitary matrices are J-unitary.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .arith import (
-    INF,
-    LaurentInt,
     LaurentPoly,
     RatFunc,
     check_prime,
@@ -31,7 +32,8 @@ from .arith import (
 # 3x3 matrices
 
 class MatrixRF:
-    """3x3 matrix of RatFunc entries sharing modulus and variable tag."""
+    """3x3 matrix of entries sharing modulus and variable tag: RatFunc mod p,
+    or LaurentPoly over Z when ``p`` is None."""
 
     __slots__ = ("p", "var", "rows")
 
@@ -46,13 +48,17 @@ class MatrixRF:
 
     @classmethod
     def identity(cls, p, var="t"):
-        one, zero = RatFunc.one(p, var), RatFunc.zero(p, var)
+        ring = LaurentPoly if p is None else RatFunc
+        one, zero = ring.one(p, var), ring.zero(p, var)
         return cls(p, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), var)
 
     @classmethod
     def from_strings(cls, rows, p, var="t"):
-        return cls(p, tuple(tuple(parse_laurent(e, p, var).to_ratfunc()
-                                  for e in row) for row in rows), var)
+        def entry(text):
+            e = parse_laurent(text, p, var)
+            return e if p is None else e.to_ratfunc()
+
+        return cls(p, tuple(tuple(entry(e) for e in row) for row in rows), var)
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
@@ -64,17 +70,10 @@ class MatrixRF:
     def __mul__(self, other):
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
-        z = RatFunc.zero(self.p, self.var)
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = z
-                for k in range(3):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatrixRF(self.p, rows, self.var)
+        b = other.rows
+        return MatrixRF(self.p, tuple(
+            tuple(r[0] * b[0][j] + r[1] * b[1][j] + r[2] * b[2][j] for j in range(3))
+            for r in self.rows), self.var)
 
     def __add__(self, other):
         return MatrixRF(self.p, tuple(tuple(a + b for a, b in zip(r, s))
@@ -90,7 +89,7 @@ class MatrixRF:
     def scale(self, c: RatFunc):
         return self.entry_map(lambda e: e * c)
 
-    def det(self) -> RatFunc:
+    def det(self):
         r = self.rows
         return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
                 - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
@@ -108,11 +107,17 @@ class MatrixRF:
                                       for i in range(3)), self.var)
 
     def inverse(self):
+        """adj / det; over Z the determinant must be a unit +-t^k."""
         d = self.det()
         if d.is_zero():
             raise ZeroDivisionError("singular matrix")
         dinv = d.inverse()
         return self.adjugate().entry_map(lambda e: e * dinv)
+
+    def reduce_mod(self, p):
+        """The image mod p of a matrix over Z[t, 1/t]."""
+        return MatrixRF(p, tuple(tuple(e.reduce_mod(p).to_ratfunc() for e in row)
+                                 for row in self.rows), self.var)
 
     def transpose(self):
         return MatrixRF(self.p, tuple(tuple(self.rows[j][i] for j in range(3))
@@ -153,7 +158,7 @@ class MatrixRF:
                                for row in self.rows) + "]"
 
     def __repr__(self):
-        return "MatrixRF(p=%d, %s)" % (self.p, self)
+        return "MatrixRF(p=%s, %s)" % (self.p, self)
 
 
 def _stretch(coeffs):
@@ -165,100 +170,6 @@ def _stretch(coeffs):
 
 def _rat_to_s(x: RatFunc) -> RatFunc:
     return RatFunc(x.p, _stretch(x.num), _stretch(x.den), "s", normalize=False)
-
-
-class MatrixInt:
-    """3x3 matrix of integer-coefficient Laurent polynomials (integral Burau)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(row) for row in rows)
-
-    @classmethod
-    def identity(cls):
-        one, zero = LaurentInt.one(), LaurentInt.zero()
-        return cls(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
-    def __mul__(self, other):
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = LaurentInt.zero()
-                for k in range(3):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatrixInt(rows)
-
-    def det(self) -> LaurentInt:
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-
-    def inverse(self):
-        """Inverse over Z[t, 1/t]; requires det = +-t^k."""
-        d = self.det()
-        if d.is_zero() or d.coeffs not in ((1,), (-1,)):
-            raise ZeroDivisionError("determinant %s is not a unit of Z[t,1/t]" % d)
-        sign, shift = d.coeffs[0], -d.minexp
-        r = self.rows
-
-        def cof(i, j):
-            sub = [[r[a][b] for b in range(3) if b != j] for a in range(3) if a != i]
-            m = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            return -m if (i + j) % 2 else m
-
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                c = cof(j, i)
-                c = LaurentInt([sign * v for v in c.coeffs], c.minexp + shift)
-                row.append(c)
-            rows.append(tuple(row))
-        return MatrixInt(rows)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = MatrixInt.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def reduce_mod(self, p) -> MatrixRF:
-        return MatrixRF(p, tuple(tuple(e.reduce_mod(p).to_ratfunc() for e in row)
-                                 for row in self.rows))
-
-    def max_degree_span(self):
-        """(min exponent, max exponent) over all nonzero entries."""
-        lo, hi = None, None
-        for row in self.rows:
-            for e in row:
-                if not e.is_zero():
-                    lo = e.minexp if lo is None else min(lo, e.minexp)
-                    hi = e.maxexp if hi is None else max(hi, e.maxexp)
-        return lo, hi
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixInt) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __str__(self):
-        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]"
-                               for row in self.rows) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +201,6 @@ _BURAU_BASE = (
     (("1", "0", "0"), ("0", "1", "0"), ("0", "t", "-1*t")),
 )
 
-# same matrices with integer coefficients, entries as ascending-in-t tuples
-_BURAU_BASE_INT = (
-    (((0, -1), (1,), ()), ((), (1,), ()), ((), (), (1,))),
-    (((1,), (), ()), ((0, 1), (0, -1), (1,)), ((), (), (1,))),
-    (((1,), (), ()), ((), (1,), ()), ((), (0, 1), (0, -1))),
-)
-
 
 @lru_cache(maxsize=None)
 def burau_generator(i: int, p: int) -> MatrixRF:
@@ -308,12 +212,11 @@ def burau_generator(i: int, p: int) -> MatrixRF:
 
 
 @lru_cache(maxsize=None)
-def burau_generator_integral(i: int) -> MatrixInt:
+def burau_generator_integral(i: int) -> MatrixRF:
     """Reduced Burau matrix of sigma_i over Z[t, 1/t]."""
     if i not in (1, 2, 3):
         raise ValueError("generator index must be 1, 2 or 3")
-    return MatrixInt(tuple(tuple(LaurentInt(e) for e in row)
-                           for row in _BURAU_BASE_INT[i - 1]))
+    return MatrixRF.from_strings(_BURAU_BASE[i - 1], None)
 
 
 def convention_survey(p: int):
@@ -348,7 +251,7 @@ class HomothetyWitness(NamedTuple):
     exponent: int        # k with matrix = scalar * t^k * I
 
 
-def is_homothety(A: Union[MatrixRF, MatrixInt]) -> Optional[HomothetyWitness]:
+def is_homothety(A: MatrixRF) -> Optional[HomothetyWitness]:
     """The scalar c*t^k iff A = c*t^k*I, else None."""
     r = A.rows
     for i in range(3):
@@ -360,19 +263,16 @@ def is_homothety(A: Union[MatrixRF, MatrixInt]) -> Optional[HomothetyWitness]:
     d = r[0][0]
     if d.is_zero():
         return None
-    if isinstance(A, MatrixRF):
+    if isinstance(d, RatFunc):
         if not d.is_laurent():
             return None
-        lau = d.to_laurent()
-        if len(lau.coeffs) != 1:
-            return None
-        return HomothetyWitness(lau.coeffs[0], lau.minexp)
+        d = d.to_laurent()
     if len(d.coeffs) != 1:
         return None
     return HomothetyWitness(d.coeffs[0], d.minexp)
 
 
-def order_mod_homothety(A: Union[MatrixRF, MatrixInt], maxn: int = 100):
+def order_mod_homothety(A: MatrixRF, maxn: int = 100):
     """Least n <= maxn with A^n a homothety, else None (order exceeds maxn)."""
     if maxn < 1:
         raise ValueError("maxn must be >= 1")
@@ -508,13 +408,6 @@ def named_matrix(name: str, p: int) -> MatrixRF:
     raise KeyError("no matrix constant named %r" % name)
 
 
-def named_constant(name: str, p: int = 3):
-    """Dispatch: matrices for u/h/beta2/M19, words for the rest."""
-    if name in ("u", "h", "beta2", "M19"):
-        return named_matrix(name, p)
-    return named_word(name)
-
-
 # ---------------------------------------------------------------------------
 # word evaluation
 
@@ -530,14 +423,11 @@ def letter_matrix(name: str, p: int) -> MatrixRF:
 
 
 @lru_cache(maxsize=None)
-def _letter_matrix_integral(name: str) -> MatrixInt:
+def _letter_matrix_integral(name: str) -> MatrixRF:
     if name in ("s1", "s2", "s3"):
         return burau_generator_integral(int(name[1]))
     if name in ("x", "y"):
-        out = MatrixInt.identity()
-        for ln, sgn in named_word(name):
-            out = out * _letter_matrix_integral(ln) ** sgn
-        return out
+        return word_evaluate_integral(named_word(name))
     raise KeyError("letter %r is not defined integrally" % name)
 
 
@@ -551,9 +441,9 @@ def word_evaluate(w: GroupWord, p: int) -> MatrixRF:
     return out
 
 
-def word_evaluate_integral(w: GroupWord) -> MatrixInt:
+def word_evaluate_integral(w: GroupWord) -> MatrixRF:
     """Left-to-right product over Z[t, 1/t]; only sigma_i, x, y are defined."""
-    out = MatrixInt.identity()
+    out = MatrixRF.identity(None)
     for name, sgn in w:
         m = _letter_matrix_integral(name)
         out = out * (m if sgn > 0 else m.inverse())

@@ -140,6 +140,65 @@ def test_laurent_fast_path_matches_general_path():
             assert fields(x * g) == fields(g * x)
 
 
+# -- integer coefficients (p = None) -------------------------------------------
+
+def int_oracle(f):
+    """{exponent: nonzero integer coefficient}, the plain-integer reference."""
+    return {f.minexp + i: c for i, c in enumerate(f.coeffs) if c}
+
+
+def oracle_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def random_integral(rng, span=4, size=50):
+    lo = rng.randint(-span, span)
+    return LaurentPoly(None, [rng.randint(-size, size)
+                              for _ in range(rng.randint(0, span + 1))], lo)
+
+
+def test_integral_laurent_matches_integer_oracle():
+    rng = random.Random(9)
+    for _ in range(300):
+        a, b = random_integral(rng), random_integral(rng)
+        oa, ob = int_oracle(a), int_oracle(b)
+        for got, want in ((a + b, oracle_add(oa, ob)),
+                          (a - b, oracle_add(oa, {k: -c for k, c in ob.items()})),
+                          (a * b, oracle_mul(oa, ob))):
+            assert got.p is None
+            assert int_oracle(got) == want
+            # canonical trimming: no zero at either end, minexp 0 for zero
+            assert got.coeffs == () and got.minexp == 0 or \
+                got.coeffs[0] and got.coeffs[-1]
+        unit = LaurentPoly.term(rng.choice((1, -1)), rng.randint(-6, 6), None)
+        inv = unit.inverse()
+        assert int_oracle(inv) == {-unit.minexp: unit.coeffs[0]}
+        assert int_oracle(unit * inv) == {0: 1}
+        assert int_oracle(a * unit * inv) == oa
+
+
+def test_laurent_inverse_of_a_non_unit_is_refused():
+    for p in (None, 3):
+        with pytest.raises(ZeroDivisionError):
+            L("1+t", p).inverse()
+        with pytest.raises(ZeroDivisionError):
+            LaurentPoly.zero(p).inverse()
+    with pytest.raises(ZeroDivisionError):
+        L("2", None).inverse()
+    assert L("2*t^3", 3).inverse() == L("2*t^-3", 3)
+
+
 # -- valuation ----------------------------------------------------------------
 
 def test_valuation_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -155,6 +156,22 @@ def test_presentation_export(capsys):
     d = json.loads(run(["presentation-export", "--json"], capsys))
     assert d["data"]["generators"]["u"]["orderModHomothety"] == 6
     assert len(d["data"]["relators"]) == 9
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["witness"], "9427b5f4478f9dfd"),
+    (["verify"], "180306f50215daae"),
+    (["presentation-export"], "603def1405b3501a"),
+    (["stab-identity", "--p", "3"], "c0c82603a8d3bc90"),
+    (["stab", "--vertex", "M19"], "889ad74bdb1ddd0a"),
+], ids=["witness", "verify", "presentation-export", "stab-identity-p3",
+        "stab-M19"])
+def test_json_output_golden(argv, digest, capsys):
+    # refactors must keep every claim's JSON byte-identical; pinned values
+    # from before the integral and mod-p types were merged
+    d = json.loads(run(argv + ["--json"], capsys))
+    d.pop("elapsed")
+    assert hashlib.sha256(dumps(d).encode()).hexdigest()[:16] == digest
 
 
 def test_explore_cache_round_trip(tmp_path, capsys):

@@ -68,7 +68,7 @@ def test_u_h_beta2_orders():
     assert order_mod_homothety(named_matrix("beta2", 5)) == 4
 
 
-def test_named_constants_unitary():
+def test_named_matrices_unitary():
     assert is_unitary(named_matrix("u", 3))
     assert is_unitary(named_matrix("h", 3))
     assert is_unitary(named_matrix("beta2", 5))
@@ -133,9 +133,25 @@ def test_kernel_word_homothety_mod3_only():
 
 
 def test_integral_reduction_consistency():
-    # reducing the integral product mod 3 agrees with the mod-3 product
+    # reducing the integral product mod p agrees with the mod-p product
     w = GroupWord(named_word("kernel_word")[:20])
     assert word_evaluate_integral(w).reduce_mod(3) == word_evaluate(w, 3)
+    rng = random.Random(20240602)
+    letters = ["s1", "s2", "s3", "x", "y"]
+    for p in (2, 3, 5, 7):
+        for _ in range(6):
+            w = GroupWord((rng.choice(letters), rng.choice((1, -1)))
+                          for _ in range(rng.randint(1, 24)))
+            assert word_evaluate_integral(w).reduce_mod(p) == word_evaluate(w, p)
+
+
+def test_integral_inverse_needs_a_unit_determinant():
+    m = MatrixRF.from_strings([["2", "0", "0"], ["0", "1", "t"], ["0", "0", "1"]],
+                              None)
+    with pytest.raises(ZeroDivisionError):
+        m.inverse()
+    g = word_evaluate_integral(parse_word("s1.s2^-1.x"))
+    assert g * g.inverse() == MatrixRF.identity(None)
 
 
 # -- homothety and order helpers ----------------------------------------------
