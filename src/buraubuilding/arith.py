@@ -357,6 +357,16 @@ class RatFunc:
         c %= p
         return cls(p, (c,) if c else (), (1,), var, normalize=False)
 
+    @classmethod
+    def from_pi_digits(cls, digits, lo, p):
+        """sum digits[j] * pi^(lo+j) for digits in [0, p); see ``pi_digits``."""
+        # = reversed(digits) / t^(lo + len - 1)
+        num = ptrim(digits[::-1])
+        e = lo + len(digits) - 1
+        if e < 0:
+            return cls(p, pshift(num, -e), (1,), "t", normalize=False)
+        return cls(p, *_over_t_power(num, e), "t", normalize=False)
+
     # -- structure ----------------------------------------------------------
     def is_zero(self):
         return not self.num
@@ -522,25 +532,30 @@ def pi_adic_expand(x: RatFunc, k: int):
     return tuple(digits)
 
 
-def laurent_prefix(x: RatFunc, bound: int) -> RatFunc:
-    """The pi-adic Laurent prefix of x below pi^bound.
+def pi_digits(x: RatFunc, lo: int, n: int):
+    """The pi-adic digits of x at pi^lo .. pi^(lo+n-1), as a list of n ints.
 
-    Digits run from nu(x) (which may be negative) up to bound - 1; the
-    result r satisfies nu(x - r) >= bound.  Used by lattice canonical forms.
+    Digits below pi^lo are dropped, so when nu(x) >= lo the result d
+    satisfies nu(x - sum d[j]*pi^(lo+j)) >= lo + n.  A t-power denominator
+    takes a shift of the numerator, any other one polynomial division.  Used
+    by lattice canonical forms.
     """
-    v = x.valuation()
-    if v is INF or v >= bound:
-        return RatFunc.zero(x.p, x.var)
-    # x * t^(bound-1) = q + rem/den with nu(rem/den) >= 1, so q / t^(bound-1)
-    # holds exactly the digits below pi^bound
-    p = x.p
-    if bound >= 1:
-        q = pdivmod(pshift(x.num, bound - 1), x.den, p)[0]
-        return RatFunc(p, *_over_t_power(q, bound - 1), x.var, normalize=False)
-    # bound <= 0: the digits of q at t^0 .. t^(-bound) lie at or above pi^bound
-    q = pdivmod(x.num, x.den, p)[0]
-    return RatFunc(p, (0,) * (1 - bound) + q[1 - bound:], (1,), x.var,
-                   normalize=False)
+    out = [0] * n
+    if not x.num:
+        return out
+    # x * t^s = q + rem/den with nu(rem/den) >= 1 and q = sum d[j]*t^(n-1-j)
+    s = lo + n - 1
+    num, den = x.num, x.den
+    if den.count(0) == len(den) - 1:
+        # den = t^e (monic): q is num shifted by s - e
+        s -= len(den) - 1
+        q = pshift(num, s) if s >= 0 else num[-s:]
+    else:
+        q = pdivmod(pshift(num, s), den, x.p)[0] if s >= 0 \
+            else pdivmod(num, den, x.p)[0][-s:]
+    for k, c in enumerate(q[:n]):
+        out[n - 1 - k] = c
+    return out
 
 
 # ---------------------------------------------------------------------------

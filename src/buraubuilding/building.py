@@ -7,7 +7,10 @@ Lattice classes are represented by a Hermite-style canonical form: a lower
 triangular matrix with diagonal pi^(a_i), min a_i = 0, and each entry below
 the diagonal reduced to its pi-adic Laurent prefix modulo pi^(a_row).  Row
 order is fixed (no row permutations), so diagonal exponents are positional;
-``relative_position`` provides the sorted view.
+``relative_position`` provides the sorted view.  ``canonicalize`` eliminates
+on pi-adic digit lists truncated modulo pi^(D+1), D = nu(det) of the basis
+scaled into O^3 (Cohen's HNF modulo D, worked over F_p[[pi]]): the lattice
+contains pi^D * O^3, so the truncation does not change the class.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -21,9 +24,9 @@ without enumerating the link.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .arith import INF, RatFunc, inv_mod, laurent_prefix, render_laurent
+from .arith import RatFunc, inv_mod, pi_digits, render_laurent
 from .rep import MatrixRF
 
 
@@ -76,46 +79,79 @@ def canonicalize(M: MatrixRF) -> VertexClass:
     Column operations over GL3(O) and global scaling do not change the
     output; the result is lower triangular with diagonal pi^(a_i) and
     min a_i = 0.
+
+    The elimination runs on pi-adic digits of pi^-m * M (m the least entry
+    valuation, so the entries lie in O) modulo pi^(D+1), D = nu(det) - 3m:
+    the lattice L contains pi^D * O^3, so a column changed by an element of
+    pi^(D+1) * O^3 keeps nu(det) = D and still generates L, and the
+    canonical form of L is unique.
     """
     p = M.p
-    if M.det().is_zero():
+    det = M.det()
+    if det.is_zero():
         raise ValueError("singular matrix does not define a lattice")
-    cols = [[M[i, j] for i in range(3)] for j in range(3)]
+    m = min(e.valuation() for row in M.rows for e in row)
+    n = det.valuation() - 3 * m + 1
+    # cols[j][i]: the digits of pi^-m * M[i, j] modulo pi^n
+    cols = [[pi_digits(M[i, j], m, n) for i in range(3)] for j in range(3)]
     exps = [0, 0, 0]
 
     for r in range(3):
         # pivot: minimum-valuation entry of row r among columns >= r
-        best, bestval = None, INF
+        best, bestval = None, n
         for j in range(r, 3):
-            v = cols[j][r].valuation()
+            v = _order(cols[j][r])
             if v < bestval:
                 best, bestval = j, v
         cols[r], cols[best] = cols[best], cols[r]
-        a = int(bestval)
-        exps[r] = a
-        unit_inv = (cols[r][r].shift_pi(-a)).inverse()
-        cols[r] = [e * unit_inv for e in cols[r]]
+        a = exps[r] = bestval
+        # scaling by any unit congruent to the inverse mod pi^(n-a) leaves
+        # the pivot pi^a modulo pi^n
+        unit_inv = _series_inverse(cols[r][r][a:], p)
+        cols[r] = [_muladd([0] * n, unit_inv, e, p) for e in cols[r]]
         for j in range(r + 1, 3):
-            lam = cols[j][r].shift_pi(-a)
-            cols[j] = [e - lam * f for e, f in zip(cols[j], cols[r])]
+            lam = [-d for d in cols[j][r][a:]]
+            cols[j] = [_muladd(e, lam, f, p) for e, f in zip(cols[j], cols[r])]
 
-    # homothety: make the minimum diagonal exponent 0
-    m = min(exps)
-    if m:
-        cols = [[e.shift_pi(-m) for e in col] for col in cols]
-        exps = [a - m for a in exps]
-
-    # reduce below-diagonal entries to pi-adic prefixes modulo the row pivot
+    # reduce below-diagonal entries modulo the row pivot pi^(a_i)
     for j in range(2):
         for i in range(j + 1, 3):
-            e = cols[j][i]
-            pref = laurent_prefix(e, exps[i])
-            lam = (e - pref).shift_pi(-exps[i])
-            cols[j] = [a - lam * b for a, b in zip(cols[j], cols[i])]
+            lam = [-d for d in cols[j][i][exps[i]:]]
+            cols[j] = [_muladd(e, lam, f, p) for e, f in zip(cols[j], cols[i])]
 
-    canon = MatrixRF(p, tuple(tuple(cols[j][i] for j in range(3))
-                              for i in range(3)))
-    return VertexClass(p, canon, exps)
+    # homothety: make the minimum diagonal exponent 0
+    mn = min(exps)
+    canon = MatrixRF(p, tuple(tuple(RatFunc.from_pi_digits(cols[j][i], -mn, p)
+                                    for j in range(3)) for i in range(3)))
+    return VertexClass(p, canon, [a - mn for a in exps])
+
+
+def _order(digits):
+    """Index of the first nonzero digit, len(digits) if there is none."""
+    for k, d in enumerate(digits):
+        if d:
+            return k
+    return len(digits)
+
+
+def _series_inverse(u, p):
+    """Digits of the inverse of the unit with digits u, modulo pi^len(u)."""
+    c = inv_mod(u[0], p)
+    w = [c]
+    for k in range(1, len(u)):
+        w.append(-sum(u[i] * w[k - i] for i in range(1, k + 1)) * c % p)
+    return w
+
+
+def _muladd(e, lam, f, p):
+    """e + lam * f on digit lists, modulo pi^len(e)."""
+    out = list(e)
+    n = len(out)
+    for i, x in enumerate(lam):
+        if x:
+            for k in range(i, n):
+                out[k] += x * f[k - i]
+    return [c % p for c in out]
 
 
 def apply(g: MatrixRF, v: VertexClass) -> VertexClass:

@@ -19,15 +19,14 @@ from typing import NamedTuple
 
 from . import __version__
 from .arith import check_prime, parse_laurent
-from .rep import (MatrixRF, is_homothety, letter_matrix, named_matrix,
+from .rep import (MatrixRF, is_homothety, letter_matrix,
                   order_mod_homothety, parse_word, word_evaluate,
                   word_evaluate_integral, named_word)
 from .building import (VertexClass, canonicalize, identity_vertex,
                        is_adjacent, link, link_dot)
 from .groupcalc import (IDENTITY_STAB_PRIME_BOUND, RELATION_FAMILIES,
-                        kernel_witness_check, orbit_classify,
-                        stab_exact, stab_identity_exact, stab_words,
-                        tube_pattern_check, verify_relations)
+                        orbit_classify, stab_exact, stab_identity_exact,
+                        stab_words, tube_pattern_check, verify_relations)
 
 CACHE_ENV = "BURAUBUILDING_CACHE_DIR"
 # part of every cache key: bump it whenever a change alters cached results,

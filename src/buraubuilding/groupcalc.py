@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import INF, LaurentPoly, RatFunc, check_prime, inv_mod
+from .arith import RatFunc, check_prime, inv_mod
 from .rep import (
     GroupWord,
     MatrixRF,
@@ -318,9 +318,7 @@ def _digits_to_ratfuncs(row, ns, p):
     out = []
     pos = 0
     for n in ns:
-        e = LaurentPoly(p, [int(d) for d in row[pos:pos + n]][::-1], -(n - 1), "t") \
-            if n else LaurentPoly.zero(p)
-        out.append(e.to_ratfunc())
+        out.append(RatFunc.from_pi_digits([int(d) for d in row[pos:pos + n]], 0, p))
         pos += n
     return tuple(out)
 

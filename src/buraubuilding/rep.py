@@ -431,13 +431,19 @@ def _letter_matrix_integral(name: str) -> MatrixRF:
     raise KeyError("letter %r is not defined integrally" % name)
 
 
+@lru_cache(maxsize=None)
+def _letter_inverse(name: str, p) -> MatrixRF:
+    """The inverse letter matrix, mod p or over Z[t, 1/t] when p is None."""
+    m = _letter_matrix_integral(name) if p is None else letter_matrix(name, p)
+    return m.inverse()
+
+
 def word_evaluate(w: GroupWord, p: int) -> MatrixRF:
     """Left-to-right product of the letter matrices mod p."""
     check_prime(p)
     out = MatrixRF.identity(p)
     for name, sgn in w:
-        m = letter_matrix(name, p)
-        out = out * (m if sgn > 0 else m.inverse())
+        out = out * (letter_matrix(name, p) if sgn > 0 else _letter_inverse(name, p))
     return out
 
 
@@ -445,8 +451,8 @@ def word_evaluate_integral(w: GroupWord) -> MatrixRF:
     """Left-to-right product over Z[t, 1/t]; only sigma_i, x, y are defined."""
     out = MatrixRF.identity(None)
     for name, sgn in w:
-        m = _letter_matrix_integral(name)
-        out = out * (m if sgn > 0 else m.inverse())
+        out = out * (_letter_matrix_integral(name) if sgn > 0
+                     else _letter_inverse(name, None))
     return out
 
 

@@ -8,9 +8,9 @@ from buraubuilding.arith import (
     INF,
     LaurentPoly,
     RatFunc,
-    laurent_prefix,
     parse_laurent,
     pi_adic_expand,
+    pi_digits,
     pmul,
     render_laurent,
 )
@@ -292,31 +292,47 @@ def test_pi_adic_prefix_property():
         assert (x - acc).valuation() >= k
 
 
-def test_laurent_prefix_property():
+def test_pi_digits_property():
     rng = random.Random(6)
     for _ in range(60):
         x = random_ratfunc(rng, 3)
-        bound = rng.randint(-2, 4)
-        r = laurent_prefix(x, bound)
-        assert (x - r).valuation() >= bound
-        assert r.is_laurent()
+        v = x.valuation()
+        lo = rng.randint(-2, 4) if v is INF else v - rng.randint(0, 2)
+        n = rng.randint(0, 5)
+        r = RatFunc.zero(3)
+        for j, d in enumerate(pi_digits(x, lo, n)):
+            r = r + RatFunc.const(d, 3).shift_pi(lo + j)
+        assert (x - r).valuation() >= lo + n
 
 
-def test_laurent_prefix_matches_digit_expansion():
-    # the definition: digits of x from nu(x) up to bound - 1, one at a time
+def test_pi_digits_matches_digit_expansion():
+    # the definition: digits of x from nu(x) on, one at a time; positions
+    # below lo are dropped
     rng = random.Random(8)
     for p in (2, 3, 5, 7):
         for _ in range(150):
             x = random_ratfunc(rng, p) if rng.random() < 0.5 \
                 else random_laurent(rng, p).to_ratfunc()
-            bound = rng.randint(-4, 5)
+            lo, n = rng.randint(-4, 5), rng.randint(0, 6)
             v = x.valuation()
-            ref = RatFunc.zero(p)
-            if v is not INF and v < bound:
-                digits = pi_adic_expand(x.shift_pi(-v), bound - v)
-                for j, d in enumerate(digits):
-                    ref = ref + RatFunc.const(d, p).shift_pi(v + j)
-            assert fields(laurent_prefix(x, bound)) == fields(ref)
+            ref = [0] * n
+            if v is not INF and v < lo + n:
+                digits = pi_adic_expand(x.shift_pi(-v), lo + n - v)
+                ref = [digits[lo + j - v] if lo + j >= v else 0
+                       for j in range(n)]
+            assert pi_digits(x, lo, n) == ref
+
+
+def test_from_pi_digits_inverts_pi_digits():
+    rng = random.Random(9)
+    for p in (2, 3, 5, 7):
+        for _ in range(100):
+            digits = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+            lo = rng.randint(-4, 4)
+            x = RatFunc.from_pi_digits(digits, lo, p)
+            ref = LaurentPoly(p, digits[::-1], -(lo + len(digits) - 1))
+            assert fields(x) == fields(ref.to_ratfunc())
+            assert pi_digits(x, lo, len(digits)) == digits
 
 
 @pytest.mark.parametrize("p, radius, count, digest", [

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from buraubuilding.arith import RatFunc, LaurentPoly
+from buraubuilding.arith import INF, RatFunc, LaurentPoly, pi_adic_expand
 from buraubuilding.building import (
     VertexClass,
     apply,
@@ -91,6 +91,109 @@ def test_canonicalize_rejects_singular():
     m = MatrixRF(3, ((z, z, z),) * 3)
     with pytest.raises(ValueError):
         canonicalize(m)
+    # rank 2: the third column is a non-Laurent combination of the others
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7):
+        while True:
+            g = random_matrix(rng, p)
+            if not g.det().is_zero():
+                break
+        lam = RatFunc.one(p) / RatFunc(p, (1, 1), (1,))
+        rows = tuple((r[0], r[1], r[0] + lam * r[1]) for r in g.rows)
+        with pytest.raises(ValueError):
+            canonicalize(MatrixRF(p, rows))
+
+
+def _prefix_oracle(e, bound):
+    """The pi-adic digits of e below pi^bound, one digit at a time."""
+    v = e.valuation()
+    out = RatFunc.zero(e.p)
+    if v is INF or v >= bound:
+        return out
+    for j, d in enumerate(pi_adic_expand(e.shift_pi(-v), bound - v)):
+        out = out + RatFunc.const(d, e.p).shift_pi(v + j)
+    return out
+
+
+def canonicalize_oracle(M):
+    """Exact column elimination over RatFunc values, with no truncation:
+    pivot on the first least-valuation entry of row r, divide its column by
+    the unit, clear the row, make min a_i = 0, then reduce each entry below
+    the diagonal modulo its row pivot."""
+    p = M.p
+    if M.det().is_zero():
+        raise ValueError("singular matrix does not define a lattice")
+    cols = [[M[i, j] for i in range(3)] for j in range(3)]
+    exps = [0, 0, 0]
+    for r in range(3):
+        best, bestval = None, INF
+        for j in range(r, 3):
+            v = cols[j][r].valuation()
+            if v < bestval:
+                best, bestval = j, v
+        cols[r], cols[best] = cols[best], cols[r]
+        a = exps[r] = int(bestval)
+        unit_inv = cols[r][r].shift_pi(-a).inverse()
+        cols[r] = [e * unit_inv for e in cols[r]]
+        for j in range(r + 1, 3):
+            lam = cols[j][r].shift_pi(-a)
+            cols[j] = [e - lam * f for e, f in zip(cols[j], cols[r])]
+    m = min(exps)
+    cols = [[e.shift_pi(-m) for e in col] for col in cols]
+    exps = [a - m for a in exps]
+    for j in range(2):
+        for i in range(j + 1, 3):
+            e = cols[j][i]
+            lam = (e - _prefix_oracle(e, exps[i])).shift_pi(-exps[i])
+            cols[j] = [a - lam * b for a, b in zip(cols[j], cols[i])]
+    canon = MatrixRF(p, tuple(tuple(cols[j][i] for j in range(3))
+                              for i in range(3)))
+    return VertexClass(p, canon, exps)
+
+
+def _scale_column(M, j, unit):
+    return MatrixRF(M.p, tuple(tuple(e * unit if k == j else e
+                                     for k, e in enumerate(row))
+                               for row in M.rows))
+
+
+def _oracle_inputs():
+    """Seeded matrices at p = 2, 3, 5, 7: letters and their inverses times
+    the vertices of a random walk from [I], with a column scaled by the
+    non-Laurent unit 1/(1 + c*pi) = t/(t + c) in a third of them, plus
+    random column operations on the resulting classes."""
+    rng = random.Random(20261018)
+    out = []
+    for p in (2, 3, 5, 7):
+        letters = ["s1", "s2", "s3", "x", "y"] + (["u"] if p == 3 else [])
+        gens = [letter_matrix(a, p) for a in letters]
+        gens += [g.inverse() for g in gens]
+        verts = [canonicalize_oracle(MatrixRF.identity(p))]
+        for _ in range(40):
+            verts.append(canonicalize_oracle(rng.choice(gens) * verts[-1].canon))
+        for _ in range(40):
+            M = rng.choice(gens) * rng.choice(verts).canon
+            out.append(M)
+            c = rng.randrange(1, p)
+            unit = RatFunc(p, (0, 1), (c, 1))
+            out.append(_scale_column(M, rng.randrange(3), unit))
+            out.append(random_column_ops(rng, canonicalize_oracle(M)))
+        for _ in range(12):
+            m = random_matrix(rng, p)
+            if not m.det().is_zero():
+                out.append(_scale_column(m, rng.randrange(3),
+                                         RatFunc(p, (0, 1), (1, 1))))
+    return out
+
+
+def test_canonicalize_matches_exact_elimination():
+    inputs = _oracle_inputs()
+    assert len(inputs) >= 500
+    assert any(not e.is_laurent() for M in inputs for row in M.rows for e in row)
+    for M in inputs:
+        got, want = canonicalize(M), canonicalize_oracle(M)
+        assert (got.exps, got.to_text()) == (want.exps, want.to_text())
+        assert got == want
 
 
 def test_equality_iff_unimodular_quotient():

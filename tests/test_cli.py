@@ -14,6 +14,7 @@ from buraubuilding.cli import (
     make_parser,
     parse_vertex_spec,
 )
+from buraubuilding.groupcalc import kernel_witness_check
 
 
 def run(argv, capsys, cache_dir=None, expect=0):
@@ -124,6 +125,15 @@ def test_witness_variants(capsys):
     assert "homothetyMod3" not in d["data"]
 
 
+def test_witness_agrees_with_kernel_witness_check(capsys):
+    # cmd_witness evaluates the kernel word itself; keep it in step with
+    # the check the library reports
+    rpt = kernel_witness_check()
+    d = json.loads(run(["witness", "--json"], capsys))["data"]
+    assert d["homothetyMod3"] == rpt.holds_mod_p
+    assert d["homothetyIntegral"] == rpt.holds_integrally
+
+
 def test_link_text_and_dot(capsys):
     out = run(["link", "--p", "2", "--vertex", "I"], capsys)
     assert "count: 14" in out.replace("  ", " ").replace("   ", " ") or "14" in out
@@ -164,12 +174,20 @@ def test_presentation_export(capsys):
     (["presentation-export"], "603def1405b3501a"),
     (["stab-identity", "--p", "3"], "c0c82603a8d3bc90"),
     (["stab", "--vertex", "M19"], "889ad74bdb1ddd0a"),
+    (["link", "--vertex", "I"], "f1551c1aa0ac9a15"),
+    (["explore", "--p", "2", "--radius", "2", "--gens", "x,y"],
+     "b260d926e5dc5bb2"),
+    (["explore", "--p", "5", "--radius", "1", "--gens", "x"],
+     "3c041fe0b709f08c"),
 ], ids=["witness", "verify", "presentation-export", "stab-identity-p3",
-        "stab-M19"])
-def test_json_output_golden(argv, digest, capsys):
-    # refactors must keep every claim's JSON byte-identical; pinned values
-    # from before the integral and mod-p types were merged
-    d = json.loads(run(argv + ["--json"], capsys))
+        "stab-M19", "link-I", "explore-p2-r2-xy", "explore-p5-r1-x"])
+def test_json_output_golden(argv, digest, capsys, tmp_path):
+    # refactors must keep every claim's JSON byte-identical; the first five
+    # pinned before the integral and mod-p types were merged, the last three
+    # (canonical forms and orbit tables) before canonicalize was truncated
+    # modulo pi^(D+1)
+    cache = tmp_path if argv[0] == "explore" else None
+    d = json.loads(run(argv + ["--json"], capsys, cache_dir=cache))
     d.pop("elapsed")
     assert hashlib.sha256(dumps(d).encode()).hexdigest()[:16] == digest
 
