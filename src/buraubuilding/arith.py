@@ -516,22 +516,6 @@ def _over_t_power(num, k):
 # ---------------------------------------------------------------------------
 # pi-adic expansion at pi = 1/t
 
-def pi_adic_expand(x: RatFunc, k: int):
-    """First k digits of x at pi = 1/t; requires nu(x) >= 0.
-
-    Returns a tuple d with x - sum d[j]*pi^j of valuation >= k.
-    """
-    v = x.valuation()
-    if v is not INF and v < 0:
-        raise ValueError("pi-adic expansion requires nu(x) >= 0, got %s" % v)
-    digits = []
-    for _ in range(k):
-        d = x.residue()
-        digits.append(d)
-        x = (x - RatFunc.const(d, x.p, x.var)).shift_pi(-1)
-    return tuple(digits)
-
-
 def pi_digits(x: RatFunc, lo: int, n: int):
     """The pi-adic digits of x at pi^lo .. pi^(lo+n-1), as a list of n ints.
 

@@ -11,6 +11,7 @@ order is fixed (no row permutations), so diagonal exponents are positional;
 on pi-adic digit lists truncated modulo pi^(D+1), D = nu(det) of the basis
 scaled into O^3 (Cohen's HNF modulo D, worked over F_p[[pi]]): the lattice
 contains pi^D * O^3, so the truncation does not change the class.
+``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -26,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import RatFunc, inv_mod, pi_digits, render_laurent
+from .arith import INF, RatFunc, inv_mod, pi_digits, render_laurent
 from .rep import MatrixRF
 
 
@@ -73,7 +74,7 @@ def identity_vertex(p) -> VertexClass:
     return canonicalize(MatrixRF.identity(p))
 
 
-def canonicalize(M: MatrixRF) -> VertexClass:
+def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     """Canonical lattice-class representative of the column span of M.
 
     Column operations over GL3(O) and global scaling do not change the
@@ -85,13 +86,18 @@ def canonicalize(M: MatrixRF) -> VertexClass:
     the lattice L contains pi^D * O^3, so a column changed by an element of
     pi^(D+1) * O^3 keeps nu(det) = D and still generates L, and the
     canonical form of L is unique.
+
+    ``det_valuation`` is nu(det M) when the caller knows it (``apply`` does);
+    without it the determinant is computed.  An infinite valuation, that is
+    a singular M, raises ValueError.
     """
     p = M.p
-    det = M.det()
-    if det.is_zero():
+    if det_valuation is None:
+        det_valuation = M.det().valuation()
+    if det_valuation == INF:
         raise ValueError("singular matrix does not define a lattice")
     m = min(e.valuation() for row in M.rows for e in row)
-    n = det.valuation() - 3 * m + 1
+    n = det_valuation - 3 * m + 1
     # cols[j][i]: the digits of pi^-m * M[i, j] modulo pi^n
     cols = [[pi_digits(M[i, j], m, n) for i in range(3)] for j in range(3)]
     exps = [0, 0, 0]
@@ -155,8 +161,13 @@ def _muladd(e, lam, f, p):
 
 
 def apply(g: MatrixRF, v: VertexClass) -> VertexClass:
-    """The simplicial action: the class of g * (basis of v)."""
-    return canonicalize(g * v.canon)
+    """The simplicial action: the class of g * (basis of v).
+
+    v.canon is lower triangular with diagonal pi^exps, so
+    nu(det(g * v.canon)) = nu(det g) + sum(exps), with nu(det g) computed
+    once per matrix object.
+    """
+    return canonicalize(g * v.canon, g.det_valuation() + sum(v.exps))
 
 
 # ---------------------------------------------------------------------------

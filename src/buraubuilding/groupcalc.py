@@ -165,6 +165,7 @@ class StabReport(NamedTuple):
     element_orders: tuple        # sorted orders mod homothety of the elements
     image_orbit_sizes: tuple     # orbit-size multiset of the image group on the link
     bounds: dict
+    perms: tuple                 # link permutation of each element, as in elements
 
     def to_json_dict(self):
         return {
@@ -252,7 +253,7 @@ def stab_identity_exact(p: int) -> StabReport:
         order=len(mats), image_order=perm_group_order(perms),
         element_orders=tuple(sorted(orders)),
         image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
-        bounds={"primeBound": IDENTITY_STAB_PRIME_BOUND})
+        bounds={"primeBound": IDENTITY_STAB_PRIME_BOUND}, perms=tuple(perms))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +443,7 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
         element_orders=tuple(orders),
         image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
         bounds={"digitBound": digit_bound, "columnBudget": column_budget,
-                "degreeBounds": D})
+                "degreeBounds": D}, perms=tuple(perms))
 
 
 def _sign_key(g: MatrixRF):
@@ -508,7 +509,7 @@ def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
         order=len(stab), image_order=perm_group_order(perms),
         element_orders=tuple(orders),
         image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
-        bounds={"depth": depth, "generators": len(gens)})
+        bounds={"depth": depth, "generators": len(gens)}, perms=tuple(perms))
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +549,33 @@ def seven_star(p: int = 3) -> VertexClass:
 # orbits
 
 def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
-    """Vertices reachable from start by generator applications up to depth."""
+    """Vertices reachable from start by generator applications up to depth.
+
+    Each edge is computed once: mats[i] and mats[(i + k) % 2k] are inverse,
+    so w = mats[i].v with w != v records that mats[(i + k) % 2k].w = v, and
+    expanding w later pops that record instead of calling ``apply``.  The
+    skipped apply could only find v, which is already seen, so the result,
+    the frontier order and the point where the budget trips are those of the
+    plain BFS.  Loops (w = v) are not recorded.
+    """
     p = start.p
     mats = _gen_matrices(gens, p)
+    k = len(mats)
     mats = mats + [m.inverse() for m in mats]
     seen = {start}
     frontier = [start]
+    known = set()       # (w, j) with mats[j].w already in seen
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            for m in mats:
+            for i, m in enumerate(mats):
+                if (v, i) in known:
+                    known.remove((v, i))
+                    continue
                 w = apply(m, v)
+                if w == v:
+                    continue
+                known.add((w, (i + k) % (2 * k)))
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -568,12 +585,18 @@ def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
     return seen
 
 
+# a depth-6 BFS over x, y, u and their inverses holds at most
+# 1 + 6 * (1 + 5 + ... + 5^5) vertices, so a budget this large never trips
+XYU_ORBIT_BOUND = 1 + 6 * sum(5 ** d for d in range(6))
+
+
 @lru_cache(maxsize=None)
 def xyu_orbit(start: VertexClass) -> frozenset:
     """The <x, y, u>-orbit of start to depth 6, computed once per vertex.
 
-    Deep enough to cover the radius-2 ball around [I]; the tube walk and the
-    group-point check ask for the orbits of [I] and the n-point repeatedly.
+    Deep enough to cover the radius-2 ball around [I]; the tube walk, the
+    group-point check and the anchors of ``orbit_classify`` ask for the
+    orbits of [I] and the n-point repeatedly.
     """
     return frozenset(orbit_bfs(start, ("x", "y", "u"), 6))
 
@@ -641,16 +664,23 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
                 anchors.append(("tube(%d)" % k, nxt[0]))
                 prev = set(nxt)
                 lvl = nxt[0]
+    # the depth-6 <x, y, u>-orbits of [I] and the n-point are memoized; a
+    # BFS that cannot trip its budget returns the same set
+    memoized = (tuple(gens) == ("x", "y", "u") and orbit_depth == 6
+                and budget >= XYU_ORBIT_BOUND)
     orbit_entries = []
     assigned = {}
     for label, rep in anchors:
         if rep not in B:
             continue
-        try:
-            orb = orbit_bfs(rep, gens, orbit_depth, budget)
-        except ValueError:
-            complete = False
-            orb = {rep}
+        if memoized and label in ("group-point", "n-point"):
+            orb = xyu_orbit(rep)
+        else:
+            try:
+                orb = orbit_bfs(rep, gens, orbit_depth, budget)
+            except ValueError:
+                complete = False
+                orb = {rep}
         members = [w for w in B if w in orb and w not in assigned]
         for w in members:
             assigned[w] = label
@@ -786,7 +816,7 @@ def _tube_next(level: VertexClass, p: int, exclude):
     lk = link(level)
     n = len(lk)
     fixed_idx = set(range(n))
-    for pm in [induced_link_permutation(g, level).perm for g in rpt.elements]:
+    for pm in rpt.perms:
         fixed_idx = {i for i in fixed_idx if pm[i] == i}
     group_orb = xyu_orbit(identity_vertex(p))
     n_orb = xyu_orbit(n_point_base(p))

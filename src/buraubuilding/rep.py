@@ -35,12 +35,13 @@ class MatrixRF:
     """3x3 matrix of entries sharing modulus and variable tag: RatFunc mod p,
     or LaurentPoly over Z when ``p`` is None."""
 
-    __slots__ = ("p", "var", "rows")
+    __slots__ = ("p", "var", "rows", "_det_valuation")
 
     def __init__(self, p, rows, var="t"):
         self.p = p
         self.var = var
         self.rows = tuple(tuple(row) for row in rows)
+        self._det_valuation = None
         for row in self.rows:
             for e in row:
                 if e.p != p or e.var != var:
@@ -68,12 +69,30 @@ class MatrixRF:
                         self.var)
 
     def __mul__(self, other):
+        """The product; zero entries of the right factor contribute no term.
+
+        Canonical bases are lower triangular and the Burau letters sparse.
+        Entries are normalized, so the terms left out change no entry.
+        """
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
         b = other.rows
-        return MatrixRF(self.p, tuple(
-            tuple(r[0] * b[0][j] + r[1] * b[1][j] + r[2] * b[2][j] for j in range(3))
-            for r in self.rows), self.var)
+        cols = [[(k, b[k][j]) for k in range(3) if not b[k][j].is_zero()]
+                for j in range(3)]
+        rows = []
+        for r in self.rows:
+            row = []
+            for col in cols:
+                if not col:
+                    row.append(type(r[0]).zero(self.p, self.var))
+                    continue
+                k, e = col[0]
+                acc = r[k] * e
+                for k, e in col[1:]:
+                    acc = acc + r[k] * e
+                row.append(acc)
+            rows.append(tuple(row))
+        return MatrixRF(self.p, rows, self.var)
 
     def __add__(self, other):
         return MatrixRF(self.p, tuple(tuple(a + b for a, b in zip(r, s))
@@ -94,6 +113,12 @@ class MatrixRF:
         return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
                 - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
                 + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+
+    def det_valuation(self):
+        """nu(det), computed once per matrix; +inf for a singular matrix."""
+        if self._det_valuation is None:
+            self._det_valuation = self.det().valuation()
+        return self._det_valuation
 
     def adjugate(self):
         r = self.rows

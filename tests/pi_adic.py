@@ -1,0 +1,20 @@
+"""The pi-adic expansion at pi = 1/t one digit at a time: the definition
+that ``arith.pi_digits`` and the canonical forms are tested against."""
+
+from buraubuilding.arith import INF, RatFunc
+
+
+def pi_adic_expand(x: RatFunc, k: int):
+    """First k digits of x at pi = 1/t; requires nu(x) >= 0.
+
+    Returns a tuple d with x - sum d[j]*pi^j of valuation >= k.
+    """
+    v = x.valuation()
+    if v is not INF and v < 0:
+        raise ValueError("pi-adic expansion requires nu(x) >= 0, got %s" % v)
+    digits = []
+    for _ in range(k):
+        d = x.residue()
+        digits.append(d)
+        x = (x - RatFunc.const(d, x.p, x.var)).shift_pi(-1)
+    return tuple(digits)

@@ -9,12 +9,12 @@ from buraubuilding.arith import (
     LaurentPoly,
     RatFunc,
     parse_laurent,
-    pi_adic_expand,
     pi_digits,
     pmul,
     render_laurent,
 )
 from buraubuilding.groupcalc import ball
+from pi_adic import pi_adic_expand
 
 
 def L(text, p, var="t"):

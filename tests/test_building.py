@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from buraubuilding.arith import INF, RatFunc, LaurentPoly, pi_adic_expand
+from buraubuilding.arith import INF, RatFunc, LaurentPoly
+from buraubuilding import building
 from buraubuilding.building import (
     VertexClass,
     apply,
@@ -17,6 +18,7 @@ from buraubuilding.building import (
 )
 from buraubuilding.rep import MatrixRF, letter_matrix, named_matrix, word_evaluate, parse_word
 from buraubuilding.groupcalc import seven_star, stab_exact, stab_identity_exact
+from pi_adic import pi_adic_expand
 
 
 def random_unit(rng, p, span=3):
@@ -157,7 +159,8 @@ def _scale_column(M, j, unit):
                                for row in M.rows))
 
 
-def _oracle_inputs():
+@pytest.fixture(scope="module")
+def oracle_inputs():
     """Seeded matrices at p = 2, 3, 5, 7: letters and their inverses times
     the vertices of a random walk from [I], with a column scaled by the
     non-Laurent unit 1/(1 + c*pi) = t/(t + c) in a third of them, plus
@@ -186,8 +189,8 @@ def _oracle_inputs():
     return out
 
 
-def test_canonicalize_matches_exact_elimination():
-    inputs = _oracle_inputs()
+def test_canonicalize_matches_exact_elimination(oracle_inputs):
+    inputs = oracle_inputs
     assert len(inputs) >= 500
     assert any(not e.is_laurent() for M in inputs for row in M.rows for e in row)
     for M in inputs:
@@ -289,6 +292,39 @@ def test_action_preserves_adjacency():
     gI = apply(g, I)
     for lv in rng.sample(lk, 8):
         assert is_adjacent(gI, apply(g, lv.vclass))
+
+
+def test_apply_passes_the_determinant_valuation(oracle_inputs, monkeypatch):
+    # each seeded matrix acts on [I] and on the class of the matrix before it
+    passed = []
+
+    def recording(M, det_valuation=None):
+        passed.append(det_valuation)
+        return canonicalize(M, det_valuation)
+
+    monkeypatch.setattr(building, "canonicalize", recording)
+    prev = None
+    for g in oracle_inputs:
+        for v in (identity_vertex(g.p), prev):
+            if v is None or v.p != g.p:
+                continue
+            passed.clear()
+            w = apply(g, v)
+            assert passed == [(g * v.canon).det().valuation()]
+            assert w == canonicalize(g * v.canon)
+        prev = canonicalize(g)
+
+
+def test_apply_refuses_a_singular_matrix():
+    I = identity_vertex(3)
+    v = canonicalize(named_matrix("M19", 3))
+    z = RatFunc.zero(3)
+    x = letter_matrix("x", 3)
+    rank2 = MatrixRF(3, tuple((r[0], r[1], r[0] + r[1]) for r in x.rows))
+    for g in (MatrixRF(3, ((z, z, z),) * 3), rank2):
+        for w in (I, v):
+            with pytest.raises(ValueError):
+                apply(g, w)
 
 
 def test_homothety_acts_trivially():

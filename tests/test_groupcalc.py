@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from buraubuilding import groupcalc
 from buraubuilding.building import (
     apply,
     canonicalize,
@@ -17,6 +20,7 @@ from buraubuilding.groupcalc import (
     n_point_base,
     normalize_mod_homothety,
     orbit_bfs,
+    orbit_classify,
     perm_group_order,
     perm_orbit_sizes,
     seven_star,
@@ -163,6 +167,90 @@ def test_orbit_bfs_identity_small_depth():
 def test_orbit_budget():
     with pytest.raises(ValueError):
         orbit_bfs(identity_vertex(3), ("x", "y", "u"), depth=6, budget=10)
+
+
+def plain_orbit_bfs(start, mats, depth, budget):
+    """The BFS that applies every generator to every vertex it expands.
+
+    Returns the vertex set, whether the budget tripped (the walk stops
+    there), and the number of applies ``orbit_bfs`` should make up to that
+    point: an edge w = m.v with w != v is computed once, so the apply from w
+    back to v is saved when w was expanded first.
+    """
+    seen = {start}
+    frontier = [start]
+    expanded = set()
+    applies = 0
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            expanded.add(v)
+            for m in mats:
+                w = apply(m, v)
+                if w == v or w not in expanded:
+                    applies += 1
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+            if len(seen) > budget:
+                return seen, True, applies
+        frontier = nxt
+    return seen, False, applies
+
+
+def _orbit_cases():
+    for p in (2, 3, 5):
+        I = identity_vertex(p)
+        nbr = link(I)[p + 1].vclass
+        gen_sets = [("x", "y"), ("x",), ("s1", "s2"), ("y", "s3")]
+        if p == 3:
+            gen_sets.append(("x", "y", "u"))
+        for gens in gen_sets:
+            for start in (I, nbr):
+                for depth in range(1, 5 if p < 5 and len(gens) < 3 else 4):
+                    yield p, gens, start, depth
+
+
+def test_orbit_bfs_matches_plain_bfs(monkeypatch):
+    calls = []
+
+    def counting(m, v):
+        calls.append(1)
+        return apply(m, v)
+
+    monkeypatch.setattr(groupcalc, "apply", counting)
+    for p, gens, start, depth in _orbit_cases():
+        mats = [letter_matrix(g, p) for g in gens]
+        mats += [m.inverse() for m in mats]
+        size = len(plain_orbit_bfs(start, mats, depth, 10 ** 9)[0])
+        # the same set, the same applies, and the budget trips at the same
+        # vertex, after the same applies
+        for budget in {1, size // 2, size - 1, size}:
+            want, trips, applies = plain_orbit_bfs(start, mats, depth, budget)
+            calls.clear()
+            try:
+                got = orbit_bfs(start, gens, depth, budget)
+            except ValueError:
+                got = None
+            case = (p, gens, start, depth, budget)
+            assert (got is None) == trips == (size > budget), case
+            assert got is None or got == want, case
+            assert len(calls) == applies, case
+
+
+# sha256 prefixes of the orbit table JSON of orbit_classify(3, radius=1,
+# stab_reports=False), taken when every anchor ran its own BFS
+CLASSIFY_P3_DIGESTS = {None: "aa622c230d2a0f15", 100: "2e9235fa68c21225"}
+
+
+@pytest.mark.parametrize("budget", [None, 100])
+def test_orbit_classify_memoized_anchors_unchanged(budget):
+    kw = {} if budget is None else {"budget": budget}
+    table = orbit_classify(3, radius=1, stab_reports=False, **kw)
+    text = json.dumps(table.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+        CLASSIFY_P3_DIGESTS[budget]
+    assert table.complete == (budget is None)
 
 
 def test_link_group_words_distinct():

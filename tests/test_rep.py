@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from buraubuilding.arith import LaurentPoly, RatFunc
 from buraubuilding.rep import (
     GroupWord,
     KERNEL_WORD_TEXT,
@@ -152,6 +154,56 @@ def test_integral_inverse_needs_a_unit_determinant():
         m.inverse()
     g = word_evaluate_integral(parse_word("s1.s2^-1.x"))
     assert g * g.inverse() == MatrixRF.identity(None)
+
+
+def _sparse_entry(rng, p):
+    """Zero in about half the draws; mod p also non-Laurent quotients."""
+    if rng.random() < 0.5:
+        return LaurentPoly.zero(p) if p is None else RatFunc.zero(p)
+    coeffs = [rng.randint(-3, 3) if p is None else rng.randrange(p)
+              for _ in range(rng.randint(1, 3))]
+    e = LaurentPoly(p, coeffs, rng.randint(-2, 2))
+    if p is None:
+        return e
+    if rng.random() < 0.3:
+        return e.to_ratfunc() / RatFunc(p, (rng.randrange(1, p), 1), (1,))
+    return e.to_ratfunc()
+
+
+def _sparse_matrix(rng, p):
+    rows = [[_sparse_entry(rng, p) for _ in range(3)] for _ in range(3)]
+    if rng.random() < 0.2:
+        # a whole zero column of the right factor
+        j = rng.randrange(3)
+        for row in rows:
+            row[j] = LaurentPoly.zero(p) if p is None else RatFunc.zero(p)
+    return MatrixRF(p, rows)
+
+
+def test_product_matches_dense_three_term_product():
+    # the product leaves out the zero entries of the right factor; entries
+    # are normalized, so it must equal the three-term sum field for field
+    rng = random.Random(20261019)
+    for p in (None, 2, 3, 5, 7):
+        for _ in range(60):
+            a, b = _sparse_matrix(rng, p), _sparse_matrix(rng, p)
+            got = a * b
+            want = tuple(tuple(r[0] * b[0, j] + r[1] * b[1, j] + r[2] * b[2, j]
+                               for j in range(3)) for r in a.rows)
+            # entry equality compares type and every field
+            assert got.rows == want
+
+
+def test_det_valuation_matches_det():
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        for _ in range(20):
+            m = _sparse_matrix(rng, p)
+            want = m.det().valuation()
+            assert m.det_valuation() == want
+            assert m.det_valuation() == want
+    z = RatFunc.zero(3)
+    assert MatrixRF(3, ((z, z, z),) * 3).det_valuation() == math.inf
 
 
 # -- homothety and order helpers ----------------------------------------------
