@@ -87,9 +87,9 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     pi^(D+1) * O^3 keeps nu(det) = D and still generates L, and the
     canonical form of L is unique.
 
-    ``det_valuation`` is nu(det M) when the caller knows it (``apply`` does);
-    without it the determinant is computed.  An infinite valuation, that is
-    a singular M, raises ValueError.
+    ``det_valuation`` is nu(det M) when the caller knows it (``apply`` and
+    ``link`` do); without it the determinant is computed.  An infinite
+    valuation, that is a singular M, raises ValueError.
     """
     p = M.p
     if det_valuation is None:
@@ -269,21 +269,25 @@ def link(v: VertexClass):
     """All 2(p^2+p+1) vertices adjacent to v, ordered reproducibly.
 
     One per dimension-1 and dimension-2 subspace of L/pi*L = F_p^3 in the
-    basis given by the canonical form of v.
+    basis given by the canonical form of v.  The lifted basis G of a line
+    has columns pt, pi*e_j, pi*e_k, and that of a plane two residue
+    vectors with distinct pivots and one pi*e_j, so nu(det(v.canon * G)) is
+    sum(exps) + 2 for a line and sum(exps) + 1 for a plane.
     """
     p = v.p
+    D = sum(v.exps)
     out = []
     for pt in projective_points(p):
         cols = _lift_columns([pt], p)
         G = MatrixRF(p, tuple(tuple(cols[j][i] for j in range(3))
                               for i in range(3)))
-        out.append(LinkVertex(1, pt, canonicalize(v.canon * G)))
+        out.append(LinkVertex(1, pt, canonicalize(v.canon * G, D + 2)))
     for phi in projective_points(p):
         b1, b2 = plane_basis(phi, p)
         cols = _lift_columns([b1, b2], p)
         G = MatrixRF(p, tuple(tuple(cols[j][i] for j in range(3))
                               for i in range(3)))
-        out.append(LinkVertex(2, phi, canonicalize(v.canon * G)))
+        out.append(LinkVertex(2, phi, canonicalize(v.canon * G, D + 1)))
     return out
 
 

@@ -269,26 +269,26 @@ def _laurent_pi_coeffs(e: RatFunc):
     return {-(l.minexp + i): c for i, c in enumerate(l.coeffs) if c}
 
 
-def _column_candidates(p, F0pi, degs, b, window, budget):
-    """Digit arrays for column b passing B(c, c) = F0[b][b].
+def _profile_form(p, F0pi, ns, qmax):
+    """Every digit column with digit counts ns, and B(c, c) at pi^1..pi^qmax.
 
-    degs[a] is the pi-degree bound of entry (a, b); negative means the
-    entry is identically zero.  Returns (digit matrix, per-entry digit
-    counts).  B(u, v) = sum_a,e bar(u_a) F0[a][e] v_e.
+    Row n holds the base-p digits of n, lowest first; entry a of the column
+    takes the next ns[a] of them as c_a = sum_k d_k pi^k.  Returns (digit
+    matrix, coefficients mod p of B(c, c) = sum_a,e bar(c_a) F0[a][e] c_e
+    at pi^q in column q - 1).  Both depend on the column b only through ns,
+    so one pass serves every column of that profile.  Since F0* = t F0,
+    bar(B(c, c)) = t B(c, c): the coefficients at pi^q and pi^(1-q) agree,
+    so only q >= 1 is formed, and the terms that feed only q < 1 are skipped.
     """
-    ns = [max(d + 1, 0) for d in degs]
     total = sum(ns)
     N = p ** total
-    if N > budget:
-        raise ValueError("column candidate space %d exceeds budget %d" % (N, budget))
     idx = np.arange(N, dtype=np.int64)
     digs = np.empty((N, total), dtype=np.int16)
     for k in range(total):
         digs[:, k] = (idx // (p ** k)) % p
-    starts = np.cumsum([0] + ns)
-    lo, hi = window
-    width = hi - lo + 1
-    P = np.zeros((N, width), dtype=np.int64)
+    del idx
+    starts = np.cumsum((0,) + ns)
+    P = np.zeros((N, qmax), dtype=np.int64)
     for a in range(3):
         if ns[a] == 0:
             continue
@@ -298,20 +298,53 @@ def _column_candidates(p, F0pi, degs, b, window, budget):
                 continue
             ce = digs[:, starts[e]:starts[e + 1]]
             for r in range(-(ns[a] - 1), ns[e]):
+                terms = [(q + r, f) for q, f in F0pi[a][e].items()
+                         if q + r >= 1]
                 k0 = max(0, -r)
                 k1 = min(ns[a], ns[e] - r)
-                if k0 >= k1:
+                if not terms or k0 >= k1:
                     continue
                 corr = np.einsum("nk,nk->n", ca[:, k0:k1], ce[:, k0 + r:k1 + r],
                                  dtype=np.int64)
-                for q, f in F0pi[a][e].items():
-                    P[:, q + r - lo] += f * corr
+                for q, f in terms:
+                    P[:, q - 1] += f * corr
     P %= p
-    target = np.zeros(width, dtype=np.int64)
-    for q, f in F0pi[b][b].items():
-        target[q - lo] = f
-    mask = np.all(P == target, axis=1)
-    return digs[mask], ns
+    return digs, P
+
+
+def _column_candidates(p, F0, D, budget):
+    """Digit arrays, one per column b, of the columns with B(c, c) = F0[b][b].
+
+    D[a][b] is the pi-degree bound of entry (a, b); negative means the entry
+    is identically zero.  Returns [(digit matrix, per-entry digit counts)]
+    for b = 0, 1, 2.  Every column's budget is checked before anything is
+    allocated; columns with equal digit counts share one `_profile_form`
+    pass and differ only in the target F0[b][b], compared at q >= 1.
+    """
+    F0pi = [[_laurent_pi_coeffs(F0[a, e]) for e in range(3)] for a in range(3)]
+    exps = [q for row in F0pi for d in row for q in d]
+    dmax = max(max(row) for row in D)
+    lo = min(exps) - dmax
+    hi = max(exps) + dmax
+    qmax = max(hi, 1 - lo)
+    profiles = {}
+    for b in range(3):
+        ns = tuple(max(D[a][b] + 1, 0) for a in range(3))
+        N = p ** sum(ns)
+        if N > budget:
+            raise ValueError("column candidate space %d exceeds budget %d"
+                             % (N, budget))
+        profiles.setdefault(ns, []).append(b)
+    out = [None] * 3
+    for ns, cols in profiles.items():
+        digs, P = _profile_form(p, F0pi, ns, qmax)
+        for b in cols:
+            target = np.zeros(qmax, dtype=np.int64)
+            for q, f in F0pi[b][b].items():
+                if q >= 1:
+                    target[q - 1] = f
+            out[b] = (digs[np.all(P == target, axis=1)], ns)
+    return out
 
 
 def _digits_to_ratfuncs(row, ns, p):
@@ -369,26 +402,26 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     homothety has exactly the representatives +-alpha, since the canonical
     basis of v has monomial determinant.  Every reported element is
     re-checked independently: unitary, Laurent, and fixes v.
+
+    Each column c_b is first enumerated against B(c_b, c_b) = F0[b][b].
+    Columns with the same digit counts share one pass, and only the
+    coefficients at pi^q, q >= 1, are formed and compared: F0* = t F0
+    (checked here) makes the coefficients at pi^q and pi^(1-q) of B(c, c)
+    equal.  The same identity makes B(c_e, c_b) = F0[e][b] follow from
+    B(c_b, c_e) = F0[b][e], so each cross constraint is imposed once.
     """
     p = v.p
     F0 = form_pullback(v)
+    if F0.star() != F0.scale(RatFunc.one(p, F0.var).shift_pi(-1)):
+        raise AssertionError("pulled-back form fails F0* = t F0")
     D = entry_degree_bounds(F0)
     if max(max(row) for row in D) > digit_bound:
         raise ValueError("entry degree bound %d exceeds digit bound %d"
                          % (max(max(row) for row in D), digit_bound))
-    F0pi = [[_laurent_pi_coeffs(F0[a, e]) for e in range(3)] for a in range(3)]
-    exps = [q for row in F0pi for d in row for q in d]
-    dmax = max(max(row) for row in D)
-    lo = min(exps) - dmax
-    hi = max(exps) + dmax
-    digsets = []
-    for b in range(3):
-        digs, ns = _column_candidates(p, F0pi, [D[a][b] for a in range(3)], b,
-                                      (lo, hi), column_budget)
-        digsets.append((digs, ns))
+    digsets = _column_candidates(p, F0, D, column_budget)
 
     # chain the cross constraints B(c_b, c_e) = F0[b][e], smallest column
-    # first; the reversed constraint is implied since bar(F0^T) = t F0
+    # first; the reversed constraint is implied since F0* = t F0
     b0, b1, b2 = sorted(range(3), key=lambda b: len(digsets[b][0]))
     M = v.canon
     Minv = M.inverse()

@@ -315,6 +315,32 @@ def test_apply_passes_the_determinant_valuation(oracle_inputs, monkeypatch):
         prev = canonicalize(g)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_link_passes_the_determinant_valuation(p, monkeypatch):
+    # [I], the vertices of a seeded walk from [I], and 7* at p = 3
+    rng = random.Random(p)
+    gens = [letter_matrix(a, p) for a in ("s1", "s2", "x", "y")]
+    verts = [identity_vertex(p)]
+    for _ in range(4):
+        verts.append(apply(rng.choice(gens), verts[-1]))
+    if p == 3:
+        verts.append(seven_star(p))
+    passed = []
+
+    def recording(M, det_valuation=None):
+        passed.append((M, det_valuation))
+        return canonicalize(M, det_valuation)
+
+    monkeypatch.setattr(building, "canonicalize", recording)
+    for v in verts:
+        passed.clear()
+        lk = link(v)
+        assert len(passed) == 2 * (p * p + p + 1)
+        for (M, D), lv in zip(passed, lk):
+            assert D == M.det().valuation()
+            assert lv.vclass == canonicalize(M)
+
+
 def test_apply_refuses_a_singular_matrix():
     I = identity_vertex(3)
     v = canonicalize(named_matrix("M19", 3))

@@ -174,18 +174,23 @@ def test_presentation_export(capsys):
     (["presentation-export"], "603def1405b3501a"),
     (["stab-identity", "--p", "3"], "c0c82603a8d3bc90"),
     (["stab", "--vertex", "M19"], "889ad74bdb1ddd0a"),
+    (["stab", "--vertex", "[[1,0,0],[2,t^-2,0],[0,0,t^-2]]"],
+     "79ad6b39952751e9"),
+    (["stab", "--vertex", "I"], "af8a3e004b07e811"),
     (["link", "--vertex", "I"], "f1551c1aa0ac9a15"),
     (["explore", "--p", "2", "--radius", "2", "--gens", "x,y"],
      "b260d926e5dc5bb2"),
     (["explore", "--p", "5", "--radius", "1", "--gens", "x"],
      "3c041fe0b709f08c"),
 ], ids=["witness", "verify", "presentation-export", "stab-identity-p3",
-        "stab-M19", "link-I", "explore-p2-r2-xy", "explore-p5-r1-x"])
+        "stab-M19", "stab-7star", "stab-I", "link-I", "explore-p2-r2-xy",
+        "explore-p5-r1-x"])
 def test_json_output_golden(argv, digest, capsys, tmp_path):
     # refactors must keep every claim's JSON byte-identical; the first five
     # pinned before the integral and mod-p types were merged, the last three
     # (canonical forms and orbit tables) before canonicalize was truncated
-    # modulo pi^(D+1)
+    # modulo pi^(D+1), stab-7star and stab-I before the column enumeration of
+    # stab_exact took one half-window pass per digit profile
     cache = tmp_path if argv[0] == "explore" else None
     d = json.loads(run(argv + ["--json"], capsys, cache_dir=cache))
     d.pop("elapsed")

@@ -2,9 +2,11 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from buraubuilding import groupcalc
+from buraubuilding.arith import RatFunc
 from buraubuilding.building import (
     apply,
     canonicalize,
@@ -73,6 +75,121 @@ def test_degree_bounds_cut_search():
     F0 = form_pullback(v)
     D = entry_degree_bounds(F0)
     assert max(max(row) for row in D) <= 8
+
+
+def column_candidates_oracle(p, F0pi, degs, b, window, budget):
+    """Digit arrays for column b passing B(c, c) = F0[b][b], by one dense
+    pass over every candidate and every coefficient of the window.
+
+    degs[a] is the pi-degree bound of entry (a, b); negative means the
+    entry is identically zero.  Returns (digit matrix, per-entry digit
+    counts).  B(u, v) = sum_a,e bar(u_a) F0[a][e] v_e.
+    """
+    ns = [max(d + 1, 0) for d in degs]
+    total = sum(ns)
+    N = p ** total
+    if N > budget:
+        raise ValueError("column candidate space %d exceeds budget %d" % (N, budget))
+    idx = np.arange(N, dtype=np.int64)
+    digs = np.empty((N, total), dtype=np.int16)
+    for k in range(total):
+        digs[:, k] = (idx // (p ** k)) % p
+    starts = np.cumsum([0] + ns)
+    lo, hi = window
+    width = hi - lo + 1
+    P = np.zeros((N, width), dtype=np.int64)
+    for a in range(3):
+        if ns[a] == 0:
+            continue
+        ca = digs[:, starts[a]:starts[a + 1]]
+        for e in range(3):
+            if ns[e] == 0 or not F0pi[a][e]:
+                continue
+            ce = digs[:, starts[e]:starts[e + 1]]
+            for r in range(-(ns[a] - 1), ns[e]):
+                k0 = max(0, -r)
+                k1 = min(ns[a], ns[e] - r)
+                if k0 >= k1:
+                    continue
+                corr = np.einsum("nk,nk->n", ca[:, k0:k1], ce[:, k0 + r:k1 + r],
+                                 dtype=np.int64)
+                for q, f in F0pi[a][e].items():
+                    P[:, q + r - lo] += f * corr
+    P %= p
+    target = np.zeros(width, dtype=np.int64)
+    for q, f in F0pi[b][b].items():
+        target[q - lo] = f
+    mask = np.all(P == target, axis=1)
+    return digs[mask], ns
+
+
+def _enumeration_vertices():
+    """[I] and link([I]) at p = 2 and 3, [I] and the link vertices with at
+    most 5^6 candidates per column at p = 5, the n-point and 7*."""
+    out = []
+    for p in (2, 3, 5):
+        I = identity_vertex(p)
+        for v in [I] + [lv.vclass for lv in link(I)]:
+            D = entry_degree_bounds(form_pullback(v))
+            digits = max(sum(max(D[a][b] + 1, 0) for a in range(3))
+                         for b in range(3))
+            if p < 5 or digits <= 6:
+                out.append(v)
+    return out + [n_point_base(3), seven_star(3)]
+
+
+def test_column_enumeration_matches_dense_oracle():
+    verts = _enumeration_vertices()
+    assert len(verts) == 1 + 14 + 1 + 26 + 9 + 2
+    budget = groupcalc.DEFAULT_COLUMN_BUDGET
+    for v in verts:
+        F0 = form_pullback(v)
+        D = entry_degree_bounds(F0)
+        F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e]) for e in range(3)]
+                for a in range(3)]
+        exps = [q for row in F0pi for d in row for q in d]
+        dmax = max(max(row) for row in D)
+        window = (min(exps) - dmax, max(exps) + dmax)
+        got = groupcalc._column_candidates(v.p, F0, D, budget)
+        for b in range(3):
+            digs, ns = column_candidates_oracle(
+                v.p, F0pi, [D[a][b] for a in range(3)], b, window, budget)
+            assert got[b][1] == tuple(ns), (v.to_text(), b)
+            assert got[b][0].dtype == digs.dtype
+            assert np.array_equal(got[b][0], digs), (v.to_text(), b)
+
+
+def test_pulled_back_form_bar_symmetry():
+    # F0* = t F0, so bar(B(c, c)) = t B(c, c) for every column c: the
+    # coefficients of B(c, c) at pi^q and pi^(1-q) agree
+    rng = random.Random(7)
+    for v in _enumeration_vertices():
+        p = v.p
+        F0 = form_pullback(v)
+        t = RatFunc.one(p).shift_pi(-1)
+        assert F0.star() == F0.scale(t), v.to_text()
+        exps = {q for a in range(3) for e in range(3)
+                for q in groupcalc._laurent_pi_coeffs(F0[a, e])}
+        assert exps == {1 - q for q in exps}
+        for _ in range(3):
+            c = [RatFunc.from_pi_digits([rng.randrange(p) for _ in range(4)],
+                                        0, p) for _ in range(3)]
+            B = RatFunc.zero(p)
+            for a in range(3):
+                for e in range(3):
+                    B = B + c[a].involution() * F0[a, e] * c[e]
+            assert B.involution() == B * t
+            coeffs = groupcalc._laurent_pi_coeffs(B)
+            assert all(coeffs.get(1 - q) == f for q, f in coeffs.items())
+
+
+def test_stab_exact_refuses_an_asymmetric_form(monkeypatch):
+    v = n_point_base(3)
+    F0 = form_pullback(v)
+    broken = F0.scale(RatFunc.const(2, 3).shift_pi(1) + RatFunc.one(3))
+    monkeypatch.setattr(groupcalc, "form_pullback", lambda w: broken)
+    with pytest.raises(AssertionError, match="F0\\* = t F0"):
+        stab_exact(v)
 
 
 # -- exact stabilizers -------------------------------------------------------------
