@@ -18,8 +18,9 @@ v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
 index n + i the plane annihilated by the functional ``projective_points(p)[i]``.
 A stabilizer g of v acts on the link through the residue matrix
 u-bar in GL3(F_p) of v.canon^-1 * g * v.canon (scaled by a power of pi into
-GL3(O)), so ``induced_link_permutation`` reads the permutation from u-bar
-without enumerating the link.
+GL3(O)), so ``residue_link_permutation`` reads the permutation from u-bar
+without enumerating the link; ``induced_link_permutation`` computes u-bar
+from g, and ``stab_exact`` has it already as the pi^0 digits of alpha.
 """
 
 from __future__ import annotations
@@ -329,27 +330,17 @@ def _cross(a, b, p):
             (a[0] * b[1] - a[1] * b[0]) % p)
 
 
-def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
-    """The permutation g induces on link(v); g must stabilize v.
+def residue_link_permutation(u, p) -> LinkPermutation:
+    """The permutation of link(v) induced by the residue matrix u in GL3(F_p).
 
-    h = v.canon^-1 * g * v.canon lies in pi^k GL3(O) with k the least entry
-    valuation; the residue matrix u-bar of pi^-k h in GL3(F_p) moves the line
-    through ``projective_points(p)[i]`` (link index i) to the line through
-    u-bar times it, and the plane ker phi_i (link index n + i, phi_i =
-    ``projective_points(p)[i]``, basis ``plane_basis``) to the plane whose
-    annihilator is the cross product of the images of its basis.  Lines go
-    to lines, so the result is always type preserving.
+    u (rows of ints) is u-bar of pi^-k v.canon^-1 g v.canon for a stabilizer
+    g of v, or any nonzero scalar multiple of it: the action is projective.
+    It moves the line through ``projective_points(p)[i]`` (link index i) to
+    the line through u times it, and the plane ker phi_i (link index n + i,
+    phi_i = ``projective_points(p)[i]``, basis ``plane_basis``) to the plane
+    whose annihilator is the cross product of the images of its basis.
+    Lines go to lines, so the result is always type preserving.
     """
-    if apply(g, v) != v:
-        raise ValueError("matrix does not stabilize the vertex")
-    p = v.p
-    h = v.canon.inverse() * g * v.canon
-    k = min(e.valuation() for row in h.rows for e in row)
-    if h.det().valuation() != 3 * k:
-        raise AssertionError("conjugated stabilizer element is not in "
-                             "pi^k GL3(O)")
-    u = [[e.shift_pi(-k).residue() for e in row] for row in h.rows]
-
     def act(vec):
         return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in u)
 
@@ -361,6 +352,24 @@ def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
         b1, b2 = plane_basis(phi, p)
         perm.append(n + index[_normalize(_cross(act(b1), act(b2), p), p)])
     return LinkPermutation(tuple(perm), cycle_type_of(perm), True)
+
+
+def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
+    """The permutation g induces on link(v); g must stabilize v.
+
+    h = v.canon^-1 * g * v.canon lies in pi^k GL3(O) with k the least entry
+    valuation; the permutation is read from the residue matrix u-bar of
+    pi^-k h in GL3(F_p) by ``residue_link_permutation``.
+    """
+    if apply(g, v) != v:
+        raise ValueError("matrix does not stabilize the vertex")
+    h = v.canon.inverse() * g * v.canon
+    k = min(e.valuation() for row in h.rows for e in row)
+    if h.det().valuation() != 3 * k:
+        raise AssertionError("conjugated stabilizer element is not in "
+                             "pi^k GL3(O)")
+    u = [[e.shift_pi(-k).residue() for e in row] for row in h.rows]
+    return residue_link_permutation(u, v.p)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .building import (
     identity_vertex,
     induced_link_permutation,
     link,
+    residue_link_permutation,
 )
 
 
@@ -357,27 +358,34 @@ def _digits_to_ratfuncs(row, ns, p):
     return tuple(out)
 
 
-def _linear_pair_filter(p, F0, fixed_col, digs, ns, target_entry):
-    """Mask of candidate columns w with B(fixed_col, w) = target_entry.
+def _linear_pair_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
+    """Mask of candidate columns w with B(u, w) = target.
 
-    B(u, w) = sum_e g_e w_e with g_e = sum_a bar(u_a) F0[a][e], so for a
-    fixed u the constraint is linear in the digits of w.
+    u is the fixed column, given by its digit row with digit counts
+    fixed_ns; F0pi and target are pi-coefficient dicts of F0 and of the
+    target entry.  B(u, w) = sum_e g_e w_e with g_e = sum_a bar(u_a) F0[a][e],
+    so for a fixed u the constraint is linear in the digits of w.  Since
+    bar(pi^k) = pi^-k, the pi-coefficients of g_e are an integer convolution
+    of u's digits with those of F0: no rational function is formed.
     """
-    g = []
-    for e in range(3):
-        acc = RatFunc.zero(p)
-        for a in range(3):
-            if not fixed_col[a].is_zero() and not F0[a, e].is_zero():
-                acc = acc + fixed_col[a].involution() * F0[a, e]
-        g.append(_laurent_pi_coeffs(acc))
-    tgt = _laurent_pi_coeffs(target_entry)
+    g = [{}, {}, {}]
+    digits = iter(fixed_row.tolist())
+    for a in range(3):
+        for k in range(fixed_ns[a]):
+            d = next(digits)
+            if not d:
+                continue
+            for e in range(3):
+                for q, f in F0pi[a][e].items():
+                    g[e][q - k] = g[e].get(q - k, 0) + d * f
+    g = [{q: c % p for q, c in ge.items() if c % p} for ge in g]
     exps = [q for d in g for q in d]
     if not exps:
-        ok = not tgt
+        ok = not target
         return np.full(len(digs), ok, dtype=bool)
     lo = min(min(d) for d in g if d)
     hi = max(max(d) + ns[e] - 1 for e, d in enumerate(g) if d)
-    if any(q < lo or q > hi for q in tgt):
+    if any(q < lo or q > hi for q in target):
         return np.zeros(len(digs), dtype=bool)
     width = hi - lo + 1
     starts = np.cumsum([0] + list(ns))
@@ -387,10 +395,21 @@ def _linear_pair_filter(p, F0, fixed_col, digs, ns, target_entry):
             for m in range(ns[e]):
                 L[starts[e] + m, r + m - lo] += f
     P = (digs.astype(np.int64) @ L) % p
-    target = np.zeros(width, dtype=np.int64)
-    for q, f in tgt.items():
-        target[q - lo] = f % p
-    return np.all(P == target, axis=1)
+    tvec = np.zeros(width, dtype=np.int64)
+    for q, f in target.items():
+        tvec[q - lo] = f % p
+    return np.all(P == tvec, axis=1)
+
+
+def _residues(digs, ns):
+    """The pi^0 digit of each entry of every digit row (0 for a zero entry)."""
+    out = np.zeros((len(digs), 3), dtype=np.int64)
+    pos = 0
+    for a, n in enumerate(ns):
+        if n:
+            out[:, a] = digs[:, pos]
+        pos += n
+    return out
 
 
 def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
@@ -409,6 +428,18 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     (checked here) makes the coefficients at pi^q and pi^(1-q) of B(c, c)
     equal.  The same identity makes B(c_e, c_b) = F0[e][b] follow from
     B(c_b, c_e) = F0[b][e], so each cross constraint is imposed once.
+
+    Candidates are chosen on integer digits before any rational function is
+    built:
+    - one sign per class: for odd p only first-column digit rows whose first
+      nonzero digit lies in 1..(p-1)/2 are kept, so exactly one of +-alpha
+      (at p = 2 they are equal); the zero column is never in GL3(O);
+    - the residue determinant: alpha has entries in O, so nu(det alpha) = 0
+      iff the determinant of its pi^0 digits is nonzero mod p;
+    - the cross constraints on digits, by ``_linear_pair_filter``.
+    Each element's link permutation is read from the residue of alpha,
+    which is u-bar of v.canon^-1 g v.canon up to a scalar
+    (``residue_link_permutation``).
     """
     p = v.p
     F0 = form_pullback(v)
@@ -419,40 +450,47 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
         raise ValueError("entry degree bound %d exceeds digit bound %d"
                          % (max(max(row) for row in D), digit_bound))
     digsets = _column_candidates(p, F0, D, column_budget)
+    F0pi = [[_laurent_pi_coeffs(F0[a, e]) for e in range(3)] for a in range(3)]
 
     # chain the cross constraints B(c_b, c_e) = F0[b][e], smallest column
     # first; the reversed constraint is implied since F0* = t F0
     b0, b1, b2 = sorted(range(3), key=lambda b: len(digsets[b][0]))
+    (digs0, ns0), (digs1, ns1), (digs2, ns2) = (digsets[b] for b in (b0, b1, b2))
+    # one sign per +-pair: the first nonzero digit of column b0 in 1..(p-1)/2
+    nonzero = digs0 != 0
+    first = digs0[np.arange(len(digs0)), nonzero.argmax(axis=1)]
+    digs0 = digs0[nonzero.any(axis=1) & (first <= max((p - 1) // 2, 1))]
+    res0, res1, res2 = (_residues(d, n) for d, n in
+                        ((digs0, ns0), (digs1, ns1), (digs2, ns2)))
     M = v.canon
     Minv = M.inverse()
     found = []
-    seen = set()
-    for row0 in digsets[b0][0]:
-        c0 = _digits_to_ratfuncs(row0, digsets[b0][1], p)
-        mask1 = _linear_pair_filter(p, F0, c0, digsets[b1][0], digsets[b1][1],
-                                    F0[b0, b1])
-        mask2a = _linear_pair_filter(p, F0, c0, digsets[b2][0], digsets[b2][1],
-                                     F0[b0, b2])
-        digs2a = digsets[b2][0][mask2a]
-        for row1 in digsets[b1][0][mask1]:
-            c1 = _digits_to_ratfuncs(row1, digsets[b1][1], p)
-            mask2 = _linear_pair_filter(p, F0, c1, digs2a, digsets[b2][1],
-                                        F0[b1, b2])
+    for row0, r0 in zip(digs0, res0):
+        mask1 = _linear_pair_filter(p, F0pi, row0, ns0, digs1, ns1, F0pi[b0][b1])
+        mask2a = _linear_pair_filter(p, F0pi, row0, ns0, digs2, ns2,
+                                     F0pi[b0][b2])
+        digs2a, res2a = digs2[mask2a], res2[mask2a]
+        for row1, r1 in zip(digs1[mask1], res1[mask1]):
+            # up to sign, det(alpha) mod pi = (r0 x r1) . r2
+            cross = np.cross(r0, r1) % p
+            if not cross.any():
+                continue
+            mask2 = _linear_pair_filter(p, F0pi, row1, ns1, digs2a, ns2,
+                                        F0pi[b1][b2])
+            mask2 &= (res2a @ cross) % p != 0
             for row2 in digs2a[mask2]:
-                c2 = _digits_to_ratfuncs(row2, digsets[b2][1], p)
-                bycol = {b0: c0, b1: c1, b2: c2}
+                bycol = {b0: _digits_to_ratfuncs(row0, ns0, p),
+                         b1: _digits_to_ratfuncs(row1, ns1, p),
+                         b2: _digits_to_ratfuncs(row2, ns2, p)}
                 alpha = MatrixRF(p, tuple(tuple(bycol[col][row]
                                                 for col in range(3))
                                           for row in range(3)))
                 if alpha.det().valuation() != 0:
-                    continue
+                    raise AssertionError("nonzero residue determinant but "
+                                         "nu(det alpha) != 0")
                 if alpha.star() * F0 * alpha != F0:
                     continue
                 g = M * alpha * Minv
-                key = _sign_key(g)
-                if key in seen:
-                    continue
-                seen.add(key)
                 if not all(g[a, b].is_laurent()
                            for a in range(3) for b in range(3)):
                     raise AssertionError(
@@ -460,23 +498,28 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 if not is_unitary(g) or apply(g, v) != v:
                     raise AssertionError(
                         "enumerated matrix fails the independent re-check")
-                found.append(normalize_mod_homothety(g))
-    found.sort(key=_matrix_sort_key)
-    if MatrixRF.identity(p) not in found:
+                u = [[e.residue() for e in row] for row in alpha.rows]
+                found.append((normalize_mod_homothety(g),
+                              residue_link_permutation(u, p).perm))
+    found.sort(key=lambda gp: _matrix_sort_key(gp[0]))
+    elements = tuple(g for g, _ in found)
+    if len(set(elements)) != len(elements):
+        raise AssertionError("two enumerated elements agree modulo homothety")
+    if MatrixRF.identity(p) not in elements:
         raise AssertionError("the identity is missing from the stabilizer")
-    perms = [induced_link_permutation(g, v).perm for g in found]
-    orders = sorted(order_mod_homothety(g) for g in found)
+    perms = tuple(pm for _, pm in found)
+    orders = sorted(order_mod_homothety(g) for g in elements)
     image_order = perm_group_order(perms)
-    if len(found) % image_order:
+    if len(elements) % image_order:
         raise AssertionError("image order %d does not divide order %d"
-                             % (image_order, len(found)))
+                             % (image_order, len(elements)))
     return StabReport(
-        vertex=v, method="exact", complete=True, elements=tuple(found),
-        order=len(found), image_order=image_order,
+        vertex=v, method="exact", complete=True, elements=elements,
+        order=len(elements), image_order=image_order,
         element_orders=tuple(orders),
         image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
         bounds={"digitBound": digit_bound, "columnBudget": column_budget,
-                "degreeBounds": D}, perms=tuple(perms))
+                "degreeBounds": D}, perms=perms)
 
 
 def _sign_key(g: MatrixRF):

@@ -192,6 +192,102 @@ def test_stab_exact_refuses_an_asymmetric_form(monkeypatch):
         stab_exact(v)
 
 
+def linear_pair_filter_oracle(p, F0, fixed_col, digs, ns, target_entry):
+    """Mask of candidate columns w with B(fixed_col, w) = target_entry,
+    with g_e = sum_a bar(u_a) F0[a][e] formed over RatFunc.
+
+    B(u, w) = sum_e g_e w_e, so for a fixed u the constraint is linear in
+    the digits of w.
+    """
+    lpc = groupcalc._laurent_pi_coeffs
+    g = []
+    for e in range(3):
+        acc = RatFunc.zero(p)
+        for a in range(3):
+            if not fixed_col[a].is_zero() and not F0[a, e].is_zero():
+                acc = acc + fixed_col[a].involution() * F0[a, e]
+        g.append(lpc(acc))
+    tgt = lpc(target_entry)
+    exps = [q for d in g for q in d]
+    if not exps:
+        ok = not tgt
+        return np.full(len(digs), ok, dtype=bool)
+    lo = min(min(d) for d in g if d)
+    hi = max(max(d) + ns[e] - 1 for e, d in enumerate(g) if d)
+    if any(q < lo or q > hi for q in tgt):
+        return np.zeros(len(digs), dtype=bool)
+    width = hi - lo + 1
+    starts = np.cumsum([0] + list(ns))
+    L = np.zeros((sum(ns), width), dtype=np.int64)
+    for e in range(3):
+        for r, f in g[e].items():
+            for m in range(ns[e]):
+                L[starts[e] + m, r + m - lo] += f
+    P = (digs.astype(np.int64) @ L) % p
+    target = np.zeros(width, dtype=np.int64)
+    for q, f in tgt.items():
+        target[q - lo] = f % p
+    return np.all(P == target, axis=1)
+
+
+def _from_pi_coeffs(coeffs, p):
+    """A {pi-exponent: coefficient} dict back to a RatFunc."""
+    if not coeffs:
+        return RatFunc.zero(p)
+    lo, hi = min(coeffs), max(coeffs)
+    return RatFunc.from_pi_digits([coeffs.get(q, 0) for q in range(lo, hi + 1)],
+                                  lo, p)
+
+
+def test_integer_pair_filter_matches_ratfunc_oracle(monkeypatch):
+    integer_filter = groupcalc._linear_pair_filter
+    calls = []
+
+    def checked(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
+        got = integer_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target)
+        want = linear_pair_filter_oracle(
+            p, F0, groupcalc._digits_to_ratfuncs(fixed_row, fixed_ns, p),
+            digs, ns, _from_pi_coeffs(target, p))
+        assert np.array_equal(got, want), (v.to_text(), fixed_row, target)
+        calls.append((int(got.sum()), len(got)))
+        return got
+
+    monkeypatch.setattr(groupcalc, "_linear_pair_filter", checked)
+    verts = [n_point_base(3), seven_star(3)]
+    for p in (2, 3):
+        verts += [lv.vclass for lv in link(identity_vertex(p))]
+    for v in verts:
+        F0 = form_pullback(v)     # read by checked(), with v
+        stab_exact(v)
+    # the masks pass some candidates and refuse others
+    assert any(0 < kept < n for kept, n in calls)
+    assert any(kept == 0 < n for kept, n in calls)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_residue_determinant_matches_valuation(p):
+    # alpha has entries in O, so nu(det alpha) = 0 iff the determinant of
+    # its pi^0 digits is nonzero mod p; stab_exact forms it as
+    # (r0 x r1) . r2 over the residue columns
+    rng = random.Random(p)
+    units = 0
+    for _ in range(150):
+        cols, res = [], []
+        for _ in range(3):
+            ns = tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(3))
+            row = np.array([rng.randrange(p) for _ in range(sum(ns))],
+                           dtype=np.int16)
+            cols.append(groupcalc._digits_to_ratfuncs(row, ns, p))
+            res.append(groupcalc._residues(row[None, :], ns)[0])
+        alpha = MatrixRF(p, tuple(tuple(cols[b][a] for b in range(3))
+                                  for a in range(3)))
+        cross = np.cross(res[0], res[1]) % p
+        unit = int(res[2] @ cross) % p != 0
+        assert unit == (alpha.det().valuation() == 0), (alpha, res)
+        units += unit
+    assert 0 < units < 150
+
+
 # -- exact stabilizers -------------------------------------------------------------
 
 def test_stab_identity_small_primes():
@@ -209,10 +305,16 @@ def test_stab_identity_generated_by_x():
 
 
 def test_stab_exact_matches_identity_enumeration():
-    a = stab_identity_exact(3)
-    b = stab_exact(identity_vertex(3))
-    assert a.order == b.order == 4
-    assert a.image_order == b.image_order
+    # from p = 5 on, stab_exact keeps one sign per +-pair
+    for p, order in ((2, 4), (3, 4), (5, 4), (7, 8), (11, 12)):
+        a = stab_identity_exact(p)
+        b = stab_exact(identity_vertex(p))
+        assert a.order == b.order == order, p
+        assert {normalize_mod_homothety(g) for g in a.elements} == \
+            set(b.elements), p
+        assert a.image_order == b.image_order, p
+        assert a.image_orbit_sizes == b.image_orbit_sizes, p
+        assert a.element_orders == b.element_orders, p
 
 
 def test_stab_exact_n_point():
@@ -221,6 +323,48 @@ def test_stab_exact_n_point():
     assert rpt.order == 6
     assert rpt.image_order == 6
     assert rpt.element_orders == (1, 2, 3, 3, 6, 6)
+
+
+def _report_digest(reports):
+    """sha256 prefix of (to_json_dict(), element texts, perms) of each report."""
+    blob = json.dumps([[r.to_json_dict(), [str(g) for g in r.elements],
+                        [list(pm) for pm in r.perms]] for r in reports],
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _golden_vertices(name):
+    if name == "n-point":
+        return [n_point_base(3)]
+    if name == "7*":
+        return [seven_star(3)]
+    p = int(name[-1])
+    # x fixes [I], so x.link([I]) is link([I]) in another order
+    lk = [lv.vclass for lv in link(identity_vertex(p))]
+    x = letter_matrix("x", p)
+    assert {apply(x, w) for w in lk} == set(lk)
+    return lk
+
+
+# sha256 prefixes of _report_digest, taken before the integer digit filters
+# in stab_exact (when every candidate triple was built over RatFunc)
+STAB_EXACT_GOLDEN = {
+    "link p=2": "4de0ac7b47a03732",
+    "link p=3": "c0136c4616ef60d7",
+    "n-point": "4a536ea6497e9dff",
+    "7*": "5f3c7b95266cebcc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAB_EXACT_GOLDEN))
+def test_stab_exact_reports_golden(name):
+    reports = []
+    for v in _golden_vertices(name):
+        rpt = stab_exact(v)
+        for g, pm in zip(rpt.elements, rpt.perms):
+            assert pm == induced_link_permutation(g, v).perm, v.to_text()
+        reports.append(rpt)
+    assert _report_digest(reports) == STAB_EXACT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("p", [2, 3])
