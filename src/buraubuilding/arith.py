@@ -77,10 +77,6 @@ def pneg(a, p):
     return tuple((-x) % p for x in a)
 
 
-def psub(a, b, p):
-    return padd(a, pneg(b, p), p)
-
-
 def pmul(a, b, p):
     """Product over F_p, or the unreduced product over Z when p is None."""
     if not a or not b:

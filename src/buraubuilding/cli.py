@@ -275,10 +275,8 @@ def cmd_explore(config: RunConfig, gens) -> ClaimResult:
 
 
 def cmd_verify(config: RunConfig) -> ClaimResult:
-    if config.prime != 3:
-        raise ValueError("the relation list involves u, defined at p = 3 only")
     t0 = time.time()
-    reports = verify_relations(3)
+    reports = verify_relations(config.prime)
     ok = all(r.holds_mod_p for r in reports) and \
         all(r.holds_integrally for r in reports if r.holds_integrally is not None)
     data = {"relations": [r.to_json_dict() for r in reports]}
@@ -287,6 +285,8 @@ def cmd_verify(config: RunConfig) -> ClaimResult:
 
 
 def cmd_witness(config: RunConfig, mod_only: bool, integral_only: bool) -> ClaimResult:
+    if config.prime != 3:
+        raise ValueError("the kernel witness is defined at p = 3 only")
     t0 = time.time()
     word = named_word("kernel_word")
     data = {"letters": len(word)}
@@ -368,14 +368,21 @@ def emit_result(config: RunConfig, result: ClaimResult):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sp):
+_FLAGS = {
+    "cache-dir": {},
+    "radius": {"type": int},
+    "depth": {"type": int, "help": "word-search depth"},
+    "digit-bound": {"type": int},
+    "budget": {"type": int, "help": "node budget"},
+}
+
+
+def _add_common(sp, *flags):
+    """--p, --config and --json, plus the named flags the subcommand reads."""
     sp.add_argument("--p", type=int, default=None, help="prime modulus")
     sp.add_argument("--config", default=None, help="key=value config file")
-    sp.add_argument("--cache-dir", dest="cache_dir", default=None)
-    sp.add_argument("--radius", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None, help="word-search depth")
-    sp.add_argument("--digit-bound", dest="digit_bound", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None, help="node budget")
+    for name in flags:
+        sp.add_argument("--" + name, **_FLAGS[name])
     sp.add_argument("--json", action="store_true", help="JSON output")
 
 
@@ -390,7 +397,7 @@ def make_parser():
     _add_common(sp)
 
     sp = sub.add_parser("stab", help="stabilizer of a vertex")
-    _add_common(sp)
+    _add_common(sp, "depth", "digit-bound", "budget")
     sp.add_argument("--vertex", required=True,
                     help="word over named generators, I, or a 3x3 matrix literal")
     sp.add_argument("--method", choices=("exact", "words"), default="exact")
@@ -403,7 +410,7 @@ def make_parser():
     sp.add_argument("--dot", action="store_true", help="DOT output of the link graph")
 
     sp = sub.add_parser("explore", help="orbit classification of a ball around I")
-    _add_common(sp)
+    _add_common(sp, "cache-dir", "radius", "budget")
     sp.add_argument("--gens", default="x,y,u")
 
     sp = sub.add_parser("verify", help="relation families mod 3")
@@ -415,7 +422,7 @@ def make_parser():
     sp.add_argument("--integral-only", action="store_true")
 
     sp = sub.add_parser("tube", help="stabilizer image pattern along the tube")
-    _add_common(sp)
+    _add_common(sp, "depth")
     sp.add_argument("--kmax", type=int, default=2)
 
     sp = sub.add_parser("presentation-export", help="export generators and relators")

@@ -196,6 +196,27 @@ class RelationReport(NamedTuple):
         }
 
 
+def _report(v: VertexClass, method: str, elements, perms, orders,
+            bounds) -> StabReport:
+    """The StabReport of the given elements, their link permutations and
+    orders mod homothety; an "exact" report is complete, and must contain the
+    identity and have an image order dividing its order."""
+    p = v.p
+    image_order = perm_group_order(perms)
+    if method == "exact":
+        if MatrixRF.identity(p) not in elements:
+            raise AssertionError("the identity is missing from the stabilizer")
+        if len(elements) % image_order:
+            raise AssertionError("image order %d does not divide order %d"
+                                 % (image_order, len(elements)))
+    return StabReport(
+        vertex=v, method=method, complete=method == "exact",
+        elements=tuple(elements), order=len(elements), image_order=image_order,
+        element_orders=tuple(sorted(orders)),
+        image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
+        bounds=bounds, perms=tuple(perms))
+
+
 # ---------------------------------------------------------------------------
 # exact stabilizer at the identity vertex: constant matrices
 
@@ -208,6 +229,8 @@ def stab_identity_exact(p: int) -> StabReport:
     For constant matrices the unitarity condition over F_p[s,1/s] splits
     by s-degree into A^T (N - I) A = N - I where N is the strict upper
     shift; the s^+1 component is the transpose of the same equation.
+    Since the canonical basis of [I] is I, each constant matrix is its own
+    residue matrix, and its link permutation is read from it directly.
     """
     check_prime(p)
     if p > IDENTITY_STAB_PRIME_BOUND:
@@ -242,19 +265,13 @@ def stab_identity_exact(p: int) -> StabReport:
     mats = [MatrixRF.from_strings([[str(int(A[i, j])) for j in range(3)]
                                    for i in range(3)], p) for A in classes]
     I = identity_vertex(p)
-    perms = []
-    orders = []
     for g in mats:
         if apply(g, I) != I or not is_unitary(g):
             raise AssertionError("enumerated matrix fails the independent re-check")
-        perms.append(induced_link_permutation(g, I).perm)
-        orders.append(order_mod_homothety(g))
-    return StabReport(
-        vertex=I, method="exact", complete=True, elements=tuple(mats),
-        order=len(mats), image_order=perm_group_order(perms),
-        element_orders=tuple(sorted(orders)),
-        image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
-        bounds={"primeBound": IDENTITY_STAB_PRIME_BOUND}, perms=tuple(perms))
+    perms = [residue_link_permutation(A.tolist(), p).perm for A in classes]
+    return _report(I, "exact", mats, perms,
+                   [order_mod_homothety(g) for g in mats],
+                   {"primeBound": IDENTITY_STAB_PRIME_BOUND})
 
 
 # ---------------------------------------------------------------------------
@@ -502,24 +519,13 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 found.append((normalize_mod_homothety(g),
                               residue_link_permutation(u, p).perm))
     found.sort(key=lambda gp: _matrix_sort_key(gp[0]))
-    elements = tuple(g for g, _ in found)
+    elements = [g for g, _ in found]
     if len(set(elements)) != len(elements):
         raise AssertionError("two enumerated elements agree modulo homothety")
-    if MatrixRF.identity(p) not in elements:
-        raise AssertionError("the identity is missing from the stabilizer")
-    perms = tuple(pm for _, pm in found)
-    orders = sorted(order_mod_homothety(g) for g in elements)
-    image_order = perm_group_order(perms)
-    if len(elements) % image_order:
-        raise AssertionError("image order %d does not divide order %d"
-                             % (image_order, len(elements)))
-    return StabReport(
-        vertex=v, method="exact", complete=True, elements=elements,
-        order=len(elements), image_order=image_order,
-        element_orders=tuple(orders),
-        image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
-        bounds={"digitBound": digit_bound, "columnBudget": column_budget,
-                "degreeBounds": D}, perms=perms)
+    return _report(v, "exact", elements, [pm for _, pm in found],
+                   [order_mod_homothety(g) for g in elements],
+                   {"digitBound": digit_bound, "columnBudget": column_budget,
+                    "degreeBounds": D})
 
 
 def _sign_key(g: MatrixRF):
@@ -578,14 +584,10 @@ def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
             raise AssertionError("word-search element fails the unitarity re-check")
     stab = [normalize_mod_homothety(g) for g in stab]
     stab.sort(key=_matrix_sort_key)
-    perms = [induced_link_permutation(g, v).perm for g in stab]
-    orders = sorted(order_mod_homothety(g, maxn=200) or 0 for g in stab)
-    return StabReport(
-        vertex=v, method="word-search", complete=False, elements=tuple(stab),
-        order=len(stab), image_order=perm_group_order(perms),
-        element_orders=tuple(orders),
-        image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
-        bounds={"depth": depth, "generators": len(gens)}, perms=tuple(perms))
+    return _report(v, "word-search", stab,
+                   [induced_link_permutation(g, v).perm for g in stab],
+                   [order_mod_homothety(g, maxn=200) or 0 for g in stab],
+                   {"depth": depth, "generators": len(gens)})
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +596,17 @@ def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
 def n_point_base(p: int = 3) -> VertexClass:
     """The unique vertex adjacent to [I] whose class is fixed by u."""
     return canonicalize(named_matrix("M19", p))
+
+
+def _swapped_pair(cands, p, accept):
+    """The first a of cands in canonical order with accept(a) that xyx maps
+    onto another candidate, together with that image."""
+    xyx = word_evaluate(parse_word("x.y.x"), p)
+    for a in sorted(cands, key=lambda w: w.sort_key()):
+        img = apply(xyx, a)
+        if img != a and img in cands and accept(a):
+            return a, img
+    raise AssertionError("no xyx-swapped pair among the candidates")
 
 
 def seven_star_pair(p: int = 3):
@@ -605,16 +618,9 @@ def seven_star_pair(p: int = 3):
     """
     u = letter_matrix("u", p)
     u1 = letter_matrix("u1", p)
-    xyx = word_evaluate(parse_word("x.y.x"), p)
-    base = n_point_base(p)
-    fixed = sorted((lv.vclass for lv in link(base)
-                    if apply(u, lv.vclass) == lv.vclass),
-                   key=lambda w: w.sort_key())
-    for a in fixed:
-        img = apply(xyx, a)
-        if img != a and img in fixed and apply(u1, a) == a:
-            return a, img
-    raise AssertionError("no xyx-swapped pair among the u-fixed link vertices")
+    fixed = [lv.vclass for lv in link(n_point_base(p))
+             if apply(u, lv.vclass) == lv.vclass]
+    return _swapped_pair(fixed, p, lambda a: apply(u1, a) == a)
 
 
 def seven_star(p: int = 3) -> VertexClass:
@@ -670,9 +676,9 @@ XYU_ORBIT_BOUND = 1 + 6 * sum(5 ** d for d in range(6))
 def xyu_orbit(start: VertexClass) -> frozenset:
     """The <x, y, u>-orbit of start to depth 6, computed once per vertex.
 
-    Deep enough to cover the radius-2 ball around [I]; the tube walk, the
-    group-point check and the anchors of ``orbit_classify`` ask for the
-    orbits of [I] and the n-point repeatedly.
+    Deep enough to cover the radius-2 ball around [I]; the tube walk and the
+    anchors of ``orbit_classify`` ask for the orbits of [I] and the n-point
+    repeatedly.
     """
     return frozenset(orbit_bfs(start, ("x", "y", "u"), 6))
 
@@ -725,21 +731,22 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
     if radius < 1:
         raise ValueError("radius must be >= 1")
     B = ball(p, radius)
-    labeled = {}
     complete = True
     anchors = [("group-point", identity_vertex(p))]
     if p == 3 and any(str(g) == "u" for g in gens):
         anchors.append(("n-point", n_point_base(p)))
-        seven, eleven = seven_star_pair(p)
-        anchors.append(("tube(1)", seven))
-        if radius >= 2:
-            lvl = seven
-            prev = {seven, eleven}
-            for k in range(2, radius + 1):
-                nxt = _tube_next(lvl, p, prev)
-                anchors.append(("tube(%d)" % k, nxt[0]))
-                prev = set(nxt)
-                lvl = nxt[0]
+        anchors += [("tube(%d)" % k, v) for k, v, _ in
+                    itertools.islice(tube_chain(p), radius)]
+
+    def orbit(rep):
+        """The BFS orbit of rep, or {rep} and an incomplete table."""
+        nonlocal complete
+        try:
+            return orbit_bfs(rep, gens, orbit_depth, budget)
+        except ValueError:
+            complete = False
+            return {rep}
+
     # the depth-6 <x, y, u>-orbits of [I] and the n-point are memoized; a
     # BFS that cannot trip its budget returns the same set
     memoized = (tuple(gens) == ("x", "y", "u") and orbit_depth == 6
@@ -752,11 +759,7 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
         if memoized and label in ("group-point", "n-point"):
             orb = xyu_orbit(rep)
         else:
-            try:
-                orb = orbit_bfs(rep, gens, orbit_depth, budget)
-            except ValueError:
-                complete = False
-                orb = {rep}
+            orb = orbit(rep)
         members = [w for w in B if w in orb and w not in assigned]
         for w in members:
             assigned[w] = label
@@ -769,11 +772,7 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
     leftovers = [w for w in B if w not in assigned]
     while leftovers:
         rep = min(leftovers, key=lambda w: w.sort_key())
-        try:
-            orb = orbit_bfs(rep, gens, orbit_depth, budget)
-        except ValueError:
-            complete = False
-            orb = {rep}
+        orb = orbit(rep)
         members = [w for w in leftovers if w in orb]
         for w in members:
             assigned[w] = "unknown"
@@ -802,22 +801,6 @@ LINK_GROUP_WORDS = (
     "x.y^-1.x^-1.y^-1", "w", "w^-1", "y^-1.x^-1.y^-1.w",
     "x.y^-1.x^-1.y^-1.w", "y.x.y.w^-1", "x.y.x.y.w^-1",
 )
-
-
-def link_group_points_check(p: int = 3):
-    """The 18 listed words applied to [I]: distinct, in Link(I), and exactly
-    the group points of the link.
-
-    Returns (vertices, distinct_in_link, matches_orbit).
-    """
-    I = identity_vertex(p)
-    lk = {lv.vclass for lv in link(I)}
-    verts = [apply(word_evaluate(_relator_word(text), p), I)
-             for text in LINK_GROUP_WORDS]
-    distinct_in_link = len(set(verts)) == len(verts) and all(v in lk for v in verts)
-    orb = xyu_orbit(I)
-    matches = set(verts) == {v for v in lk if v in orb}
-    return verts, distinct_in_link, matches
 
 
 # ---------------------------------------------------------------------------
@@ -899,12 +882,16 @@ def _tube_next(level: VertexClass, p: int, exclude):
     cands = [lk[i].vclass for i in sorted(fixed_idx)]
     cands = [w for w in cands
              if w not in group_orb and w not in n_orb and w not in exclude]
-    xyx = word_evaluate(parse_word("x.y.x"), p)
-    for a in sorted(cands, key=lambda w: w.sort_key()):
-        img = apply(xyx, a)
-        if img != a and img in cands:
-            return a, img
-    raise AssertionError("tube step found no xyx-swapped distinguished pair")
+    return _swapped_pair(cands, p, lambda a: True)
+
+
+def tube_chain(p: int = 3):
+    """Yield (k, 7^(k), its xyx partner) for k = 1, 2, ..., each level
+    computed only when asked for; 7^(1) is ``seven_star``."""
+    level, partner = seven_star_pair(p)
+    for k in itertools.count(1):
+        yield k, level, partner
+        level, partner = _tube_next(level, p, {level, partner})
 
 
 class TubeLevel(NamedTuple):
@@ -933,18 +920,13 @@ def tube_pattern_check(kmax: int = 2, depth: int = 3, p: int = 3):
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    seven, eleven = seven_star_pair(p)
     out = []
-    rpt = stab_exact(seven)
-    out.append(TubeLevel(1, seven, rpt.image_order, rpt.order, 2 * 3 ** 3))
-    level = seven
-    prev = {seven, eleven}
-    for k in range(2, kmax + 1):
-        nxt, other = _tube_next(level, p, prev)
-        gens = ["u", "h"] + ["alpha%d" % i for i in range(1, k + 1)]
-        rptk = stab_words(nxt, gens, depth)
-        out.append(TubeLevel(k, nxt, rptk.image_order, rptk.order,
+    for k, v, _ in itertools.islice(tube_chain(p), kmax):
+        if k == 1:
+            rpt = stab_exact(v)
+        else:
+            gens = ["u", "h"] + ["alpha%d" % i for i in range(1, k + 1)]
+            rpt = stab_words(v, gens, depth)
+        out.append(TubeLevel(k, v, rpt.image_order, rpt.order,
                              2 * 3 ** (2 * k + 1)))
-        level = nxt
-        prev = {nxt, other}
     return out

@@ -228,20 +228,14 @@ _BURAU_BASE = (
 
 
 @lru_cache(maxsize=None)
-def burau_generator(i: int, p: int) -> MatrixRF:
-    """Reduced Burau matrix of sigma_i mod p (fixed convention, see module doc)."""
-    check_prime(p)
+def burau_generator(i: int, p: Optional[int]) -> MatrixRF:
+    """Reduced Burau matrix of sigma_i mod p, or over Z[t, 1/t] when p is
+    None (fixed convention, see module doc)."""
+    if p is not None:
+        check_prime(p)
     if i not in (1, 2, 3):
         raise ValueError("generator index must be 1, 2 or 3")
     return MatrixRF.from_strings(_BURAU_BASE[i - 1], p)
-
-
-@lru_cache(maxsize=None)
-def burau_generator_integral(i: int) -> MatrixRF:
-    """Reduced Burau matrix of sigma_i over Z[t, 1/t]."""
-    if i not in (1, 2, 3):
-        raise ValueError("generator index must be 1, 2 or 3")
-    return MatrixRF.from_strings(_BURAU_BASE[i - 1], None)
 
 
 def convention_survey(p: int):
@@ -437,9 +431,13 @@ def named_matrix(name: str, p: int) -> MatrixRF:
 # word evaluation
 
 @lru_cache(maxsize=None)
-def letter_matrix(name: str, p: int) -> MatrixRF:
+def letter_matrix(name: str, p: Optional[int]) -> MatrixRF:
+    """The matrix of one letter mod p, or over Z[t, 1/t] when p is None;
+    only sigma_i, x and y are defined over Z."""
     if name in ("s1", "s2", "s3"):
         return burau_generator(int(name[1]), p)
+    if p is None and name not in ("x", "y"):
+        raise KeyError("letter %r is not defined integrally" % name)
     if name in ("u", "h", "beta2", "M19"):
         return named_matrix(name, p)
     if name in ("x", "y", "w", "u1") or name.startswith("alpha"):
@@ -448,24 +446,15 @@ def letter_matrix(name: str, p: int) -> MatrixRF:
 
 
 @lru_cache(maxsize=None)
-def _letter_matrix_integral(name: str) -> MatrixRF:
-    if name in ("s1", "s2", "s3"):
-        return burau_generator_integral(int(name[1]))
-    if name in ("x", "y"):
-        return word_evaluate_integral(named_word(name))
-    raise KeyError("letter %r is not defined integrally" % name)
+def _letter_inverse(name: str, p: Optional[int]) -> MatrixRF:
+    return letter_matrix(name, p).inverse()
 
 
-@lru_cache(maxsize=None)
-def _letter_inverse(name: str, p) -> MatrixRF:
-    """The inverse letter matrix, mod p or over Z[t, 1/t] when p is None."""
-    m = _letter_matrix_integral(name) if p is None else letter_matrix(name, p)
-    return m.inverse()
-
-
-def word_evaluate(w: GroupWord, p: int) -> MatrixRF:
-    """Left-to-right product of the letter matrices mod p."""
-    check_prime(p)
+def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
+    """Left-to-right product of the letter matrices mod p, or over
+    Z[t, 1/t] when p is None."""
+    if p is not None:
+        check_prime(p)
     out = MatrixRF.identity(p)
     for name, sgn in w:
         out = out * (letter_matrix(name, p) if sgn > 0 else _letter_inverse(name, p))
@@ -473,17 +462,11 @@ def word_evaluate(w: GroupWord, p: int) -> MatrixRF:
 
 
 def word_evaluate_integral(w: GroupWord) -> MatrixRF:
-    """Left-to-right product over Z[t, 1/t]; only sigma_i, x, y are defined."""
-    out = MatrixRF.identity(None)
-    for name, sgn in w:
-        out = out * (_letter_matrix_integral(name) if sgn > 0
-                     else _letter_inverse(name, None))
-    return out
+    """``word_evaluate`` over Z[t, 1/t]."""
+    return word_evaluate(w, None)
 
 
 def evaluate(text_or_word, p: int = None):
     """Convenience: parse if needed, then evaluate (mod p, or integrally)."""
     w = parse_word(text_or_word) if isinstance(text_or_word, str) else text_or_word
-    if p is None:
-        return word_evaluate_integral(w)
     return word_evaluate(w, p)

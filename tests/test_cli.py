@@ -45,17 +45,34 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg.radius == 2      # file beats default
 
 
-def test_removed_jobs_flag_is_rejected():
-    # --seed and --jobs were parsed but never used; they are gone
+def _main_subprocess(*argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
          "import sys; from buraubuilding.cli import main; sys.exit(main())",
-         "verify", "--jobs", "2"],
+         *argv],
         capture_output=True, text=True, env=env)
+
+
+def test_removed_jobs_flag_is_rejected():
+    # --seed and --jobs were parsed but never used; they are gone
+    proc = _main_subprocess("verify", "--jobs", "2")
     assert proc.returncode == 2
     assert "unrecognized arguments: --jobs 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--radius", "2"),
+    ("stab", "--vertex", "I", "--cache-dir", "d"),
+    ("explore", "--digit-bound", "3"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv):
+    proc = _main_subprocess(*argv)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
@@ -114,6 +131,10 @@ def test_verify_pass(capsys):
 
 def test_verify_wrong_prime(capsys):
     assert main(["verify", "--p", "2"]) == 2
+
+
+def test_witness_wrong_prime(capsys):
+    assert main(["witness", "--p", "5"]) == 2
 
 
 def test_witness_variants(capsys):

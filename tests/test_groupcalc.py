@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -30,6 +31,8 @@ from buraubuilding.groupcalc import (
     stab_exact,
     stab_identity_exact,
     stab_words,
+    tube_chain,
+    tube_pattern_check,
     verify_relations,
 )
 from buraubuilding.rep import (
@@ -297,6 +300,32 @@ def test_stab_identity_small_primes():
         assert rpt.image_order == n
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_stab_identity_perms_read_from_the_constant_matrix(p):
+    # at [I] the canonical basis is I, so each constant element is its own
+    # residue matrix
+    I = identity_vertex(p)
+    rpt = stab_identity_exact(p)
+    for g, pm in zip(rpt.elements, rpt.perms):
+        assert pm == induced_link_permutation(g, I).perm, str(g)
+
+
+def test_report_refuses_a_false_exact_report():
+    I = identity_vertex(3)
+    ident, x = MatrixRF.identity(3), letter_matrix("x", 3)
+    n = len(link(I))
+    fixed = tuple(range(n))
+    cycle = (1, 2, 0) + fixed[3:]
+    with pytest.raises(AssertionError, match="identity is missing"):
+        groupcalc._report(I, "exact", [x], [fixed], [4], {})
+    with pytest.raises(AssertionError, match="does not divide"):
+        groupcalc._report(I, "exact", [ident, x], [fixed, cycle], [1, 4], {})
+    rpt = groupcalc._report(I, "word-search", [ident, x], [fixed, cycle],
+                            [4, 1], {})
+    assert (rpt.complete, rpt.order, rpt.image_order) == (False, 2, 3)
+    assert rpt.element_orders == (1, 4)
+
+
 def test_stab_identity_generated_by_x():
     rpt = stab_identity_exact(3)
     x = letter_matrix("x", 3)
@@ -407,6 +436,16 @@ def test_seven_star_pair_swap():
     assert apply(u, a) == a and apply(u, b) == b
     assert apply(u1, a) == a
     assert apply(xyx, a) == b
+
+
+def test_tube_chain_is_the_tube_walk():
+    chain = list(itertools.islice(tube_chain(3), 2))
+    assert [k for k, _, _ in chain] == [1, 2]
+    assert chain[0][1:] == seven_star_pair(3)
+    xyx = word_evaluate(parse_word("x.y.x"), 3)
+    assert all(apply(xyx, v) == partner for _, v, partner in chain)
+    levels = tube_pattern_check(kmax=2)
+    assert [v for _, v, _ in chain] == [lv.vertex for lv in levels]
 
 
 def test_h_stabilizes_seven_star():

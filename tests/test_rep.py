@@ -9,7 +9,6 @@ from buraubuilding.rep import (
     KERNEL_WORD_TEXT,
     MatrixRF,
     burau_generator,
-    burau_generator_integral,
     commutator,
     convention_survey,
     evaluate,
@@ -147,6 +146,21 @@ def test_integral_reduction_consistency():
             assert word_evaluate_integral(w).reduce_mod(p) == word_evaluate(w, p)
 
 
+def test_word_evaluate_over_z_is_the_integral_evaluator():
+    rng = random.Random(20240603)
+    letters = ["s1", "s2", "s3", "x", "y"]
+    for _ in range(8):
+        w = GroupWord((rng.choice(letters), rng.choice((1, -1)))
+                      for _ in range(rng.randint(1, 24)))
+        assert word_evaluate(w, None) == word_evaluate_integral(w)
+
+
+@pytest.mark.parametrize("name", ["u", "h", "w", "u1", "alpha1", "M19"])
+def test_letters_outside_the_braid_group_have_no_integral_matrix(name):
+    with pytest.raises(KeyError):
+        letter_matrix(name, None)
+
+
 def test_integral_inverse_needs_a_unit_determinant():
     m = MatrixRF.from_strings([["2", "0", "0"], ["0", "1", "t"], ["0", "0", "1"]],
                               None)
@@ -237,4 +251,4 @@ def test_random_words_unitary():
 def test_integral_generators_match_modular():
     for i in (1, 2, 3):
         for p in (2, 3, 5):
-            assert burau_generator_integral(i).reduce_mod(p) == burau_generator(i, p)
+            assert burau_generator(i, None).reduce_mod(p) == burau_generator(i, p)
