@@ -19,8 +19,10 @@ index n + i the plane annihilated by the functional ``projective_points(p)[i]``.
 A stabilizer g of v acts on the link through the residue matrix
 u-bar in GL3(F_p) of v.canon^-1 * g * v.canon (scaled by a power of pi into
 GL3(O)), so ``residue_link_permutation`` reads the permutation from u-bar
-without enumerating the link; ``induced_link_permutation`` computes u-bar
-from g, and ``stab_exact`` has it already as the pi^0 digits of alpha.
+without enumerating the link.  ``conjugated_link_permutation`` is the one
+read of u-bar, from v.canon^-1 * g * v.canon: ``induced_link_permutation``
+forms that conjugate from g, ``stab_words`` forms it with one inverse of
+v.canon per call, and ``stab_exact`` has it already as alpha.
 """
 
 from __future__ import annotations
@@ -354,22 +356,28 @@ def residue_link_permutation(u, p) -> LinkPermutation:
     return LinkPermutation(tuple(perm), cycle_type_of(perm), True)
 
 
-def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
-    """The permutation g induces on link(v); g must stabilize v.
+def conjugated_link_permutation(h: MatrixRF) -> LinkPermutation:
+    """The permutation of link(v) induced by a stabilizer g of v, given as
+    h = v.canon^-1 * g * v.canon.
 
-    h = v.canon^-1 * g * v.canon lies in pi^k GL3(O) with k the least entry
-    valuation; the permutation is read from the residue matrix u-bar of
-    pi^-k h in GL3(F_p) by ``residue_link_permutation``.
+    h lies in pi^k GL3(O) with k the least entry valuation, that is
+    nu(det h) = 3k (checked); the permutation is read from the pi^0 digits
+    of pi^-k h, the residue matrix u-bar in GL3(F_p), by
+    ``residue_link_permutation``.
     """
-    if apply(g, v) != v:
-        raise ValueError("matrix does not stabilize the vertex")
-    h = v.canon.inverse() * g * v.canon
     k = min(e.valuation() for row in h.rows for e in row)
     if h.det().valuation() != 3 * k:
         raise AssertionError("conjugated stabilizer element is not in "
                              "pi^k GL3(O)")
     u = [[e.shift_pi(-k).residue() for e in row] for row in h.rows]
-    return residue_link_permutation(u, v.p)
+    return residue_link_permutation(u, h.p)
+
+
+def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
+    """The permutation g induces on link(v); g must stabilize v."""
+    if apply(g, v) != v:
+        raise ValueError("matrix does not stabilize the vertex")
+    return conjugated_link_permutation(v.canon.inverse() * g * v.canon)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from .rep import (MatrixRF, is_homothety, letter_matrix,
                   word_evaluate_integral, named_word)
 from .building import (VertexClass, canonicalize, identity_vertex,
                        is_adjacent, link, link_dot)
-from .groupcalc import (IDENTITY_STAB_PRIME_BOUND, RELATION_FAMILIES,
-                        orbit_classify, stab_exact, stab_identity_exact,
-                        stab_words, tube_pattern_check, verify_relations)
+from .groupcalc import (RELATION_FAMILIES, orbit_classify, stab_exact,
+                        stab_identity_exact, stab_words, tube_pattern_check,
+                        verify_relations)
 
 CACHE_ENV = "BURAUBUILDING_CACHE_DIR"
 # part of every cache key: bump it whenever a change alters cached results,
@@ -93,16 +93,20 @@ def build_config(args) -> RunConfig:
         "prime": 3, "radius": 1, "wordDepth": 3, "digitBound": 8,
         "budgetNodes": 200_000, "cacheDir": "", "outputFormat": "text",
     }
-    if getattr(args, "config", None):
-        for k, v in _read_config_file(args.config).items():
-            if k not in _CONFIG_KEYS:
-                raise ValueError("unknown config key %r" % k)
-            base[k] = _CONFIG_KEYS[k](v)
     flagmap = {
         "prime": "p", "radius": "radius", "wordDepth": "depth",
         "digitBound": "digit_bound", "budgetNodes": "budget",
         "cacheDir": "cache_dir",
     }
+    if getattr(args, "config", None):
+        for k, v in _read_config_file(args.config).items():
+            if k not in _CONFIG_KEYS:
+                raise ValueError("unknown config key %r" % k)
+            if k in flagmap and not hasattr(args, flagmap[k]):
+                # the subcommand has no such flag, so it reads no such key
+                raise ValueError("config key %r is not read by %s"
+                                 % (k, args.command))
+            base[k] = _CONFIG_KEYS[k](v)
     for key, attr in flagmap.items():
         v = getattr(args, attr, None)
         if v is not None:
@@ -185,9 +189,6 @@ def _matrix_literal(text):
 
 def cmd_stab_identity(config: RunConfig) -> ClaimResult:
     p = check_prime(config.prime)
-    if p > IDENTITY_STAB_PRIME_BOUND:
-        raise ValueError("identity stabilizer enumeration supports p <= %d"
-                         % IDENTITY_STAB_PRIME_BOUND)
     t0 = time.time()
     rpt = stab_identity_exact(p)
     expected = IDENTITY_IMAGE_ORDERS.get(p)

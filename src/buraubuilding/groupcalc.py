@@ -1,8 +1,8 @@
 """Stabilizer computation for the J-isometry action on the building:
-exact bounded enumeration (constant matrices at the identity vertex,
-pi-adic digit enumeration elsewhere), word search, orbit classification
-outward from the identity vertex, relation verification for the
-presentation of the isometry group at p = 3, the kernel-witness check,
+exact bounded pi-adic digit enumeration against the pulled-back form (at
+every vertex, the identity vertex included), word search, orbit
+classification outward from the identity vertex, relation verification for
+the presentation of the isometry group at p = 3, the kernel-witness check,
 and the tube pattern walk.
 """
 
@@ -33,10 +33,9 @@ from .building import (
     VertexClass,
     apply,
     canonicalize,
+    conjugated_link_permutation,
     identity_vertex,
-    induced_link_permutation,
     link,
-    residue_link_permutation,
 )
 
 
@@ -218,64 +217,7 @@ def _report(v: VertexClass, method: str, elements, perms, orders,
 
 
 # ---------------------------------------------------------------------------
-# exact stabilizer at the identity vertex: constant matrices
-
-IDENTITY_STAB_PRIME_BOUND = 11
-
-
-def stab_identity_exact(p: int) -> StabReport:
-    """All A in GL3(F_p) with A^T J A = J, modulo scalars, with link action.
-
-    For constant matrices the unitarity condition over F_p[s,1/s] splits
-    by s-degree into A^T (N - I) A = N - I where N is the strict upper
-    shift; the s^+1 component is the transpose of the same equation.
-    Since the canonical basis of [I] is I, each constant matrix is its own
-    residue matrix, and its link permutation is read from it directly.
-    """
-    check_prime(p)
-    if p > IDENTITY_STAB_PRIME_BOUND:
-        raise ValueError(
-            "identity-stabilizer enumeration supports p <= %d, got %d"
-            % (IDENTITY_STAB_PRIME_BOUND, p))
-    K = np.array([[-1, 1, 0], [0, -1, 1], [0, 0, -1]], dtype=np.int64) % p
-    vecs = np.array(list(itertools.product(range(p), repeat=3)), dtype=np.int64)
-    q = np.einsum("ni,ij,nj->n", vecs, K, vecs) % p
-    C = vecs[q == (p - 1) % p]          # columns with the diagonal value K_ii = -1
-    sols = []
-    for c0 in C:
-        kt0 = (K.T @ c0) % p            # c0^T K v = kt0 . v
-        k0 = (K @ c0) % p               # v^T K c0 = k0 . v
-        m1 = ((C @ kt0) % p == K[0][1]) & ((C @ k0) % p == K[1][0])
-        m2base = ((C @ kt0) % p == K[0][2]) & ((C @ k0) % p == K[2][0])
-        for c1 in C[m1]:
-            kt1 = (K.T @ c1) % p
-            k1 = (K @ c1) % p
-            m2 = m2base & ((C @ kt1) % p == K[1][2]) & ((C @ k1) % p == K[2][1])
-            for c2 in C[m2]:
-                sols.append(np.stack([c0, c1, c2], axis=1) % p)
-    # quotient by the unitary scalars {c : c^2 = 1}
-    scalars = [c for c in range(1, p) if (c * c) % p == 1]
-    seen = set()
-    classes = []
-    for A in sols:
-        key = min(tuple(((c * A) % p).flatten()) for c in scalars)
-        if key not in seen:
-            seen.add(key)
-            classes.append(A)
-    mats = [MatrixRF.from_strings([[str(int(A[i, j])) for j in range(3)]
-                                   for i in range(3)], p) for A in classes]
-    I = identity_vertex(p)
-    for g in mats:
-        if apply(g, I) != I or not is_unitary(g):
-            raise AssertionError("enumerated matrix fails the independent re-check")
-    perms = [residue_link_permutation(A.tolist(), p).perm for A in classes]
-    return _report(I, "exact", mats, perms,
-                   [order_mod_homothety(g) for g in mats],
-                   {"primeBound": IDENTITY_STAB_PRIME_BOUND})
-
-
-# ---------------------------------------------------------------------------
-# exact stabilizer at a general vertex: bounded pi-adic digit enumeration
+# exact stabilizer at any vertex: bounded pi-adic digit enumeration
 
 DEFAULT_DIGIT_BOUND = 8
 DEFAULT_COLUMN_BUDGET = 4_000_000
@@ -454,9 +396,8 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     - the residue determinant: alpha has entries in O, so nu(det alpha) = 0
       iff the determinant of its pi^0 digits is nonzero mod p;
     - the cross constraints on digits, by ``_linear_pair_filter``.
-    Each element's link permutation is read from the residue of alpha,
-    which is u-bar of v.canon^-1 g v.canon up to a scalar
-    (``residue_link_permutation``).
+    Each element's link permutation is read from alpha, which is
+    v.canon^-1 g v.canon up to a scalar, by ``conjugated_link_permutation``.
     """
     p = v.p
     F0 = form_pullback(v)
@@ -502,9 +443,8 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 alpha = MatrixRF(p, tuple(tuple(bycol[col][row]
                                                 for col in range(3))
                                           for row in range(3)))
-                if alpha.det().valuation() != 0:
-                    raise AssertionError("nonzero residue determinant but "
-                                         "nu(det alpha) != 0")
+                # alpha is in GL3(O): the read checks nu(det alpha) = 0
+                perm = conjugated_link_permutation(alpha).perm
                 if alpha.star() * F0 * alpha != F0:
                     continue
                 g = M * alpha * Minv
@@ -515,9 +455,7 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 if not is_unitary(g) or apply(g, v) != v:
                     raise AssertionError(
                         "enumerated matrix fails the independent re-check")
-                u = [[e.residue() for e in row] for row in alpha.rows]
-                found.append((normalize_mod_homothety(g),
-                              residue_link_permutation(u, p).perm))
+                found.append((normalize_mod_homothety(g), perm))
     found.sort(key=lambda gp: _matrix_sort_key(gp[0]))
     elements = [g for g, _ in found]
     if len(set(elements)) != len(elements):
@@ -528,10 +466,13 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                     "degreeBounds": D})
 
 
-def _sign_key(g: MatrixRF):
-    """Dedup key identifying g with -g and scalar t-shifts."""
-    A = normalize_mod_homothety(g)
-    return tuple(A[i, j] for i in range(3) for j in range(3))
+def stab_identity_exact(p: int) -> StabReport:
+    """The exact stabilizer of the identity vertex [I]: ``stab_exact`` there.
+
+    At [I] the stabilizer is the finite unitary group of Squier's form over
+    F_p, modulo scalars; the column budget refuses p^3 > 4M, that is p > 157.
+    """
+    return stab_exact(identity_vertex(check_prime(p)))
 
 
 def _matrix_sort_key(g: MatrixRF):
@@ -566,26 +507,31 @@ def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
     mats = _gen_matrices(gens, p)
     mats = mats + [m.inverse() for m in mats]
     ident = MatrixRF.identity(p)
-    seen = {_sign_key(ident): ident}
+    # each class mod homothety -> the first word product that reached it
+    seen = {normalize_mod_homothety(ident): ident}
     frontier = [ident]
     for _ in range(depth):
         nxt = []
         for g in frontier:
             for m in mats:
                 h = g * m
-                key = _sign_key(h)
+                key = normalize_mod_homothety(h)
                 if key not in seen:
                     seen[key] = h
                     nxt.append(h)
         frontier = nxt
-    stab = [g for g in seen.values() if apply(g, v) == v]
-    for g in stab:
+    M = v.canon
+    Minv = M.inverse()
+    found = []
+    for key, g in seen.items():
+        if apply(g, v) != v:
+            continue
         if not is_unitary(g):
             raise AssertionError("word-search element fails the unitarity re-check")
-    stab = [normalize_mod_homothety(g) for g in stab]
-    stab.sort(key=_matrix_sort_key)
-    return _report(v, "word-search", stab,
-                   [induced_link_permutation(g, v).perm for g in stab],
+        found.append((key, conjugated_link_permutation(Minv * g * M).perm))
+    found.sort(key=lambda gp: _matrix_sort_key(gp[0]))
+    stab = [g for g, _ in found]
+    return _report(v, "word-search", stab, [pm for _, pm in found],
                    [order_mod_homothety(g, maxn=200) or 0 for g in stab],
                    {"depth": depth, "generators": len(gens)})
 

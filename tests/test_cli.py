@@ -39,7 +39,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("prime=5\nradius=2\n")
     args = make_parser().parse_args(
-        ["stab-identity", "--config", str(cfgfile), "--p", "7"])
+        ["explore", "--config", str(cfgfile), "--p", "7"])
     cfg = build_config(args)
     assert cfg.prime == 7       # flag wins
     assert cfg.radius == 2      # file beats default
@@ -85,6 +85,22 @@ def test_config_rejects_unknown_key(tmp_path):
         build_config(args)
 
 
+@pytest.mark.parametrize("command, line", [
+    ("stab-identity", "radius=2"),
+    ("verify", "digitBound=4"),
+])
+def test_config_keys_a_subcommand_does_not_read_are_rejected(
+        command, line, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    proc = _main_subprocess(command, "--config", str(cfgfile))
+    key = line.split("=")[0]
+    assert proc.returncode == 2
+    assert "config key %r is not read by %s" % (key, command) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BURAUBUILDING_CACHE_DIR", str(tmp_path / "c"))
     args = make_parser().parse_args(["verify"])
@@ -120,6 +136,26 @@ def test_stab_identity_pass(capsys):
 
 def test_stab_identity_not_prime(capsys):
     assert main(["stab-identity", "--p", "4"]) == 2
+
+
+def test_stab_identity_past_the_paper_primes_is_partial(capsys):
+    # no image order is recorded for p = 13, so the run is exact but partial
+    d = json.loads(run(["stab-identity", "--p", "13", "--json"], capsys,
+                       expect=1))
+    assert d["status"] == "partial"
+    assert (d["data"]["order"], d["data"]["imageOrder"]) == (12, 12)
+    assert d["data"]["complete"] and d["data"]["expectedImageOrder"] is None
+
+
+def test_stab_identity_over_the_column_budget():
+    # at [I] each column has p^3 candidates; 163^3 exceeds the 4M budget,
+    # which is checked before anything is allocated
+    proc = _main_subprocess("stab-identity", "--p", "163")
+    assert proc.returncode == 2
+    assert "column candidate space 4330747 exceeds budget 4000000" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_pass(capsys):
@@ -193,7 +229,7 @@ def test_presentation_export(capsys):
     (["witness"], "9427b5f4478f9dfd"),
     (["verify"], "180306f50215daae"),
     (["presentation-export"], "603def1405b3501a"),
-    (["stab-identity", "--p", "3"], "c0c82603a8d3bc90"),
+    (["stab-identity", "--p", "3"], "5cd065bde8b8f8a3"),
     (["stab", "--vertex", "M19"], "889ad74bdb1ddd0a"),
     (["stab", "--vertex", "[[1,0,0],[2,t^-2,0],[0,0,t^-2]]"],
      "79ad6b39952751e9"),
@@ -211,7 +247,9 @@ def test_json_output_golden(argv, digest, capsys, tmp_path):
     # pinned before the integral and mod-p types were merged, the last three
     # (canonical forms and orbit tables) before canonicalize was truncated
     # modulo pi^(D+1), stab-7star and stab-I before the column enumeration of
-    # stab_exact took one half-window pass per digit profile
+    # stab_exact took one half-window pass per digit profile; stab-identity-p3
+    # was re-pinned when stab_identity_exact became stab_exact at [I], which
+    # changed only its "bounds"
     cache = tmp_path if argv[0] == "explore" else None
     d = json.loads(run(argv + ["--json"], capsys, cache_dir=cache))
     d.pop("elapsed")

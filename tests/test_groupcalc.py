@@ -333,17 +333,60 @@ def test_stab_identity_generated_by_x():
     assert normalize_mod_homothety(x).rows in keys
 
 
+def identity_stabilizer_oracle(p):
+    """The stabilizer of [I] by constant matrices, independent of stab_exact.
+
+    For constant A the unitarity condition over F_p[s, 1/s] splits by
+    s-degree into A^T K A = K with K = N - I, N the strict upper shift.
+    Columns are enumerated in F_p^3 and chained by the bilinear constraints;
+    the solutions are taken modulo the unitary scalars {c : c^2 = 1}.
+    Returns (constant matrices, one per class, and their link permutations
+    read off link([I]) by ``apply``).
+    """
+    K = np.array([[-1, 1, 0], [0, -1, 1], [0, 0, -1]], dtype=np.int64) % p
+    vecs = np.array(list(itertools.product(range(p), repeat=3)), dtype=np.int64)
+    q = np.einsum("ni,ij,nj->n", vecs, K, vecs) % p
+    C = vecs[q == (p - 1) % p]          # columns with the diagonal value K_ii = -1
+    sols = []
+    for c0 in C:
+        kt0 = (K.T @ c0) % p            # c0^T K v = kt0 . v
+        k0 = (K @ c0) % p               # v^T K c0 = k0 . v
+        m1 = ((C @ kt0) % p == K[0][1]) & ((C @ k0) % p == K[1][0])
+        m2base = ((C @ kt0) % p == K[0][2]) & ((C @ k0) % p == K[2][0])
+        for c1 in C[m1]:
+            kt1 = (K.T @ c1) % p
+            k1 = (K @ c1) % p
+            m2 = m2base & ((C @ kt1) % p == K[1][2]) & ((C @ k1) % p == K[2][1])
+            for c2 in C[m2]:
+                sols.append(np.stack([c0, c1, c2], axis=1) % p)
+    scalars = [c for c in range(1, p) if (c * c) % p == 1]
+    classes = {min(tuple(((c * A) % p).flatten()) for c in scalars)
+               for A in sols}
+    mats = [MatrixRF.from_strings([[str(key[3 * i + j]) for j in range(3)]
+                                   for i in range(3)], p)
+            for key in sorted(classes)]
+    I = identity_vertex(p)
+    lk = link(I)
+    index = {lv.vclass: i for i, lv in enumerate(lk)}
+    perms = [tuple(index[apply(g, lv.vclass)] for lv in lk) for g in mats]
+    return mats, perms
+
+
 def test_stab_exact_matches_identity_enumeration():
-    # from p = 5 on, stab_exact keeps one sign per +-pair
-    for p, order in ((2, 4), (3, 4), (5, 4), (7, 8), (11, 12)):
-        a = stab_identity_exact(p)
-        b = stab_exact(identity_vertex(p))
-        assert a.order == b.order == order, p
-        assert {normalize_mod_homothety(g) for g in a.elements} == \
-            set(b.elements), p
-        assert a.image_order == b.image_order, p
-        assert a.image_orbit_sizes == b.image_orbit_sizes, p
-        assert a.element_orders == b.element_orders, p
+    # stab_identity_exact is stab_exact at [I]; the constant-matrix search
+    # above is its oracle, with no prime cap
+    for p, order in ((2, 4), (3, 4), (5, 4), (7, 8), (11, 12), (13, 12)):
+        mats, perms = identity_stabilizer_oracle(p)
+        rpt = stab_identity_exact(p)
+        assert rpt.vertex == identity_vertex(p) and rpt.complete, p
+        assert len(mats) == rpt.order == order, p
+        assert {normalize_mod_homothety(g) for g in mats} == \
+            set(rpt.elements), p
+        assert perm_group_order(perms) == rpt.image_order, p
+        assert perm_orbit_sizes(perms, len(perms[0])) == \
+            rpt.image_orbit_sizes, p
+        assert tuple(sorted(order_mod_homothety(g) for g in mats)) == \
+            rpt.element_orders, p
 
 
 def test_stab_exact_n_point():
