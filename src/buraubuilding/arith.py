@@ -89,6 +89,37 @@ def pmul(a, b, p):
     return ptrim(out if p is None else [c % p for c in out])
 
 
+def laurent_dot(xs, ys, p):
+    """The dot product sum x_k * y_k of two vectors of Laurent polynomials,
+    each given as (minexp, coeffs) with nonzero end coefficients (in [0, p)
+    mod p), in the same form: the products of nonzero pairs are added into
+    one integer list, reduced mod p once (not at all over Z, p None) and
+    trimmed at both ends; (0, ()) for zero."""
+    products = [(x[0] + y[0], x[1], y[1]) for x, y in zip(xs, ys) if x[1] and y[1]]
+    if not products:
+        return 0, ()
+    lo = min([t[0] for t in products])
+    acc = [0] * (max([e + len(f) + len(g) for e, f, g in products]) - 1 - lo)
+    for e, f, g in products:
+        if len(f) > len(g):
+            f, g = g, f
+        for i, x in enumerate(f, e - lo):
+            if x:
+                for j, y in enumerate(g, i):
+                    acc[j] += x * y
+    if p is not None:
+        acc = [c % p for c in acc]
+    hi = len(acc)
+    while hi and not acc[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, ()
+    z = 0
+    while not acc[z]:
+        z += 1
+    return lo + z, tuple(acc[z:hi])
+
+
 def pscale(a, c, p):
     c %= p
     if c == 0:
@@ -257,6 +288,10 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.p, self.var, self.minexp, self.coeffs))
 
+    def laurent_terms(self):
+        """(minexp, coeffs), as ``RatFunc.laurent_terms`` reads a RatFunc."""
+        return self.minexp, self.coeffs
+
     # -- the operations named in the interface ------------------------------
     def involution(self):
         """The bar involution generated by t -> 1/t (s -> 1/s on the s-ring)."""
@@ -291,9 +326,9 @@ class LaurentPoly:
         return LaurentPoly(p, self.coeffs, self.minexp, self.var)
 
     def to_ratfunc(self):
-        if self.minexp >= 0:
-            return RatFunc(self.p, pshift(self.coeffs, self.minexp), (1,), self.var)
-        return RatFunc(self.p, tuple(self.coeffs), pshift((1,), -self.minexp), self.var)
+        if self.p is None:
+            raise ValueError("a RatFunc needs a modulus; reduce_mod(p) first")
+        return RatFunc.from_laurent_terms(self.p, self.coeffs, self.minexp, self.var)
 
     # -- text ----------------------------------------------------------------
     def __repr__(self):
@@ -352,6 +387,16 @@ class RatFunc:
     def const(cls, c, p, var="t"):
         c %= p
         return cls(p, (c,) if c else (), (1,), var, normalize=False)
+
+    @classmethod
+    def from_laurent_terms(cls, p, coeffs, minexp, var="t"):
+        """sum coeffs[i] * t^(minexp+i) in normal form, built directly from
+        a tuple of coeffs in [0, p) with nonzero ends (empty for zero):
+        num / t^k with t not dividing num when k > 0.  The arguments are
+        those of the ``LaurentPoly`` constructor."""
+        if minexp >= 0:
+            return cls(p, (0,) * minexp + coeffs, (1,), var, normalize=False)
+        return cls(p, coeffs, (0,) * -minexp + (1,), var, normalize=False)
 
     @classmethod
     def from_pi_digits(cls, digits, lo, p):
@@ -454,18 +499,28 @@ class RatFunc:
         return RatFunc(p, num, den, self.var)
 
     def to_laurent(self):
-        """Convert to a LaurentPoly; den must be a monomial c*t^k."""
-        if self.is_zero():
-            return LaurentPoly.zero(self.p, self.var)
-        if ptrim(self.den[:-1]) != ():
+        """Convert to a LaurentPoly; den must be a power of t."""
+        terms = self.laurent_terms()
+        if terms is None:
             raise ValueError("not a Laurent polynomial: denominator %s"
                              % (render_poly(self.den, self.var),))
-        c = inv_mod(self.den[-1], self.p)
-        return LaurentPoly(self.p, pscale(self.num, c, self.p),
-                           -pdeg(self.den), self.var)
+        return LaurentPoly(self.p, terms[1], terms[0], self.var)
+
+    def laurent_terms(self):
+        """(minexp, coeffs) with nonzero ends, as in ``LaurentPoly``, when den
+        is a power of t; None otherwise."""
+        den = self.den
+        k = len(den) - 1
+        if den.count(0) != k:
+            return None
+        num = self.num
+        z = 0
+        while z < len(num) and not num[z]:
+            z += 1
+        return z - k, num[z:]
 
     def is_laurent(self):
-        return self.is_zero() or ptrim(self.den[:-1]) == ()
+        return self.laurent_terms() is not None
 
     def shift_pi(self, k):
         """Multiply by pi^k = t^(-k)."""

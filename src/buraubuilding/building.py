@@ -39,22 +39,28 @@ def _pi(p, k):
 
 
 class VertexClass:
-    """A vertex of Delta(p): a lattice class with its canonical basis matrix."""
+    """A vertex of Delta(p): a lattice class with its canonical basis matrix.
 
-    __slots__ = ("p", "canon", "exps", "_key")
+    Equality is equality of canonical forms.  The key holds p and the
+    (num, den) int tuples of the nine normalized entries, and its hash is
+    taken once: it holds no string, so it is the same in every process.
+    """
+
+    __slots__ = ("p", "canon", "exps", "_key", "_hash")
 
     def __init__(self, p, canon: MatrixRF, exps):
         self.p = p
         self.canon = canon
         self.exps = tuple(exps)
-        self._key = canon.rows
+        self._key = (p,) + tuple((e.num, e.den) for row in canon.rows for e in row)
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
-        return isinstance(other, VertexClass) and self.p == other.p \
+        return isinstance(other, VertexClass) and self._hash == other._hash \
             and self._key == other._key
 
     def __hash__(self):
-        return hash((self.p, self._key))
+        return self._hash
 
     def sort_key(self):
         return (self.exps, self.to_text())
@@ -202,20 +208,6 @@ def relative_position(v1: VertexClass, v2: VertexClass):
 
 def is_adjacent(v1: VertexClass, v2: VertexClass) -> bool:
     return relative_position(v1, v2) in ((0, 0, 1), (0, 1, 1))
-
-
-def is_chamber(v0: VertexClass, v1: VertexClass, v2: VertexClass) -> bool:
-    """True iff representatives can be ordered pi*L0 < L2 < L1 < L0."""
-    trio = (v0, v1, v2)
-    if len({v0, v1, v2}) != 3:
-        return False
-    import itertools
-    for a, b, c in itertools.permutations(trio):
-        if (relative_position(a, b) == (0, 1, 1)
-                and relative_position(b, c) == (0, 1, 1)
-                and relative_position(a, c) == (0, 0, 1)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

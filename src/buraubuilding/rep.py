@@ -4,7 +4,13 @@ orders, and the named constant matrices u, h, u1, alpha_k, beta2, M19 and
 the kernel witness word.
 
 ``MatrixRF`` is the one 3x3 matrix type: RatFunc entries mod p, or
-LaurentPoly entries over Z[t, 1/t] when ``p`` is None.
+LaurentPoly entries over Z[t, 1/t] when ``p`` is None.  Every matrix the
+package multiplies has Laurent entries, so its product runs one kernel for
+both rings: each factor is read once as (minexp, coeffs) per entry, and each
+output entry is one integer convolution, reduced mod p once, trimmed and
+built in normal form directly.  Only a factor with an entry mod p whose
+denominator is not a power of t (the tests build such) takes the entrywise
+RatFunc product.
 
 Convention: several reduced-Burau conventions circulate, differing by
 transpose, inversion and t <-> 1/t.  The convention fixed here is the one
@@ -23,6 +29,7 @@ from .arith import (
     LaurentPoly,
     RatFunc,
     check_prime,
+    laurent_dot,
     parse_laurent,
     ptrim,
 )
@@ -35,13 +42,14 @@ class MatrixRF:
     """3x3 matrix of entries sharing modulus and variable tag: RatFunc mod p,
     or LaurentPoly over Z when ``p`` is None."""
 
-    __slots__ = ("p", "var", "rows", "_det_valuation")
+    __slots__ = ("p", "var", "rows", "_det_valuation", "_terms")
 
     def __init__(self, p, rows, var="t"):
         self.p = p
         self.var = var
         self.rows = tuple(tuple(row) for row in rows)
         self._det_valuation = None
+        self._terms = None
         for row in self.rows:
             for e in row:
                 if e.p != p or e.var != var:
@@ -69,13 +77,42 @@ class MatrixRF:
                         self.var)
 
     def __mul__(self, other):
-        """The product; zero entries of the right factor contribute no term.
+        """The product, one Laurent convolution per entry.
 
-        Canonical bases are lower triangular and the Burau letters sparse.
-        Entries are normalized, so the terms left out change no entry.
+        When every entry of both factors is Laurent (see ``_laurent_terms``),
+        each output entry is ``laurent_dot`` of a row and a column: its at
+        most three nonzero term products added into one integer list,
+        reduced mod p once and trimmed at both ends, then built in normal
+        form directly, a RatFunc over t^k mod p or a LaurentPoly over Z.
+        Otherwise the product runs entrywise in RatFunc arithmetic.
         """
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
+        a, b = self._laurent_terms(), other._laurent_terms()
+        if not (a and b):
+            return self._entrywise_product(other)
+        p, var = self.p, self.var
+        cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
+        terms = tuple(tuple(laurent_dot(r, col, p) for col in cols) for r in a)
+        entry = LaurentPoly if p is None else RatFunc.from_laurent_terms
+        out = MatrixRF(p, tuple(tuple(entry(p, c, e, var) for e, c in row)
+                                for row in terms), var)
+        out._terms = terms
+        return out
+
+    def _laurent_terms(self):
+        """Every entry as (minexp, coeffs), trimmed at both ends, or False
+        when some entry mod p is not a RatFunc over a power of t; read once
+        per matrix."""
+        if self._terms is None:
+            flat = [e.laurent_terms() for row in self.rows for e in row]
+            self._terms = None not in flat and (tuple(flat[:3]), tuple(flat[3:6]),
+                                                tuple(flat[6:]))
+        return self._terms
+
+    def _entrywise_product(self, other):
+        """The product in RatFunc arithmetic, for factors with a non-Laurent
+        entry; zero entries of the right factor contribute no term."""
         b = other.rows
         cols = [[(k, b[k][j]) for k in range(3) if not b[k][j].is_zero()]
                 for j in range(3)]
@@ -279,16 +316,10 @@ def is_homothety(A: MatrixRF) -> Optional[HomothetyWitness]:
                 return None
     if not (r[0][0] == r[1][1] == r[2][2]):
         return None
-    d = r[0][0]
-    if d.is_zero():
+    d = r[0][0].laurent_terms()
+    if d is None or len(d[1]) != 1:
         return None
-    if isinstance(d, RatFunc):
-        if not d.is_laurent():
-            return None
-        d = d.to_laurent()
-    if len(d.coeffs) != 1:
-        return None
-    return HomothetyWitness(d.coeffs[0], d.minexp)
+    return HomothetyWitness(d[1][0], d[0])
 
 
 def order_mod_homothety(A: MatrixRF, maxn: int = 100):
@@ -341,10 +372,6 @@ def parse_word(text: str) -> GroupWord:
         sgn = 1 if e > 0 else -1
         letters.extend([(name, sgn)] * abs(e))
     return GroupWord(letters)
-
-
-def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
-    return a.inverse() * b.inverse() * a * b
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +491,3 @@ def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
 def word_evaluate_integral(w: GroupWord) -> MatrixRF:
     """``word_evaluate`` over Z[t, 1/t]."""
     return word_evaluate(w, None)
-
-
-def evaluate(text_or_word, p: int = None):
-    """Convenience: parse if needed, then evaluate (mod p, or integrally)."""
-    w = parse_word(text_or_word) if isinstance(text_or_word, str) else text_or_word
-    return word_evaluate(w, p)

@@ -1,4 +1,8 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +15,6 @@ from buraubuilding.building import (
     identity_vertex,
     induced_link_permutation,
     is_adjacent,
-    is_chamber,
     link,
     link_dot,
     relative_position,
@@ -85,7 +88,7 @@ def test_canonicalize_invariance_column_ops():
             continue
         v = canonicalize(m)
         w = canonicalize(random_column_ops(rng, v))
-        assert w == v
+        assert w is not v and w == v and hash(w) == hash(v)
 
 
 def test_canonicalize_rejects_singular():
@@ -213,6 +216,40 @@ def test_equality_iff_unimodular_quotient():
         seen[v.to_text()] = v
 
 
+def test_equal_classes_by_different_routes_hash_equal(oracle_inputs):
+    # a class reached back through g^-1 g is a new object equal to v, with
+    # v's hash; classes with distinct canonical forms stay distinct in a set
+    rng = random.Random(20261102)
+    letters = ["s1", "s2", "s3", "x", "y"]
+    classes = [canonicalize(M) for M in oracle_inputs[::9]]
+    for v in classes:
+        g = word_evaluate(parse_word(".".join(rng.choice(letters) for _ in range(3))), v.p)
+        w = apply(g.inverse(), apply(g, v))
+        assert w is not v and w.canon is not v.canon
+        assert w == v and hash(w) == hash(v)
+        assert len({v, w}) == 1
+    assert len(set(classes)) == len({(v.p, v.to_text()) for v in classes}) > 1
+
+
+def test_vertex_hash_is_the_same_in_every_process():
+    # the hash holds only ints, so PYTHONHASHSEED does not move it
+    code = ("from buraubuilding.building import apply, identity_vertex\n"
+            "from buraubuilding.rep import letter_matrix\n"
+            "for p in (2, 3):\n"
+            "    I = identity_vertex(p)\n"
+            "    print(hash(I), hash(apply(letter_matrix('s1', p), I)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(building.__file__)))
+    outs = [subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src,
+                                    PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "1")]
+    here = "".join("%d %d\n" % (hash(identity_vertex(p)),
+                                 hash(apply(letter_matrix("s1", p), identity_vertex(p))))
+                   for p in (2, 3))
+    assert outs[0] == outs[1] == here
+
+
 # -- relative position and adjacency -------------------------------------------
 
 def test_relative_position_reflexive():
@@ -245,6 +282,18 @@ def test_link_within_degree_p3():
         deg = sum(1 for j in range(26) if i != j
                   and is_adjacent(lk[i].vclass, lk[j].vclass))
         assert deg == 4
+
+
+def is_chamber(v0: VertexClass, v1: VertexClass, v2: VertexClass) -> bool:
+    """True iff representatives can be ordered pi*L0 < L2 < L1 < L0."""
+    if len({v0, v1, v2}) != 3:
+        return False
+    for a, b, c in itertools.permutations((v0, v1, v2)):
+        if (relative_position(a, b) == (0, 1, 1)
+                and relative_position(b, c) == (0, 1, 1)
+                and relative_position(a, c) == (0, 0, 1)):
+            return True
+    return False
 
 
 def test_chamber_from_flag():

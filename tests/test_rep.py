@@ -9,9 +9,7 @@ from buraubuilding.rep import (
     KERNEL_WORD_TEXT,
     MatrixRF,
     burau_generator,
-    commutator,
     convention_survey,
-    evaluate,
     is_homothety,
     is_unitary,
     letter_matrix,
@@ -111,6 +109,16 @@ def test_word_inverse():
     assert word_evaluate(w * w.inverse(), 3) == MatrixRF.identity(3)
 
 
+def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
+    return a.inverse() * b.inverse() * a * b
+
+
+def evaluate(text_or_word, p=None):
+    """Parse if needed, then evaluate (mod p, or integrally)."""
+    w = parse_word(text_or_word) if isinstance(text_or_word, str) else text_or_word
+    return word_evaluate(w, p)
+
+
 def test_commutator_word():
     a, b = parse_word("x"), parse_word("y")
     assert str(commutator(a, b)) == "x^-1.y^-1.x.y"
@@ -206,6 +214,110 @@ def test_product_matches_dense_three_term_product():
                                for j in range(3)) for r in a.rows)
             # entry equality compares type and every field
             assert got.rows == want
+
+
+def _zero(p, var):
+    return LaurentPoly.zero(p, var) if p is None else RatFunc.zero(p, var)
+
+
+def _laurent_entry(rng, p, var, big):
+    """A Laurent entry, zero in about a third of the draws; over Z and mod p
+    the coefficients may pass 2^63 before reduction."""
+    if rng.random() < 0.3:
+        return _zero(p, var)
+    bound = 2 ** 70 if big else 3
+    e = LaurentPoly(p, [rng.randint(-bound, bound) for _ in range(rng.randint(1, 5))],
+                    rng.randint(-4, 3), var)
+    return e if p is None else e.to_ratfunc()
+
+
+def _laurent_matrix(rng, p, var, big):
+    rows = [[_laurent_entry(rng, p, var, big) for _ in range(3)] for _ in range(3)]
+    draw = rng.random()
+    if draw < 0.15:
+        rows[rng.randrange(3)] = [_zero(p, var)] * 3
+    elif draw < 0.3:
+        j = rng.randrange(3)
+        for row in rows:
+            row[j] = _zero(p, var)
+    return MatrixRF(p, rows, var)
+
+
+def _as_laurent(e):
+    return e if e.p is None else e.to_laurent()
+
+
+def _monomial(e, k):
+    """The term of e at its lowest (k = 0) or highest (k = -1) exponent."""
+    f = _as_laurent(e)
+    m = LaurentPoly.term(f.coeffs[k], (f.minexp, f.maxexp)[k], f.p, f.var)
+    return m if e.p is None else m.to_ratfunc()
+
+
+def _cancelling_pair(rng, p, var, big):
+    """(a, b, h*k): the (0, 0) entry of a*b is f*g - g*f = 0, the (1, 1)
+    entry is h*k less its lowest term and the (2, 2) entry h*k less its
+    highest, for random nonzero Laurent f, g, h, k."""
+    def nonzero():
+        while True:
+            e = _laurent_entry(rng, p, var, big)
+            if not e.is_zero():
+                return e
+
+    f, g, h, k = nonzero(), nonzero(), nonzero(), nonzero()
+    hk = h * k
+    zero = _zero(p, var)
+    one = LaurentPoly.one(p, var) if p is None else RatFunc.one(p, var)
+    other = _laurent_matrix(rng, p, var, big)
+    a = MatrixRF(p, ((f, g, zero),
+                     (zero, h, -_monomial(hk, 0)),
+                     (zero, h, -_monomial(hk, -1))), var)
+    b = MatrixRF(p, ((g, other[0, 1], other[0, 2]),
+                     (-f, k, k),
+                     (other[2, 0], one, one)), var)
+    return a, b, hk
+
+
+def test_laurent_product_kernel_matches_entrywise_product(monkeypatch):
+    # all-Laurent factors take the convolution kernel, never the RatFunc
+    # fallback; each entry must equal the three-term entrywise sum field for
+    # field and, mod p, its normalize=True rebuild
+    def no_fallback(self, other):
+        raise AssertionError("the entrywise fallback ran on Laurent factors")
+
+    monkeypatch.setattr(MatrixRF, "_entrywise_product", no_fallback)
+    rng = random.Random(20261101)
+    trimmed = {"low": 0, "high": 0}
+    for p in (None, 2, 3, 5, 7, 11):
+        for var in ("t", "s"):
+            for big in (False, True):
+                cancel = [_cancelling_pair(rng, p, var, big) for _ in range(6)]
+                pairs = [(_laurent_matrix(rng, p, var, big),
+                          _laurent_matrix(rng, p, var, big)) for _ in range(25)]
+                for a, b in pairs + [(a, b) for a, b, _ in cancel]:
+                    got = a * b
+                    want = tuple(tuple(r[0] * b[0, j] + r[1] * b[1, j] + r[2] * b[2, j]
+                                       for j in range(3)) for r in a.rows)
+                    # entry equality compares type and every field
+                    assert got.rows == want
+                    for e in (e for row in got.rows for e in row):
+                        if p is None:
+                            assert type(e) is LaurentPoly
+                        else:
+                            assert type(e) is RatFunc
+                            rebuilt = RatFunc(p, e.num, e.den, var)
+                            assert (rebuilt.num, rebuilt.den) == (e.num, e.den)
+                for a, b, hk in cancel:
+                    got = a * b
+                    assert got[0, 0].is_zero()
+                    full = _as_laurent(hk)
+                    if len(full.coeffs) > 1:
+                        low, high = _as_laurent(got[1, 1]), _as_laurent(got[2, 2])
+                        assert low.minexp > full.minexp and high.maxexp < full.maxexp
+                        trimmed["low"] += low.minexp > full.minexp + 1
+                        trimmed["high"] += high.maxexp < full.maxexp - 1
+    # some sums lose more than one term at an end
+    assert trimmed["low"] > 0 and trimmed["high"] > 0
 
 
 def test_det_valuation_matches_det():
