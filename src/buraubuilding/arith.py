@@ -401,12 +401,8 @@ class RatFunc:
     @classmethod
     def from_pi_digits(cls, digits, lo, p):
         """sum digits[j] * pi^(lo+j) for digits in [0, p); see ``pi_digits``."""
-        # = reversed(digits) / t^(lo + len - 1)
-        num = ptrim(digits[::-1])
-        e = lo + len(digits) - 1
-        if e < 0:
-            return cls(p, pshift(num, -e), (1,), "t", normalize=False)
-        return cls(p, *_over_t_power(num, e), "t", normalize=False)
+        minexp, coeffs = laurent_from_pi_digits(digits, lo)
+        return cls.from_laurent_terms(p, coeffs, minexp)
 
     # -- structure ----------------------------------------------------------
     def is_zero(self):
@@ -572,8 +568,9 @@ def pi_digits(x: RatFunc, lo: int, n: int):
 
     Digits below pi^lo are dropped, so when nu(x) >= lo the result d
     satisfies nu(x - sum d[j]*pi^(lo+j)) >= lo + n.  A t-power denominator
-    takes a shift of the numerator, any other one polynomial division.  Used
-    by lattice canonical forms.
+    takes a shift of the numerator, any other one polynomial division.
+    Lattice canonical forms read the digits of a matrix with a non-Laurent
+    entry here, and those of an all-Laurent matrix with ``laurent_pi_digits``.
     """
     out = [0] * n
     if not x.num:
@@ -591,6 +588,32 @@ def pi_digits(x: RatFunc, lo: int, n: int):
     for k, c in enumerate(q[:n]):
         out[n - 1 - k] = c
     return out
+
+
+def laurent_pi_digits(terms, lo, n):
+    """``pi_digits`` of the Laurent polynomial with terms (minexp, coeffs),
+    read off the coefficients: the digit at pi^k is the coefficient of
+    t^-k."""
+    e, c = terms
+    # the digit of the highest term t^(e+len-1) sits at index lead
+    lead = 1 - lo - e - len(c)
+    rev = list(c[::-1])
+    d = [0] * lead + rev if lead >= 0 else rev[-lead:]
+    return d[:n] + [0] * (n - len(d))
+
+
+def laurent_from_pi_digits(digits, lo):
+    """(minexp, coeffs) of sum digits[j] * pi^(lo+j), for digits in [0, p),
+    trimmed at both ends as in ``LaurentPoly``; (0, ()) for zero."""
+    hi = len(digits)
+    while hi and not digits[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, ()
+    z = 0
+    while not digits[z]:
+        z += 1
+    return 1 - lo - hi, tuple(digits[hi - 1:z - 1 if z else None:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ on pi-adic digit lists truncated modulo pi^(D+1), D = nu(det) of the basis
 scaled into O^3 (Cohen's HNF modulo D, worked over F_p[[pi]]): the lattice
 contains pi^D * O^3, so the truncation does not change the class.
 ``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
+The digits are read from the Laurent terms (minexp, coeffs) that the matrix
+product has cached, the digit at pi^k being the coefficient of t^-k;
+``pi_digits`` reads them only for a matrix with a non-Laurent entry.  The
+canonical entries are built from their digits and keep their terms, so the
+next product does not read them again.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -30,7 +35,15 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import INF, RatFunc, inv_mod, pi_digits, render_laurent
+from .arith import (
+    INF,
+    RatFunc,
+    inv_mod,
+    laurent_from_pi_digits,
+    laurent_pi_digits,
+    pi_digits,
+    render_laurent,
+)
 from .rep import MatrixRF
 
 
@@ -94,7 +107,11 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     valuation, so the entries lie in O) modulo pi^(D+1), D = nu(det) - 3m:
     the lattice L contains pi^D * O^3, so a column changed by an element of
     pi^(D+1) * O^3 keeps nu(det) = D and still generates L, and the
-    canonical form of L is unique.
+    canonical form of L is unique.  The digits are read from the entries'
+    Laurent terms (``MatrixRF._laurent_terms``), which a product has
+    already cached; ``pi_digits`` reads them only for a matrix with a
+    non-Laurent entry.  The canonical entries are built from their digits,
+    and their terms are cached on ``canon`` for the next product.
 
     ``det_valuation`` is nu(det M) when the caller knows it (``apply`` and
     ``link`` do); without it the determinant is computed.  An infinite
@@ -102,15 +119,25 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     """
     p = M.p
     if det_valuation is None:
-        det_valuation = M.det().valuation()
+        det_valuation = M.det_valuation()
     if det_valuation == INF:
         raise ValueError("singular matrix does not define a lattice")
-    m = min(e.valuation() for row in M.rows for e in row)
-    n = det_valuation - 3 * m + 1
-    # cols[j][i]: the digits of pi^-m * M[i, j] modulo pi^n
-    cols = [[pi_digits(M[i, j], m, n) for i in range(3)] for j in range(3)]
+    terms = M._laurent_terms()
+    if terms:
+        # nu = -(largest exponent) = -(minexp + len(coeffs) - 1)
+        m = 1 - max(e + len(c) for row in terms for e, c in row if c)
+        n = det_valuation - 3 * m + 1
+        # cols[j][i]: the digits of pi^-m * M[i, j] modulo pi^n
+        cols = [[laurent_pi_digits(terms[i][j], m, n) for i in range(3)]
+                for j in range(3)]
+    else:
+        m = min(e.valuation() for row in M.rows for e in row)
+        n = det_valuation - 3 * m + 1
+        cols = [[pi_digits(M[i, j], m, n) for i in range(3)] for j in range(3)]
     exps = [0, 0, 0]
 
+    # rows above r are zero mod pi^n in every column >= r, so each step
+    # updates rows r and below only
     for r in range(3):
         # pivot: minimum-valuation entry of row r among columns >= r
         best, bestval = None, n
@@ -120,25 +147,40 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
                 best, bestval = j, v
         cols[r], cols[best] = cols[best], cols[r]
         a = exps[r] = bestval
-        # scaling by any unit congruent to the inverse mod pi^(n-a) leaves
-        # the pivot pi^a modulo pi^n
-        unit_inv = _series_inverse(cols[r][r][a:], p)
-        cols[r] = [_muladd([0] * n, unit_inv, e, p) for e in cols[r]]
+        col = cols[r]
+        unit = col[r][a:]
+        if unit[0] != 1 or any(unit[1:]):
+            # scaling by any unit congruent to the inverse mod pi^(n-a)
+            # leaves the pivot pi^a modulo pi^n
+            unit_inv = _series_inverse(unit, p)
+            for i in range(r, 3):
+                col[i] = _muladd([0] * n, unit_inv, col[i], p)
         for j in range(r + 1, 3):
-            lam = [-d for d in cols[j][r][a:]]
-            cols[j] = [_muladd(e, lam, f, p) for e, f in zip(cols[j], cols[r])]
+            _eliminate(cols[j], col, r, a, p)
 
     # reduce below-diagonal entries modulo the row pivot pi^(a_i)
     for j in range(2):
         for i in range(j + 1, 3):
-            lam = [-d for d in cols[j][i][exps[i]:]]
-            cols[j] = [_muladd(e, lam, f, p) for e, f in zip(cols[j], cols[i])]
+            _eliminate(cols[j], cols[i], i, exps[i], p)
 
     # homothety: make the minimum diagonal exponent 0
     mn = min(exps)
-    canon = MatrixRF(p, tuple(tuple(RatFunc.from_pi_digits(cols[j][i], -mn, p)
-                                    for j in range(3)) for i in range(3)))
+    out = tuple(tuple(laurent_from_pi_digits(cols[j][i], -mn) for j in range(3))
+                for i in range(3))
+    canon = MatrixRF(p, tuple(tuple(RatFunc.from_laurent_terms(p, c, e)
+                                    for e, c in row) for row in out))
+    canon._terms = out
     return VertexClass(p, canon, [a - mn for a in exps])
+
+
+def _eliminate(col, piv, r, a, p):
+    """col - (col[r] / pi^a) * piv on the digit lists of rows r and below,
+    in place: with piv[r] = pi^a this clears col[r] from pi^a on.  A zero
+    multiplier leaves col as it is."""
+    lam = [-d for d in col[r][a:]]
+    if any(lam):
+        for i in range(r, 3):
+            col[i] = _muladd(col[i], lam, piv[i], p)
 
 
 def _order(digits):

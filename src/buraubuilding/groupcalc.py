@@ -715,9 +715,11 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
             "sizeWithinRadius": len(members),
         }
         orbit_entries.append((entry, rep))
-    leftovers = [w for w in B if w not in assigned]
+    # sort_key is unique per class: each round takes the least leftover
+    leftovers = sorted((w for w in B if w not in assigned),
+                       key=VertexClass.sort_key)
     while leftovers:
-        rep = min(leftovers, key=lambda w: w.sort_key())
+        rep = leftovers[0]
         orb = orbit(rep)
         members = [w for w in leftovers if w in orb]
         for w in members:

@@ -146,10 +146,27 @@ class MatrixRF:
         return self.entry_map(lambda e: e * c)
 
     def det(self):
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+        """The expansion along row 0.  When every entry is Laurent (see
+        ``_laurent_terms``), each 2x2 minor and the expansion itself is one
+        ``laurent_dot``, with the subtracted terms negated; otherwise the
+        expansion runs entrywise in RatFunc arithmetic."""
+        t = self._laurent_terms()
+        if not t:
+            r = self.rows
+            return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+                    - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+                    + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+        p, b, c = self.p, t[1], t[2]
+
+        def neg(x):
+            return x[0], tuple(-a if p is None else -a % p for a in x[1])
+
+        def minor(j, k):
+            return laurent_dot((b[j], neg(b[k])), (c[k], c[j]), p)
+
+        e, coeffs = laurent_dot(t[0], (minor(1, 2), neg(minor(0, 2)), minor(0, 1)), p)
+        entry = LaurentPoly if p is None else RatFunc.from_laurent_terms
+        return entry(p, coeffs, e, self.var)
 
     def det_valuation(self):
         """nu(det), computed once per matrix; +inf for a singular matrix."""

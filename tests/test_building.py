@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from buraubuilding.arith import INF, RatFunc, LaurentPoly
+from buraubuilding.arith import INF, LaurentPoly, RatFunc, laurent_pi_digits, pi_digits
 from buraubuilding import building
 from buraubuilding.building import (
     VertexClass,
@@ -20,7 +20,7 @@ from buraubuilding.building import (
     relative_position,
 )
 from buraubuilding.rep import MatrixRF, letter_matrix, named_matrix, word_evaluate, parse_word
-from buraubuilding.groupcalc import seven_star, stab_exact, stab_identity_exact
+from buraubuilding.groupcalc import ball, seven_star, stab_exact, stab_identity_exact
 from pi_adic import pi_adic_expand
 
 
@@ -200,6 +200,59 @@ def test_canonicalize_matches_exact_elimination(oracle_inputs):
         got, want = canonicalize(M), canonicalize_oracle(M)
         assert (got.exps, got.to_text()) == (want.exps, want.to_text())
         assert got == want
+
+
+def test_laurent_pi_digits_match_pi_digits():
+    # the digit read from (minexp, coeffs) equals pi_digits on the RatFunc:
+    # zero entries, exponents of both signs, windows starting at, below and
+    # above nu(x), and windows shorter than the entry's span
+    rng = random.Random(20261103)
+    short = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(200):
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+            x = LaurentPoly(p, coeffs, rng.randint(-5, 5))
+            v = x.to_ratfunc().valuation()
+            lo = rng.randint(-3, 3) + (0 if v is INF else v)
+            n = rng.randint(0, 8)
+            got = laurent_pi_digits(x.laurent_terms(), lo, n)
+            assert got == pi_digits(x.to_ratfunc(), lo, n)
+            short += v is not INF and lo <= v and lo + n <= -x.minexp
+    assert short > 50
+
+
+def test_canonicalize_with_one_non_laurent_entry_matches_oracle():
+    # such a matrix has no Laurent terms, so its digits come from pi_digits
+    rng = random.Random(20261104)
+    for p in (2, 3, 5, 7):
+        gens = [letter_matrix(a, p) for a in ("s1", "s2", "x", "y")]
+        v = identity_vertex(p)
+        for _ in range(10):
+            g = rng.choice(gens)
+            v = apply(g, v)
+            rows = [list(r) for r in (g * v.canon).rows]
+            i, j = rng.randrange(3), rng.randrange(3)
+            rows[i][j] = rows[i][j] + RatFunc(p, (1,), (rng.randrange(1, p), 1))
+            M = MatrixRF(p, rows)
+            assert [e.is_laurent() for row in M.rows for e in row].count(False) == 1
+            assert not M._laurent_terms()
+            got, want = canonicalize(M), canonicalize_oracle(M)
+            assert (got.exps, got.to_text()) == (want.exps, want.to_text())
+            assert got == want
+
+
+def _entry_terms(m):
+    return tuple(tuple(e.laurent_terms() for e in row) for row in m.rows)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_canon_terms_are_those_of_its_entries(p):
+    # canonicalize caches the terms it built on canon; the next product
+    # reads them instead of the entries, so they must be the entries' own
+    verts = list(ball(p, 1)) + ([seven_star(p)] if p == 3 else [])
+    assert len(verts) == 1 + 2 * (p * p + p + 1) + (p == 3)
+    for v in verts:
+        assert v.canon._terms == _entry_terms(v.canon)
 
 
 def test_equality_iff_unimodular_quotient():

@@ -320,6 +320,38 @@ def test_laurent_product_kernel_matches_entrywise_product(monkeypatch):
     assert trimmed["low"] > 0 and trimmed["high"] > 0
 
 
+def _expanded_det(m):
+    """The row-0 expansion in entrywise arithmetic."""
+    r = m.rows
+    return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+
+
+def test_det_on_laurent_terms_matches_entrywise_expansion():
+    # all-Laurent matrices take the laurent_dot minors; the determinant must
+    # equal the entrywise expansion field for field, singular ones included
+    rng = random.Random(20261102)
+    zeros = 0
+    for p in (None, 2, 3, 5, 7, 11):
+        for big in (False, True):
+            for _ in range(30):
+                m = _laurent_matrix(rng, p, "t", big)
+                f, g = (_laurent_entry(rng, p, "t", big) for _ in range(2))
+                rows = m.rows
+                # row 2 a combination of rows 0 and 1, and two equal rows
+                dependent = (rows[0], rows[1],
+                             tuple(f * a + g * b for a, b in zip(rows[0], rows[1])))
+                for mat in (m, MatrixRF(p, dependent),
+                            MatrixRF(p, (rows[0], rows[1], rows[0]))):
+                    assert mat._laurent_terms()
+                    got = mat.det()
+                    assert got == _expanded_det(mat)
+                    assert type(got) is (LaurentPoly if p is None else RatFunc)
+                    zeros += got.is_zero()
+    assert zeros >= 2 * 6 * 2 * 30
+
+
 def test_det_valuation_matches_det():
     rng = random.Random(5)
     for p in (2, 3, 5):
