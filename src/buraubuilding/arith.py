@@ -8,11 +8,12 @@ Polynomials over F_p are represented as trimmed tuples of ints in [0, p),
 index = exponent.  All values are immutable; every operation is a pure
 function, so everything here is safe to share between workers.
 
-Almost every value in the Burau setting is a Laurent polynomial, i.e. a
+Every matrix entry in the Burau setting is a Laurent polynomial, i.e. a
 RatFunc whose denominator is a power of t.  For those the gcd is a power of
 t as well, so normalization, addition and multiplication take a t-power fast
-path that strips low zeros instead of running Euclid; the general gcd path
-is kept for true quotients.
+path that strips low zeros instead of running Euclid.  The general gcd path
+(``pgcd``, ``pdivmod``, ``pmonic``) serves only the field arithmetic of
+quotients, which the test oracles use.
 """
 
 from __future__ import annotations
@@ -400,7 +401,8 @@ class RatFunc:
 
     @classmethod
     def from_pi_digits(cls, digits, lo, p):
-        """sum digits[j] * pi^(lo+j) for digits in [0, p); see ``pi_digits``."""
+        """sum digits[j] * pi^(lo+j) for digits in [0, p); see
+        ``laurent_pi_digits``."""
         minexp, coeffs = laurent_from_pi_digits(digits, lo)
         return cls.from_laurent_terms(p, coeffs, minexp)
 
@@ -563,37 +565,14 @@ def _over_t_power(num, k):
 # ---------------------------------------------------------------------------
 # pi-adic expansion at pi = 1/t
 
-def pi_digits(x: RatFunc, lo: int, n: int):
-    """The pi-adic digits of x at pi^lo .. pi^(lo+n-1), as a list of n ints.
+def laurent_pi_digits(terms, lo, n):
+    """The pi-adic digits at pi^lo .. pi^(lo+n-1), as a list of n ints, of
+    the Laurent polynomial with terms (minexp, coeffs), read off the
+    coefficients: the digit at pi^k is the coefficient of t^-k.
 
     Digits below pi^lo are dropped, so when nu(x) >= lo the result d
-    satisfies nu(x - sum d[j]*pi^(lo+j)) >= lo + n.  A t-power denominator
-    takes a shift of the numerator, any other one polynomial division.
-    Lattice canonical forms read the digits of a matrix with a non-Laurent
-    entry here, and those of an all-Laurent matrix with ``laurent_pi_digits``.
+    satisfies nu(x - sum d[j]*pi^(lo+j)) >= lo + n.
     """
-    out = [0] * n
-    if not x.num:
-        return out
-    # x * t^s = q + rem/den with nu(rem/den) >= 1 and q = sum d[j]*t^(n-1-j)
-    s = lo + n - 1
-    num, den = x.num, x.den
-    if den.count(0) == len(den) - 1:
-        # den = t^e (monic): q is num shifted by s - e
-        s -= len(den) - 1
-        q = pshift(num, s) if s >= 0 else num[-s:]
-    else:
-        q = pdivmod(pshift(num, s), den, x.p)[0] if s >= 0 \
-            else pdivmod(num, den, x.p)[0][-s:]
-    for k, c in enumerate(q[:n]):
-        out[n - 1 - k] = c
-    return out
-
-
-def laurent_pi_digits(terms, lo, n):
-    """``pi_digits`` of the Laurent polynomial with terms (minexp, coeffs),
-    read off the coefficients: the digit at pi^k is the coefficient of
-    t^-k."""
     e, c = terms
     # the digit of the highest term t^(e+len-1) sits at index lead
     lead = 1 - lo - e - len(c)

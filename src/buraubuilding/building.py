@@ -13,10 +13,10 @@ scaled into O^3 (Cohen's HNF modulo D, worked over F_p[[pi]]): the lattice
 contains pi^D * O^3, so the truncation does not change the class.
 ``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
 The digits are read from the Laurent terms (minexp, coeffs) that the matrix
-product has cached, the digit at pi^k being the coefficient of t^-k;
-``pi_digits`` reads them only for a matrix with a non-Laurent entry.  The
-canonical entries are built from their digits and keep their terms, so the
-next product does not read them again.
+product has cached, the digit at pi^k being the coefficient of t^-k; a
+matrix with a non-Laurent entry is refused.  The canonical entries are built
+from their digits and keep their terms, so the next product does not read
+them again.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -41,7 +41,6 @@ from .arith import (
     inv_mod,
     laurent_from_pi_digits,
     laurent_pi_digits,
-    pi_digits,
     render_laurent,
 )
 from .rep import MatrixRF
@@ -109,13 +108,13 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     pi^(D+1) * O^3 keeps nu(det) = D and still generates L, and the
     canonical form of L is unique.  The digits are read from the entries'
     Laurent terms (``MatrixRF._laurent_terms``), which a product has
-    already cached; ``pi_digits`` reads them only for a matrix with a
-    non-Laurent entry.  The canonical entries are built from their digits,
+    already cached.  The canonical entries are built from their digits,
     and their terms are cached on ``canon`` for the next product.
 
     ``det_valuation`` is nu(det M) when the caller knows it (``apply`` and
     ``link`` do); without it the determinant is computed.  An infinite
-    valuation, that is a singular M, raises ValueError.
+    valuation, that is a singular M, and a non-Laurent entry raise
+    ValueError.
     """
     p = M.p
     if det_valuation is None:
@@ -123,17 +122,12 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     if det_valuation == INF:
         raise ValueError("singular matrix does not define a lattice")
     terms = M._laurent_terms()
-    if terms:
-        # nu = -(largest exponent) = -(minexp + len(coeffs) - 1)
-        m = 1 - max(e + len(c) for row in terms for e, c in row if c)
-        n = det_valuation - 3 * m + 1
-        # cols[j][i]: the digits of pi^-m * M[i, j] modulo pi^n
-        cols = [[laurent_pi_digits(terms[i][j], m, n) for i in range(3)]
-                for j in range(3)]
-    else:
-        m = min(e.valuation() for row in M.rows for e in row)
-        n = det_valuation - 3 * m + 1
-        cols = [[pi_digits(M[i, j], m, n) for i in range(3)] for j in range(3)]
+    # nu = -(largest exponent) = -(minexp + len(coeffs) - 1)
+    m = 1 - max(e + len(c) for row in terms for e, c in row if c)
+    n = det_valuation - 3 * m + 1
+    # cols[j][i]: the digits of pi^-m * M[i, j] modulo pi^n
+    cols = [[laurent_pi_digits(terms[i][j], m, n) for i in range(3)]
+            for j in range(3)]
     exps = [0, 0, 0]
 
     # rows above r are zero mod pi^n in every column >= r, so each step

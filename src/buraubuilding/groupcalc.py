@@ -47,23 +47,12 @@ def normalize_mod_homothety(A: MatrixRF) -> MatrixRF:
 
     Requires Laurent entries.  The minimum t-exponent over all entries is
     shifted to 0 and the first nonzero coefficient (row-major, lowest
-    exponent first) is scaled to 1.
+    exponent first) is scaled to 1, by one scalar c*t^-m.
     """
-    ls = [A[i, j].to_laurent() for i in range(3) for j in range(3)]
-    m = min(l.minexp for l in ls if not l.is_zero())
-    shift = RatFunc.one(A.p, A.var).shift_pi(m)   # t^-m
-    B = A.scale(shift)
-    lead = None
-    for i in range(3):
-        for j in range(3):
-            e = B[i, j].to_laurent()
-            if not e.is_zero():
-                lead = e.coeffs[0]
-                break
-        if lead is not None:
-            break
-    c = RatFunc.const(inv_mod(lead, A.p), A.p, A.var)
-    return B.scale(c)
+    terms = [(e, c) for row in A._laurent_terms() for e, c in row if c]
+    m = min(e for e, _ in terms)
+    lead = inv_mod(terms[0][1][0], A.p)
+    return A.scale(RatFunc.from_laurent_terms(A.p, (lead,), -m, A.var))
 
 
 def perm_group_order(perms):
@@ -144,11 +133,13 @@ def entry_degree_bounds(F0: MatrixRF):
     From alpha* = F0 alpha^-1 F0^-1 and alpha, alpha^-1 over O:
     nu(alpha*_ij) >= r_i + c_j, hence deg_pi(alpha_ji) <= -(r_i + c_j)
     where r_i is the row minimum of nu over F0 and c_j the column minimum
-    over F0^-1.  Entries with a negative bound are forced to zero.
+    over F0^-1.  Entries with a negative bound are forced to zero.  det F0
+    need not be a unit, so F0^-1 is not formed: only its valuations are
+    read, nu(F0^-1[l][j]) = nu(adj(F0)[l][j]) - nu(det F0).
     """
-    Finv = F0.inverse()
+    adj, d = F0.adjugate(), F0.det_valuation()
     r = [min(F0[i, k].valuation() for k in range(3)) for i in range(3)]
-    c = [min(Finv[l, j].valuation() for l in range(3)) for j in range(3)]
+    c = [min(adj[l, j].valuation() for l in range(3)) - d for j in range(3)]
     return [[-(r[b] + c[a]) for b in range(3)] for a in range(3)]
 
 
@@ -622,9 +613,8 @@ XYU_ORBIT_BOUND = 1 + 6 * sum(5 ** d for d in range(6))
 def xyu_orbit(start: VertexClass) -> frozenset:
     """The <x, y, u>-orbit of start to depth 6, computed once per vertex.
 
-    Deep enough to cover the radius-2 ball around [I]; the tube walk and the
-    anchors of ``orbit_classify`` ask for the orbits of [I] and the n-point
-    repeatedly.
+    Deep enough to cover the radius-2 ball around [I]; the anchors of
+    ``orbit_classify`` ask for the orbits of [I] and the n-point repeatedly.
     """
     return frozenset(orbit_bfs(start, ("x", "y", "u"), 6))
 
@@ -812,34 +802,41 @@ def kernel_witness_check():
 # ---------------------------------------------------------------------------
 # the tube
 
-def _tube_next(level: VertexClass, p: int, exclude):
+def _tube_next(level: VertexClass, p: int, exclude, floor: int):
     """The distinguished pair in the link one step farther from the identity.
 
-    Fixed points of the stabilizer image that are neither group points,
-    n-points, nor members of exclude; the pair is returned in canonical
-    order and must be swapped by xyx.
+    Fixed points of the stabilizer image that are not in exclude; the pair
+    is returned in canonical order and must be swapped by xyx.  Each fixed
+    point w is fixed by every element found here, so |Stab(w)| exceeds
+    floor, the larger of |Stab([I])| and |Stab(n-point)|.  |Stab| is
+    constant along orbits, so w is neither a group point nor an n-point;
+    a search that finds no more than floor elements raises AssertionError.
     """
     rpt = stab_words(level, ("u", "u1", "h"), depth=3)
+    if rpt.order <= floor:
+        raise AssertionError("word search found %d stabilizer elements, not "
+                             "more than the %d of [I] and the n-point"
+                             % (rpt.order, floor))
     lk = link(level)
-    n = len(lk)
-    fixed_idx = set(range(n))
+    fixed_idx = set(range(len(lk)))
     for pm in rpt.perms:
         fixed_idx = {i for i in fixed_idx if pm[i] == i}
-    group_orb = xyu_orbit(identity_vertex(p))
-    n_orb = xyu_orbit(n_point_base(p))
-    cands = [lk[i].vclass for i in sorted(fixed_idx)]
-    cands = [w for w in cands
-             if w not in group_orb and w not in n_orb and w not in exclude]
+    cands = [lk[i].vclass for i in sorted(fixed_idx) if lk[i].vclass not in exclude]
     return _swapped_pair(cands, p, lambda a: True)
 
 
 def tube_chain(p: int = 3):
     """Yield (k, 7^(k), its xyx partner) for k = 1, 2, ..., each level
-    computed only when asked for; 7^(1) is ``seven_star``."""
+    computed only when asked for; 7^(1) is ``seven_star``.  The exact
+    stabilizer orders of [I] and the n-point, which certify each later
+    level, are computed once, when level 2 is asked for."""
     level, partner = seven_star_pair(p)
-    for k in itertools.count(1):
+    yield 1, level, partner
+    floor = max(stab_exact(identity_vertex(p)).order,
+                stab_exact(n_point_base(p)).order)
+    for k in itertools.count(2):
+        level, partner = _tube_next(level, p, {level, partner}, floor)
         yield k, level, partner
-        level, partner = _tube_next(level, p, {level, partner})
 
 
 class TubeLevel(NamedTuple):

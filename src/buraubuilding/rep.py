@@ -4,13 +4,11 @@ orders, and the named constant matrices u, h, u1, alpha_k, beta2, M19 and
 the kernel witness word.
 
 ``MatrixRF`` is the one 3x3 matrix type: RatFunc entries mod p, or
-LaurentPoly entries over Z[t, 1/t] when ``p`` is None.  Every matrix the
-package multiplies has Laurent entries, so its product runs one kernel for
-both rings: each factor is read once as (minexp, coeffs) per entry, and each
-output entry is one integer convolution, reduced mod p once, trimmed and
-built in normal form directly.  Only a factor with an entry mod p whose
-denominator is not a power of t (the tests build such) takes the entrywise
-RatFunc product.
+LaurentPoly entries over Z[t, 1/t] when ``p`` is None.  Its product, its
+determinant and the canonical forms of ``building`` need Laurent entries,
+and refuse any other: each matrix is read once as (minexp, coeffs) per
+entry, and each output entry is one integer convolution, reduced mod p
+once, trimmed and built in normal form directly, for both rings alike.
 
 Convention: several reduced-Burau conventions circulate, differing by
 transpose, inversion and t <-> 1/t.  The convention fixed here is the one
@@ -79,18 +77,15 @@ class MatrixRF:
     def __mul__(self, other):
         """The product, one Laurent convolution per entry.
 
-        When every entry of both factors is Laurent (see ``_laurent_terms``),
-        each output entry is ``laurent_dot`` of a row and a column: its at
-        most three nonzero term products added into one integer list,
-        reduced mod p once and trimmed at both ends, then built in normal
-        form directly, a RatFunc over t^k mod p or a LaurentPoly over Z.
-        Otherwise the product runs entrywise in RatFunc arithmetic.
+        Each output entry is ``laurent_dot`` of a row and a column (see
+        ``_laurent_terms``): its at most three nonzero term products added
+        into one integer list, reduced mod p once and trimmed at both ends,
+        then built in normal form directly, a RatFunc over t^k mod p or a
+        LaurentPoly over Z.
         """
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
         a, b = self._laurent_terms(), other._laurent_terms()
-        if not (a and b):
-            return self._entrywise_product(other)
         p, var = self.p, self.var
         cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
         terms = tuple(tuple(laurent_dot(r, col, p) for col in cols) for r in a)
@@ -101,35 +96,15 @@ class MatrixRF:
         return out
 
     def _laurent_terms(self):
-        """Every entry as (minexp, coeffs), trimmed at both ends, or False
-        when some entry mod p is not a RatFunc over a power of t; read once
-        per matrix."""
+        """Every entry as (minexp, coeffs), trimmed at both ends, read once
+        per matrix; ValueError when some entry mod p is not a RatFunc over a
+        power of t."""
         if self._terms is None:
             flat = [e.laurent_terms() for row in self.rows for e in row]
-            self._terms = None not in flat and (tuple(flat[:3]), tuple(flat[3:6]),
-                                                tuple(flat[6:]))
+            if None in flat:
+                raise ValueError("matrix entry is not a Laurent polynomial")
+            self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
         return self._terms
-
-    def _entrywise_product(self, other):
-        """The product in RatFunc arithmetic, for factors with a non-Laurent
-        entry; zero entries of the right factor contribute no term."""
-        b = other.rows
-        cols = [[(k, b[k][j]) for k in range(3) if not b[k][j].is_zero()]
-                for j in range(3)]
-        rows = []
-        for r in self.rows:
-            row = []
-            for col in cols:
-                if not col:
-                    row.append(type(r[0]).zero(self.p, self.var))
-                    continue
-                k, e = col[0]
-                acc = r[k] * e
-                for k, e in col[1:]:
-                    acc = acc + r[k] * e
-                row.append(acc)
-            rows.append(tuple(row))
-        return MatrixRF(self.p, rows, self.var)
 
     def __add__(self, other):
         return MatrixRF(self.p, tuple(tuple(a + b for a, b in zip(r, s))
@@ -146,16 +121,10 @@ class MatrixRF:
         return self.entry_map(lambda e: e * c)
 
     def det(self):
-        """The expansion along row 0.  When every entry is Laurent (see
-        ``_laurent_terms``), each 2x2 minor and the expansion itself is one
-        ``laurent_dot``, with the subtracted terms negated; otherwise the
-        expansion runs entrywise in RatFunc arithmetic."""
+        """The expansion along row 0 on the entries' Laurent terms (see
+        ``_laurent_terms``): each 2x2 minor and the expansion itself is one
+        ``laurent_dot``, with the subtracted terms negated."""
         t = self._laurent_terms()
-        if not t:
-            r = self.rows
-            return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                    - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                    + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
         p, b, c = self.p, t[1], t[2]
 
         def neg(x):
@@ -186,12 +155,11 @@ class MatrixRF:
                                       for i in range(3)), self.var)
 
     def inverse(self):
-        """adj / det; over Z the determinant must be a unit +-t^k."""
-        d = self.det()
-        if d.is_zero():
-            raise ZeroDivisionError("singular matrix")
-        dinv = d.inverse()
-        return self.adjugate().entry_map(lambda e: e * dinv)
+        """adj / det; the determinant must be a unit c*t^k (c = +-1 over Z),
+        else ZeroDivisionError, as ``LaurentPoly.inverse`` refuses it."""
+        d = self.det().laurent_terms()
+        dinv = LaurentPoly(self.p, d[1], d[0], self.var).inverse()
+        return self.adjugate().scale(dinv if self.p is None else dinv.to_ratfunc())
 
     def reduce_mod(self, p):
         """The image mod p of a matrix over Z[t, 1/t]."""

@@ -1,5 +1,6 @@
 """The pi-adic expansion at pi = 1/t one digit at a time: the definition
-that ``arith.pi_digits`` and the canonical forms are tested against."""
+that ``arith.laurent_pi_digits`` and the canonical forms are tested
+against."""
 
 from buraubuilding.arith import INF, RatFunc
 

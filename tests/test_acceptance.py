@@ -57,8 +57,7 @@ def report(n, name, ok, elapsed, limit):
 
 @pytest.fixture(scope="module")
 def group_orbit():
-    # the <x, y, u>-orbit of [I], deep enough to cover the radius-2 ball;
-    # shared with the tube walk of criterion 10
+    # the <x, y, u>-orbit of [I], deep enough to cover the radius-2 ball
     return xyu_orbit(identity_vertex(3))
 
 

@@ -8,8 +8,8 @@ from buraubuilding.arith import (
     INF,
     LaurentPoly,
     RatFunc,
+    laurent_pi_digits,
     parse_laurent,
-    pi_digits,
     pmul,
     render_laurent,
 )
@@ -295,32 +295,38 @@ def test_pi_adic_prefix_property():
 def test_pi_digits_property():
     rng = random.Random(6)
     for _ in range(60):
-        x = random_ratfunc(rng, 3)
-        v = x.valuation()
+        x = random_laurent(rng, 3)
+        v = x.to_ratfunc().valuation()
         lo = rng.randint(-2, 4) if v is INF else v - rng.randint(0, 2)
         n = rng.randint(0, 5)
         r = RatFunc.zero(3)
-        for j, d in enumerate(pi_digits(x, lo, n)):
+        for j, d in enumerate(laurent_pi_digits(x.laurent_terms(), lo, n)):
             r = r + RatFunc.const(d, 3).shift_pi(lo + j)
-        assert (x - r).valuation() >= lo + n
+        assert (x.to_ratfunc() - r).valuation() >= lo + n
 
 
 def test_pi_digits_matches_digit_expansion():
     # the definition: digits of x from nu(x) on, one at a time; positions
-    # below lo are dropped
+    # below lo are dropped.  The read from (minexp, coeffs) must agree on
+    # zero entries, exponents of both signs, windows starting at, below and
+    # above nu(x), and windows shorter than the entry's span
     rng = random.Random(8)
+    short = 0
     for p in (2, 3, 5, 7):
-        for _ in range(150):
-            x = random_ratfunc(rng, p) if rng.random() < 0.5 \
-                else random_laurent(rng, p).to_ratfunc()
-            lo, n = rng.randint(-4, 5), rng.randint(0, 6)
-            v = x.valuation()
+        for _ in range(200):
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+            x = LaurentPoly(p, coeffs, rng.randint(-5, 5))
+            v = x.to_ratfunc().valuation()
+            lo = rng.randint(-3, 3) + (0 if v is INF else v)
+            n = rng.randint(0, 8)
             ref = [0] * n
             if v is not INF and v < lo + n:
-                digits = pi_adic_expand(x.shift_pi(-v), lo + n - v)
+                digits = pi_adic_expand(x.to_ratfunc().shift_pi(-v), lo + n - v)
                 ref = [digits[lo + j - v] if lo + j >= v else 0
                        for j in range(n)]
-            assert pi_digits(x, lo, n) == ref
+            assert laurent_pi_digits(x.laurent_terms(), lo, n) == ref
+            short += v is not INF and lo <= v and lo + n <= -x.minexp
+    assert short > 50
 
 
 def test_from_pi_digits_inverts_pi_digits():
@@ -332,7 +338,7 @@ def test_from_pi_digits_inverts_pi_digits():
             x = RatFunc.from_pi_digits(digits, lo, p)
             ref = LaurentPoly(p, digits[::-1], -(lo + len(digits) - 1))
             assert fields(x) == fields(ref.to_ratfunc())
-            assert pi_digits(x, lo, len(digits)) == digits
+            assert laurent_pi_digits(x.laurent_terms(), lo, len(digits)) == digits
 
 
 @pytest.mark.parametrize("p, radius, count, digest", [

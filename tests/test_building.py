@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from buraubuilding.arith import INF, LaurentPoly, RatFunc, laurent_pi_digits, pi_digits
+from buraubuilding.arith import INF, LaurentPoly, RatFunc
 from buraubuilding import building
 from buraubuilding.building import (
     VertexClass,
@@ -96,17 +96,19 @@ def test_canonicalize_rejects_singular():
     m = MatrixRF(3, ((z, z, z),) * 3)
     with pytest.raises(ValueError):
         canonicalize(m)
-    # rank 2: the third column is a non-Laurent combination of the others
+    # rank 2: the third column is a Laurent combination of the others, so
+    # the refusal is for singularity, not for a non-Laurent entry
     rng = random.Random(3)
     for p in (2, 3, 5, 7):
         while True:
             g = random_matrix(rng, p)
             if not g.det().is_zero():
                 break
-        lam = RatFunc.one(p) / RatFunc(p, (1, 1), (1,))
-        rows = tuple((r[0], r[1], r[0] + lam * r[1]) for r in g.rows)
-        with pytest.raises(ValueError):
-            canonicalize(MatrixRF(p, rows))
+        lam = RatFunc(p, (1, 1), (1,))
+        m = MatrixRF(p, tuple((r[0], r[1], r[0] + lam * r[1]) for r in g.rows))
+        assert m.det().is_zero()
+        with pytest.raises(ValueError, match="singular"):
+            canonicalize(m)
 
 
 def _prefix_oracle(e, bound):
@@ -166,8 +168,8 @@ def _scale_column(M, j, unit):
 def oracle_inputs():
     """Seeded matrices at p = 2, 3, 5, 7: letters and their inverses times
     the vertices of a random walk from [I], with a column scaled by the
-    non-Laurent unit 1/(1 + c*pi) = t/(t + c) in a third of them, plus
-    random column operations on the resulting classes."""
+    Laurent unit 1 + c*pi = (t + c)/t in a third of them, plus random
+    column operations on the resulting classes."""
     rng = random.Random(20261018)
     out = []
     for p in (2, 3, 5, 7):
@@ -181,48 +183,30 @@ def oracle_inputs():
             M = rng.choice(gens) * rng.choice(verts).canon
             out.append(M)
             c = rng.randrange(1, p)
-            unit = RatFunc(p, (0, 1), (c, 1))
+            unit = RatFunc(p, (c, 1), (0, 1))
             out.append(_scale_column(M, rng.randrange(3), unit))
             out.append(random_column_ops(rng, canonicalize_oracle(M)))
         for _ in range(12):
             m = random_matrix(rng, p)
             if not m.det().is_zero():
                 out.append(_scale_column(m, rng.randrange(3),
-                                         RatFunc(p, (0, 1), (1, 1))))
+                                         RatFunc(p, (1, 1), (0, 1))))
     return out
 
 
 def test_canonicalize_matches_exact_elimination(oracle_inputs):
     inputs = oracle_inputs
     assert len(inputs) >= 500
-    assert any(not e.is_laurent() for M in inputs for row in M.rows for e in row)
     for M in inputs:
         got, want = canonicalize(M), canonicalize_oracle(M)
         assert (got.exps, got.to_text()) == (want.exps, want.to_text())
         assert got == want
 
 
-def test_laurent_pi_digits_match_pi_digits():
-    # the digit read from (minexp, coeffs) equals pi_digits on the RatFunc:
-    # zero entries, exponents of both signs, windows starting at, below and
-    # above nu(x), and windows shorter than the entry's span
-    rng = random.Random(20261103)
-    short = 0
-    for p in (2, 3, 5, 7):
-        for _ in range(200):
-            coeffs = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
-            x = LaurentPoly(p, coeffs, rng.randint(-5, 5))
-            v = x.to_ratfunc().valuation()
-            lo = rng.randint(-3, 3) + (0 if v is INF else v)
-            n = rng.randint(0, 8)
-            got = laurent_pi_digits(x.laurent_terms(), lo, n)
-            assert got == pi_digits(x.to_ratfunc(), lo, n)
-            short += v is not INF and lo <= v and lo + n <= -x.minexp
-    assert short > 50
-
-
-def test_canonicalize_with_one_non_laurent_entry_matches_oracle():
-    # such a matrix has no Laurent terms, so its digits come from pi_digits
+def test_a_non_laurent_entry_is_refused():
+    # the product, the determinant and the canonical form read every entry
+    # as Laurent terms; one entry whose denominator is not a power of t is
+    # refused by each of them, whether or not canonicalize is given nu(det)
     rng = random.Random(20261104)
     for p in (2, 3, 5, 7):
         gens = [letter_matrix(a, p) for a in ("s1", "s2", "x", "y")]
@@ -234,11 +218,11 @@ def test_canonicalize_with_one_non_laurent_entry_matches_oracle():
             i, j = rng.randrange(3), rng.randrange(3)
             rows[i][j] = rows[i][j] + RatFunc(p, (1,), (rng.randrange(1, p), 1))
             M = MatrixRF(p, rows)
-            assert [e.is_laurent() for row in M.rows for e in row].count(False) == 1
-            assert not M._laurent_terms()
-            got, want = canonicalize(M), canonicalize_oracle(M)
-            assert (got.exps, got.to_text()) == (want.exps, want.to_text())
-            assert got == want
+            d = g.det_valuation() + sum(v.exps)
+            for op in (lambda: M * g, lambda: g * M, M.det, M.det_valuation,
+                       lambda: canonicalize(M), lambda: canonicalize(M, d)):
+                with pytest.raises(ValueError, match="not a Laurent polynomial"):
+                    op()
 
 
 def _entry_terms(m):

@@ -80,6 +80,40 @@ def test_degree_bounds_cut_search():
     assert max(max(row) for row in D) <= 8
 
 
+def degree_bounds_oracle(F0):
+    """The bounds of ``entry_degree_bounds`` with F0^-1 formed in RatFunc
+    field arithmetic, adj(F0) / det F0 entry by entry, from F0's entries."""
+    r = F0.rows
+
+    def cof(i, j):
+        sub = [[r[a][b] for b in range(3) if b != j] for a in range(3) if a != i]
+        m = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+        return -m if (i + j) % 2 else m
+
+    det = r[0][0] * cof(0, 0) + r[0][1] * cof(0, 1) + r[0][2] * cof(0, 2)
+    inv = [[cof(j, l) / det for j in range(3)] for l in range(3)]
+    rmin = [min(r[i][k].valuation() for k in range(3)) for i in range(3)]
+    cmin = [min(inv[l][j].valuation() for l in range(3)) for j in range(3)]
+    return [[-(rmin[b] + cmin[a]) for b in range(3)] for a in range(3)]
+
+
+def test_degree_bounds_match_the_field_inverse():
+    # the bounds read nu(F0^-1) off adj(F0) and nu(det F0); det F0 need not
+    # be a unit, so the reference divides in F_p(t)
+    I3 = identity_vertex(3)
+    tube2 = next(itertools.islice(tube_chain(3), 1, 2))[1]
+    verts = [identity_vertex(p) for p in (2, 3, 5, 7)]
+    verts += [n_point_base(3), seven_star(3), tube2]
+    verts += [lv.vclass for lv in link(I3)]
+    assert len(verts) == 7 + 26
+    non_units = 0
+    for v in verts:
+        F0 = form_pullback(v)
+        assert entry_degree_bounds(F0) == degree_bounds_oracle(F0), v
+        non_units += len(F0.det().to_laurent().coeffs) > 1
+    assert non_units > 0
+
+
 def column_candidates_oracle(p, F0pi, degs, b, window, budget):
     """Digit arrays for column b passing B(c, c) = F0[b][b], by one dense
     pass over every candidate and every coefficient of the window.
@@ -489,6 +523,23 @@ def test_tube_chain_is_the_tube_walk():
     assert all(apply(xyx, v) == partner for _, v, partner in chain)
     levels = tube_pattern_check(kmax=2)
     assert [v for _, v, _ in chain] == [lv.vertex for lv in levels]
+
+
+def test_tube_walk_refuses_a_word_search_at_the_floor(monkeypatch):
+    # a level's fixed link vertices are certified off the orbits of [I] and
+    # the n-point only by more found elements than their 6 (= max(4, 6))
+    real = groupcalc.stab_words
+
+    def six(v, gens, depth):
+        rpt = real(v, gens, depth)
+        return rpt._replace(elements=rpt.elements[:6], order=6,
+                            perms=rpt.perms[:6])
+
+    monkeypatch.setattr(groupcalc, "stab_words", six)
+    chain = tube_chain(3)
+    assert next(chain)[0] == 1
+    with pytest.raises(AssertionError, match="found 6 stabilizer elements"):
+        next(chain)
 
 
 def test_h_stabilizes_seven_star():

