@@ -19,3 +19,15 @@ def pi_adic_expand(x: RatFunc, k: int):
         digits.append(d)
         x = (x - RatFunc.const(d, x.p, x.var)).shift_pi(-1)
     return tuple(digits)
+
+
+def pi_digits_window(x: RatFunc, lo: int, n: int):
+    """Digits of x at pi^lo .. pi^(lo+n-1), read one at a time from nu(x) on.
+
+    Positions below nu(x) read 0; x = 0 reads all zeros.
+    """
+    v = x.valuation()
+    if v is INF or v >= lo + n:
+        return [0] * n
+    digits = pi_adic_expand(x.shift_pi(-v), lo + n - v)
+    return [digits[lo + j - v] if lo + j >= v else 0 for j in range(n)]

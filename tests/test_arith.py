@@ -14,7 +14,7 @@ from buraubuilding.arith import (
     render_laurent,
 )
 from buraubuilding.groupcalc import ball
-from pi_adic import pi_adic_expand
+from pi_adic import pi_adic_expand, pi_digits_window
 
 
 def L(text, p, var="t"):
@@ -319,11 +319,7 @@ def test_pi_digits_matches_digit_expansion():
             v = x.to_ratfunc().valuation()
             lo = rng.randint(-3, 3) + (0 if v is INF else v)
             n = rng.randint(0, 8)
-            ref = [0] * n
-            if v is not INF and v < lo + n:
-                digits = pi_adic_expand(x.to_ratfunc().shift_pi(-v), lo + n - v)
-                ref = [digits[lo + j - v] if lo + j >= v else 0
-                       for j in range(n)]
+            ref = pi_digits_window(x.to_ratfunc(), lo, n)
             assert laurent_pi_digits(x.laurent_terms(), lo, n) == ref
             short += v is not INF and lo <= v and lo + n <= -x.minexp
     assert short > 50

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from buraubuilding.arith import INF, LaurentPoly, RatFunc
+from buraubuilding.arith import INF, LaurentPoly, RatFunc, laurent_pi_digits
 from buraubuilding import building
 from buraubuilding.building import (
     VertexClass,
@@ -21,7 +21,7 @@ from buraubuilding.building import (
 )
 from buraubuilding.rep import MatrixRF, letter_matrix, named_matrix, word_evaluate, parse_word
 from buraubuilding.groupcalc import ball, seven_star, stab_exact, stab_identity_exact
-from pi_adic import pi_adic_expand
+from pi_adic import pi_adic_expand, pi_digits_window
 
 
 def random_unit(rng, p, span=3):
@@ -201,6 +201,26 @@ def test_canonicalize_matches_exact_elimination(oracle_inputs):
         got, want = canonicalize(M), canonicalize_oracle(M)
         assert (got.exps, got.to_text()) == (want.exps, want.to_text())
         assert got == want
+
+
+def test_laurent_pi_digits_match_pi_digits():
+    # the digit read from (minexp, coeffs) equals the one-digit-at-a-time
+    # expansion of the RatFunc: zero entries, exponents of both signs,
+    # windows starting at, below and above nu(x), and windows shorter than
+    # the entry's span
+    rng = random.Random(20261103)
+    short = 0
+    for p in (2, 3, 5, 7):
+        for _ in range(200):
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+            x = LaurentPoly(p, coeffs, rng.randint(-5, 5))
+            v = x.to_ratfunc().valuation()
+            lo = rng.randint(-3, 3) + (0 if v is INF else v)
+            n = rng.randint(0, 8)
+            got = laurent_pi_digits(x.laurent_terms(), lo, n)
+            assert got == pi_digits_window(x.to_ratfunc(), lo, n)
+            short += v is not INF and lo <= v and lo + n <= -x.minexp
+    assert short > 50
 
 
 def test_a_non_laurent_entry_is_refused():
