@@ -24,7 +24,10 @@ index n + i the plane annihilated by the functional ``projective_points(p)[i]``.
 A stabilizer g of v acts on the link through the residue matrix
 u-bar in GL3(F_p) of v.canon^-1 * g * v.canon (scaled by a power of pi into
 GL3(O)), so ``residue_link_permutation`` reads the permutation from u-bar
-without enumerating the link.  ``conjugated_link_permutation`` is the one
+without enumerating the link: lines move by u-bar and plane annihilators by
+adj(u-bar)^T, and each image vector is scaled by a per-p table of inverses
+mod p and read as its base-p code, which is its link index.  The module is
+pure Python; it imports no numpy.  ``conjugated_link_permutation`` is the one
 read of u-bar, from v.canon^-1 * g * v.canon: ``induced_link_permutation``
 forms that conjugate from g, ``stab_words`` forms it with one inverse of
 v.canon per call, and ``stab_exact`` has it already as alpha.
@@ -344,20 +347,41 @@ def cycle_type_of(perm):
 
 
 @lru_cache(maxsize=None)
-def _point_index(p):
-    return {pt: i for i, pt in enumerate(projective_points(p))}
+def _inverses(p):
+    """inv[c] = c^-1 mod p for c = 1..p-1 (inv[0] unused)."""
+    return (0,) + tuple(inv_mod(c, p) for c in range(1, p))
 
 
-def _normalize(vec, p):
-    """The representative in ``projective_points(p)`` of the line through vec."""
-    c = inv_mod(vec[_pivot(vec)], p)
-    return tuple(a * c % p for a in vec)
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
-def _cross(a, b, p):
-    return ((a[1] * b[2] - a[2] * b[1]) % p,
-            (a[2] * b[0] - a[0] * b[2]) % p,
-            (a[0] * b[1] - a[1] * b[0]) % p)
+def _line_images(m, p):
+    """The link index of the line through m x, for x in ``projective_points(p)``.
+
+    The index of the line through (1, b, c) is its code b*p + c, that of
+    (0, 1, c) is p^2 + c and that of (0, 0, 1) is p^2 + p: a vector is
+    scaled by the inverse of its first nonzero coordinate and read as a
+    code.  m (rows of ints) must be invertible mod p.
+    """
+    inv = _inverses(p)
+    (a, b, c), (d, e, f), (g, h, i) = m
+    out = []
+    for x0, x1, x2 in projective_points(p):
+        y0 = (a * x0 + b * x1 + c * x2) % p
+        y1 = (d * x0 + e * x1 + f * x2) % p
+        y2 = (g * x0 + h * x1 + i * x2) % p
+        if y0:
+            k = inv[y0]
+            out.append(y1 * k % p * p + y2 * k % p)
+        elif y1:
+            out.append(p * p + y2 * inv[y1] % p)
+        elif y2:
+            out.append(p * p + p)
+        else:
+            raise ValueError("residue matrix is singular mod p")
+    return out
 
 
 def residue_link_permutation(u, p) -> LinkPermutation:
@@ -367,20 +391,15 @@ def residue_link_permutation(u, p) -> LinkPermutation:
     g of v, or any nonzero scalar multiple of it: the action is projective.
     It moves the line through ``projective_points(p)[i]`` (link index i) to
     the line through u times it, and the plane ker phi_i (link index n + i,
-    phi_i = ``projective_points(p)[i]``, basis ``plane_basis``) to the plane
-    whose annihilator is the cross product of the images of its basis.
-    Lines go to lines, so the result is always type preserving.
+    phi_i = ``projective_points(p)[i]``) to ker(phi_i u^-1).  phi u^-1 is a
+    multiple of phi adj(u), so the annihilators move by adj(u)^T, whose
+    rows are the cross products of the rows of u.  Lines go to lines, so
+    the result is always type preserving.
     """
-    def act(vec):
-        return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in u)
-
-    pts = projective_points(p)
-    index = _point_index(p)
-    n = len(pts)
-    perm = [index[_normalize(act(pt), p)] for pt in pts]
-    for phi in pts:
-        b1, b2 = plane_basis(phi, p)
-        perm.append(n + index[_normalize(_cross(act(b1), act(b2), p), p)])
+    r0, r1, r2 = u
+    cof = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
+    n = p * p + p + 1
+    perm = _line_images(u, p) + [n + j for j in _line_images(cof, p)]
     return LinkPermutation(tuple(perm), cycle_type_of(perm), True)
 
 

@@ -220,47 +220,94 @@ def _laurent_pi_coeffs(e: RatFunc):
     return {-(l.minexp + i): c for i, c in enumerate(l.coeffs) if c}
 
 
-def _profile_form(p, F0pi, ns, qmax):
-    """Every digit column with digit counts ns, and B(c, c) at pi^1..pi^qmax.
+_BLOCK_ENTRIES = 1 << 20    # entries of one block of the split form
 
-    Row n holds the base-p digits of n, lowest first; entry a of the column
-    takes the next ns[a] of them as c_a = sum_k d_k pi^k.  Returns (digit
-    matrix, coefficients mod p of B(c, c) = sum_a,e bar(c_a) F0[a][e] c_e
-    at pi^q in column q - 1).  Both depend on the column b only through ns,
-    so one pass serves every column of that profile.  Since F0* = t F0,
-    bar(B(c, c)) = t B(c, c): the coefficients at pi^q and pi^(1-q) agree,
-    so only q >= 1 is formed, and the terms that feed only q < 1 are skipped.
+
+def _digit_rows(n, p, width):
+    """The base-p digits, lowest first, of each index in n: int16 rows."""
+    digs = np.empty((len(n), width), dtype=np.int16)
+    for k in range(width):
+        digs[:, k] = (n // p ** k) % p
+    return digs
+
+
+def _form_matrices(p, F0pi, ns, qmax):
+    """W with x^T W[q - 1] x = B(c, c) at pi^q mod p, for q = 1..qmax.
+
+    x is the digit vector of the column: entry a takes the next ns[a] digits
+    as c_a = sum_k d_k pi^k.  B(c, c) = sum_a,e bar(c_a) F0[a][e] c_e, and
+    bar(pi^k) = pi^-k, so digit k of c_a, digit m of c_e and the
+    coefficient of F0[a][e] at pi^q meet at pi^(q + m - k).  Terms that
+    feed only q < 1 are skipped.
     """
     total = sum(ns)
-    N = p ** total
-    idx = np.arange(N, dtype=np.int64)
-    digs = np.empty((N, total), dtype=np.int16)
-    for k in range(total):
-        digs[:, k] = (idx // (p ** k)) % p
-    del idx
     starts = np.cumsum((0,) + ns)
-    P = np.zeros((N, qmax), dtype=np.int64)
+    W = np.zeros((qmax, total, total), dtype=np.int64)
     for a in range(3):
-        if ns[a] == 0:
-            continue
-        ca = digs[:, starts[a]:starts[a + 1]]
         for e in range(3):
-            if ns[e] == 0 or not F0pi[a][e]:
-                continue
-            ce = digs[:, starts[e]:starts[e + 1]]
-            for r in range(-(ns[a] - 1), ns[e]):
-                terms = [(q + r, f) for q, f in F0pi[a][e].items()
-                         if q + r >= 1]
-                k0 = max(0, -r)
-                k1 = min(ns[a], ns[e] - r)
-                if not terms or k0 >= k1:
-                    continue
-                corr = np.einsum("nk,nk->n", ca[:, k0:k1], ce[:, k0 + r:k1 + r],
-                                 dtype=np.int64)
-                for q, f in terms:
-                    P[:, q - 1] += f * corr
-    P %= p
-    return digs, P
+            for q, f in F0pi[a][e].items():
+                for k in range(ns[a]):
+                    for m in range(ns[e]):
+                        if q + m - k >= 1:
+                            W[q + m - k - 1, starts[a] + k, starts[e] + m] += f
+    return W % p
+
+
+def _profile_solutions(p, F0pi, ns, qmax, targets):
+    """Indices n < p^total, ascending, of the digit vectors x with
+    x^T W[q - 1] x = t[q - 1] mod p at q = 1..qmax, one array per target t.
+
+    Row n holds the base-p digits of n, lowest first, so n = nl + p^l nh
+    splits x into its low half xl (l digits) and its high half xh, and
+    x^T W x = xl^T W_ll xl + xh^T W_hh xh + xl^T K xh with
+    K = W_lh + W_hl^T.  The two squares are tables over the p^l low and
+    the p^h high halves; the cross term is a matrix product, formed for a
+    block of high halves at a time, about ``_BLOCK_ENTRIES`` entries, and
+    compared with every target before the next block.  A q with W[q - 1] = 0
+    is not formed: there B(c, c) is 0 at pi^q.
+    """
+    W = _form_matrices(p, F0pi, ns, qmax)
+    live = [q for q in range(qmax) if W[q].any()]
+    total = sum(ns)
+    l = total // 2
+    h = total - l
+    Nl, Nh = p ** l, p ** h
+    Xl = _digit_rows(np.arange(Nl), p, l).astype(np.int64)
+    Xh = _digit_rows(np.arange(Nh), p, h).astype(np.int64)
+    low = np.einsum("ni,qij,nj->qn", Xl, W[:, :l, :l], Xl) % p
+    high = np.einsum("ni,qij,nj->qn", Xh, W[:, l:, l:], Xh) % p
+    cross = np.einsum("ni,qij->qjn", Xl,
+                      W[:, :l, l:] + W[:, l:, :l].transpose(0, 2, 1)) % p
+    # the block sums are integers of at most `bound`, so the float64 product
+    # and sums are exact, and floor(S / p) is exact while bound + p <= 2^53
+    bound = 2 * (p - 1) + h * (p - 1) ** 2
+    if bound + p > 2 ** 53:
+        raise AssertionError("split form exceeds the float64 integer range")
+    Xh, low, high, cross = (a.astype(np.float64) for a in (Xh, low, high, cross))
+    # a target nonzero where B(c, c) vanishes has no solution
+    feasible = [not any(t[q] for q in range(qmax) if q not in live)
+                for t in targets]
+    rows = max(1, _BLOCK_ENTRIES // Nl)
+    hits = [[] for _ in targets]
+    for h0 in range(0, Nh, rows):
+        Xb = Xh[h0:h0 + rows]
+        masks = [np.full((len(Xb), Nl), ok) for ok in feasible]
+        S = np.empty((len(Xb), Nl))
+        Q = np.empty_like(S)
+        for q in live:
+            np.matmul(Xb, cross[q], out=S)
+            S += high[q, h0:h0 + rows, None]
+            S += low[q]
+            # S mod p as S - p floor(S / p), in place: no third block array
+            np.divide(S, p, out=Q)
+            np.floor(Q, out=Q)
+            Q *= p
+            S -= Q
+            for m, t in zip(masks, targets):
+                m &= S == t[q]
+        for hs, m in zip(hits, masks):
+            hs.append(np.flatnonzero(m) + h0 * Nl)
+    return [np.concatenate(hs) for hs in hits]
 
 
 def _column_candidates(p, F0, D, budget):
@@ -268,9 +315,13 @@ def _column_candidates(p, F0, D, budget):
 
     D[a][b] is the pi-degree bound of entry (a, b); negative means the entry
     is identically zero.  Returns [(digit matrix, per-entry digit counts)]
-    for b = 0, 1, 2.  Every column's budget is checked before anything is
-    allocated; columns with equal digit counts share one `_profile_form`
-    pass and differ only in the target F0[b][b], compared at q >= 1.
+    for b = 0, 1, 2.  Row n of the p^total candidates holds the base-p
+    digits of n, lowest first; the int16 rows of the solutions are kept in
+    ascending n.  Every column's budget is checked before anything is
+    allocated.  Columns with equal digit counts share one
+    ``_profile_solutions`` pass, which compares the coefficients at q >= 1
+    with each distinct target F0[b][b] and returns only the solutions'
+    indices, so only their digit rows are built.
     """
     F0pi = [[_laurent_pi_coeffs(F0[a, e]) for e in range(3)] for a in range(3)]
     exps = [q for row in F0pi for d in row for q in d]
@@ -285,16 +336,15 @@ def _column_candidates(p, F0, D, budget):
         if N > budget:
             raise ValueError("column candidate space %d exceeds budget %d"
                              % (N, budget))
-        profiles.setdefault(ns, []).append(b)
+        target = tuple(F0pi[b][b].get(q, 0) for q in range(1, qmax + 1))
+        profiles.setdefault(ns, {}).setdefault(target, []).append(b)
     out = [None] * 3
-    for ns, cols in profiles.items():
-        digs, P = _profile_form(p, F0pi, ns, qmax)
-        for b in cols:
-            target = np.zeros(qmax, dtype=np.int64)
-            for q, f in F0pi[b][b].items():
-                if q >= 1:
-                    target[q - 1] = f
-            out[b] = (digs[np.all(P == target, axis=1)], ns)
+    for ns, targets in profiles.items():
+        sols = _profile_solutions(p, F0pi, ns, qmax, list(targets))
+        for cols, n in zip(targets.values(), sols):
+            digs = _digit_rows(n, p, sum(ns))
+            for b in cols:
+                out[b] = (digs, ns)
     return out
 
 
@@ -372,12 +422,18 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     basis of v has monomial determinant.  Every reported element is
     re-checked independently: unitary, Laurent, and fixes v.
 
-    Each column c_b is first enumerated against B(c_b, c_b) = F0[b][b].
-    Columns with the same digit counts share one pass, and only the
-    coefficients at pi^q, q >= 1, are formed and compared: F0* = t F0
-    (checked here) makes the coefficients at pi^q and pi^(1-q) of B(c, c)
-    equal.  The same identity makes B(c_e, c_b) = F0[e][b] follow from
-    B(c_b, c_e) = F0[b][e], so each cross constraint is imposed once.
+    Each column c_b is first enumerated against B(c_b, c_b) = F0[b][b] by
+    ``_column_candidates``.  Columns with the same digit counts share one
+    pass, and only the coefficients at pi^q, q >= 1, are formed and
+    compared: F0* = t F0 (checked here) makes the coefficients at pi^q and
+    pi^(1-q) of B(c, c) equal.  Each coefficient is a quadratic form in the
+    digits, split into low-half and high-half tables and a cross term that
+    is a matrix product, formed in blocks of high halves of bounded size, so
+    the pass needs memory for a block and for the solutions, not for all
+    p^total candidates; ``column_budget`` caps p^total per column, that is
+    the time of the pass.  The same identity F0* = t F0 makes
+    B(c_e, c_b) = F0[e][b] follow from B(c_b, c_e) = F0[b][e], so each
+    cross constraint is imposed once.
 
     Candidates are chosen on integer digits before any rational function is
     built:

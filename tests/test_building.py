@@ -554,6 +554,84 @@ def test_link_permutation_raises_exactly_off_the_stabilizer(p):
     assert fixed and moved
 
 
+def residue_permutation_oracle(u, p):
+    """The residue read by normalized tuples: the image of each line, and
+    the cross product of the images of a basis of each plane as the image
+    plane's annihilator, each looked up in ``projective_points(p)``."""
+    pts = building.projective_points(p)
+    index = {pt: i for i, pt in enumerate(pts)}
+
+    def act(vec):
+        return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in u)
+
+    def normalize(vec):
+        c = pow(next(a for a in vec if a), -1, p)
+        return tuple(a * c % p for a in vec)
+
+    def cross(a, b):
+        return ((a[1] * b[2] - a[2] * b[1]) % p,
+                (a[2] * b[0] - a[0] * b[2]) % p,
+                (a[0] * b[1] - a[1] * b[0]) % p)
+
+    perm = [index[normalize(act(pt))] for pt in pts]
+    for phi in pts:
+        b1, b2 = building.plane_basis(phi, p)
+        perm.append(len(pts) + index[normalize(cross(act(b1), act(b2)))])
+    return tuple(perm)
+
+
+def _det_mod(u, p):
+    return (u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
+            - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
+            + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0])) % p
+
+
+def _gl3(p, count=None, seed=0):
+    """Every element of GL3(F_p) (count None), or count seeded ones."""
+    if count is None:
+        mats = (tuple(zip(*[iter(e)] * 3))
+                for e in itertools.product(range(p), repeat=9))
+        return [u for u in mats if _det_mod(u, p)]
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        u = tuple(tuple(rng.randrange(p) for _ in range(3)) for _ in range(3))
+        if _det_mod(u, p):
+            out.append(u)
+    return out
+
+
+def _mat_mul(u, w, p):
+    return tuple(tuple(sum(u[i][k] * w[k][j] for k in range(3)) % p
+                       for j in range(3)) for i in range(3))
+
+
+@pytest.mark.parametrize("p, count", [(2, None), (3, 200), (5, 200), (7, 200)])
+def test_residue_link_permutation_matches_cross_product_read(p, count):
+    mats = _gl3(p, count, seed=p)
+    if count is None:
+        assert len(mats) == 168
+    for u in mats:
+        lp = building.residue_link_permutation(u, p)
+        assert lp.perm == residue_permutation_oracle(u, p), u
+        assert sorted(lp.perm) == list(range(2 * (p * p + p + 1)))
+        assert lp.type_preserving
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_residue_link_permutation_is_a_projective_homomorphism(p):
+    # perm(u w) = perm(u) o perm(w), and a scalar c u acts as u does
+    mats = _gl3(p, 30, seed=100 + p)
+    perms = [building.residue_link_permutation(u, p).perm for u in mats]
+    for u, pu in zip(mats, perms):
+        for w, pw in zip(mats[:10], perms[:10]):
+            assert building.residue_link_permutation(
+                _mat_mul(u, w, p), p).perm == tuple(pu[j] for j in pw)
+        for c in range(2, p):
+            cu = tuple(tuple(c * a for a in row) for row in u)
+            assert building.residue_link_permutation(cu, p).perm == pu
+
+
 def test_link_dot_shape():
     out = link_dot(identity_vertex(2))
     assert out.startswith("graph link {")

@@ -158,6 +158,17 @@ def test_stab_identity_over_the_column_budget():
     assert proc.stdout == ""
 
 
+def test_stab_tube2_over_the_default_column_budget():
+    # tube(2) has 3^15 candidates per column; --budget 750000 (a column
+    # budget of 15M) makes it exact, the default refuses it
+    proc = _main_subprocess("stab", "--vertex", "[[1,0,0],[2,t^-3,0],[0,0,t^-3]]")
+    assert proc.returncode == 2
+    assert "column candidate space 14348907 exceeds budget 4000000" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verify_pass(capsys):
     out = run(["verify", "--json"], capsys)
     d = json.loads(out)

@@ -196,6 +196,83 @@ def test_column_enumeration_matches_dense_oracle():
             assert np.array_equal(got[b][0], digs), (v.to_text(), b)
 
 
+def _assert_columns_match_oracle(p, F0, D, budget=groupcalc.DEFAULT_COLUMN_BUDGET):
+    F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e]) for e in range(3)]
+            for a in range(3)]
+    exps = [q for row in F0pi for d in row for q in d]
+    dmax = max(max(row) for row in D)
+    window = (min(exps) - dmax, max(exps) + dmax)
+    got = groupcalc._column_candidates(p, F0, D, budget)
+    for b in range(3):
+        digs, ns = column_candidates_oracle(
+            p, F0pi, [D[a][b] for a in range(3)], b, window, budget)
+        assert got[b][1] == tuple(ns), (D, b)
+        assert got[b][0].dtype == digs.dtype
+        assert np.array_equal(got[b][0], digs), (D, b)
+    return got
+
+
+@pytest.mark.parametrize("p", (101, 157))
+def test_column_enumeration_at_the_identity_for_large_primes(p):
+    # p^3 candidates per column; 157 is the largest prime the budget admits
+    F0 = form_pullback(identity_vertex(p))
+    got = _assert_columns_match_oracle(p, F0, entry_degree_bounds(F0))
+    assert [len(d) for d, _ in got] == [p * (p - 1)] * 3
+
+
+# columns of total 0, 1 and 5 digits, and of 1, 2 and 3 digits
+SMALL_PROFILES = ([[-1, 0, 1], [-1, -1, 1], [-1, -1, 0]],
+                  [[0, 1, 0], [-1, 0, 1], [-1, -1, 0]])
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("D", SMALL_PROFILES)
+@pytest.mark.parametrize("entries", (None, 3))
+def test_column_enumeration_small_profiles_match_oracle(p, D, entries,
+                                                        monkeypatch):
+    # 3 entries: a block of one or three high halves, which divides neither
+    # 2^3 nor 3^3 high halves of the five-digit column
+    if entries is not None:
+        monkeypatch.setattr(groupcalc, "_BLOCK_ENTRIES", entries)
+    for v in (identity_vertex(p), link(identity_vertex(p))[1].vclass):
+        _assert_columns_match_oracle(p, form_pullback(v), D)
+
+
+@pytest.mark.parametrize("entries", (1, 2 * 3 ** 5, 3 ** 11))
+def test_column_enumeration_does_not_depend_on_the_block_size(entries,
+                                                              monkeypatch):
+    # at 7* the 11-digit columns split into 3^5 low and 3^6 high halves:
+    # one high half per block, two (the last block is short), or all
+    verts = [seven_star(3), n_point_base(3), identity_vertex(5)]
+    forms = [(v.p, form_pullback(v)) for v in verts]
+    args = [(p, F0, entry_degree_bounds(F0)) for p, F0 in forms]
+    budget = groupcalc.DEFAULT_COLUMN_BUDGET
+    want = [groupcalc._column_candidates(*a, budget) for a in args]
+    monkeypatch.setattr(groupcalc, "_BLOCK_ENTRIES", entries)
+    for a, cols in zip(args, want):
+        got = groupcalc._column_candidates(*a, budget)
+        for (g, gns), (w, wns) in zip(got, cols):
+            assert gns == wns and g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+TUBE2_BASIS = (("1", "0", "0"), ("2", "t^-3", "0"), ("0", "0", "t^-3"))
+
+
+def test_stab_exact_tube2_within_a_raised_budget():
+    # 3^15 candidates per column: over the default budget, exact within 15M
+    tube2 = canonicalize(MatrixRF.from_strings(TUBE2_BASIS, 3))
+    assert tube2.to_text() == "(0,3,3 | 2;0;0)"
+    with pytest.raises(ValueError, match="column candidate space 14348907 "
+                                         "exceeds budget 4000000"):
+        stab_exact(tube2)
+    rpt = stab_exact(tube2, column_budget=15_000_000)
+    assert (rpt.order, rpt.image_order, rpt.image_orbit_sizes) == \
+        (486, 54, (1, 1, 3, 3, 9, 9))
+    words = stab_words(tube2, ("u", "h", "alpha1", "alpha2"), 1)
+    assert set(words.elements) <= set(rpt.elements)
+
+
 def test_pulled_back_form_bar_symmetry():
     # F0* = t F0, so bar(B(c, c)) = t B(c, c) for every column c: the
     # coefficients of B(c, c) at pi^q and pi^(1-q) agree
