@@ -9,11 +9,12 @@ index = exponent.  All values are immutable; every operation is a pure
 function, so everything here is safe to share between workers.
 
 Every matrix entry in the Burau setting is a Laurent polynomial, i.e. a
-RatFunc whose denominator is a power of t.  For those the gcd is a power of
-t as well, so normalization, addition and multiplication take a t-power fast
-path that strips low zeros instead of running Euclid.  The general gcd path
-(``pgcd``, ``pdivmod``, ``pmonic``) serves only the field arithmetic of
-quotients, which the test oracles use.
+RatFunc whose denominator is a power of t.  The matrix code reads each entry
+once as its Laurent terms (minexp, coeffs) and computes on those with
+``laurent_dot``, ``laurent_valuation`` and ``laurent_pi_digits``; a RatFunc
+mod p is only the box that holds an entry.  The field arithmetic of
+``RatFunc`` and its gcd path (``pgcd``, ``pdivmod``, ``pmonic``) serve only
+the test oracles, as the reference field F_p(t).
 """
 
 from __future__ import annotations
@@ -357,11 +358,6 @@ class RatFunc:
                 raise ZeroDivisionError("rational function with zero denominator")
             if not num:
                 den = (1,)
-            elif den.count(0) == len(den) - 1:
-                # den = c*t^k: the gcd is a power of t, no Euclid needed
-                if den[-1] != 1:
-                    num = pscale(num, inv_mod(den[-1], p), p)
-                num, den = _over_t_power(num, len(den) - 1)
             else:
                 g = pgcd(num, den, p)
                 if pdeg(g) > 0:
@@ -421,12 +417,6 @@ class RatFunc:
         self._check(other)
         p = self.p
         a, b = self.den, other.den
-        if a.count(0) == len(a) - 1 and b.count(0) == len(b) - 1:
-            # both denominators are powers of t: shift to the larger one
-            j, k = len(a) - 1, len(b) - 1
-            m = max(j, k)
-            num = padd(pshift(self.num, m - j), pshift(other.num, m - k), p)
-            return RatFunc(p, *_over_t_power(num, m), self.var, normalize=False)
         num = padd(pmul(self.num, b, p), pmul(other.num, a, p), p)
         return RatFunc(p, num, pmul(a, b, p), self.var)
 
@@ -440,12 +430,8 @@ class RatFunc:
     def __mul__(self, other):
         self._check(other)
         p = self.p
-        a, b = self.den, other.den
-        if a.count(0) == len(a) - 1 and b.count(0) == len(b) - 1:
-            num = pmul(self.num, other.num, p)
-            return RatFunc(p, *_over_t_power(num, len(a) + len(b) - 2),
-                           self.var, normalize=False)
-        return RatFunc(p, pmul(self.num, other.num, p), pmul(a, b, p), self.var)
+        return RatFunc(p, pmul(self.num, other.num, p), pmul(self.den, other.den, p),
+                       self.var)
 
     def inverse(self):
         if self.is_zero():
@@ -549,21 +535,15 @@ class RatFunc:
                               render_poly(self.den, self.var))
 
 
-def _over_t_power(num, k):
-    """(num, den) of num / t^k in lowest terms, for a trimmed num and k >= 0.
-
-    The gcd is t^min(k, ord_t(num)): strip that many low zeros.
-    """
-    if not num:
-        return (), (1,)
-    z = 0
-    while z < k and not num[z]:
-        z += 1
-    return num[z:], (0,) * (k - z) + (1,)
-
-
 # ---------------------------------------------------------------------------
 # pi-adic expansion at pi = 1/t
+
+def laurent_valuation(terms):
+    """nu = -(largest exponent) of the Laurent polynomial with terms
+    (minexp, coeffs); +inf for zero."""
+    e, c = terms
+    return 1 - e - len(c) if c else INF
+
 
 def laurent_pi_digits(terms, lo, n):
     """The pi-adic digits at pi^lo .. pi^(lo+n-1), as a list of n ints, of

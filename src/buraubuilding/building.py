@@ -7,10 +7,16 @@ Lattice classes are represented by a Hermite-style canonical form: a lower
 triangular matrix with diagonal pi^(a_i), min a_i = 0, and each entry below
 the diagonal reduced to its pi-adic Laurent prefix modulo pi^(a_row).  Row
 order is fixed (no row permutations), so diagonal exponents are positional;
-``relative_position`` provides the sorted view.  ``canonicalize`` eliminates
-on pi-adic digit lists truncated modulo pi^(D+1), D = nu(det) of the basis
-scaled into O^3 (Cohen's HNF modulo D, worked over F_p[[pi]]): the lattice
-contains pi^D * O^3, so the truncation does not change the class.
+``relative_position`` provides the sorted view, read from the least
+valuations of the entries of N = M1^-1 M2, of adj(N) (its 2x2 minors) and of
+det N.  Every reader here works on the Laurent terms (minexp, coeffs) of
+the matrices (``laurent_valuation``, ``laurent_pi_digits``), and no
+rational-function arithmetic runs.
+
+``canonicalize`` eliminates on pi-adic digit lists truncated modulo
+pi^(D+1), D = nu(det) of the basis scaled into O^3 (Cohen's HNF modulo D,
+worked over F_p[[pi]]): the lattice contains pi^D * O^3, so the truncation
+does not change the class.
 ``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
 The digits are read from the Laurent terms (minexp, coeffs) that the matrix
 product has cached, the digit at pi^k being the coefficient of t^-k; a
@@ -28,7 +34,8 @@ without enumerating the link: lines move by u-bar and plane annihilators by
 adj(u-bar)^T, and each image vector is scaled by a per-p table of inverses
 mod p and read as its base-p code, which is its link index.  The module is
 pure Python; it imports no numpy.  ``conjugated_link_permutation`` is the one
-read of u-bar, from v.canon^-1 * g * v.canon: ``induced_link_permutation``
+read of u-bar, from the Laurent terms of v.canon^-1 * g * v.canon (the
+digit at pi^k being the coefficient of t^-k): ``induced_link_permutation``
 forms that conjugate from g, ``stab_words`` forms it with one inverse of
 v.canon per call, and ``stab_exact`` has it already as alpha.
 """
@@ -40,17 +47,13 @@ from typing import NamedTuple
 
 from .arith import (
     INF,
-    RatFunc,
     inv_mod,
     laurent_from_pi_digits,
     laurent_pi_digits,
+    laurent_valuation,
     render_laurent,
 )
 from .rep import MatrixRF
-
-
-def _pi(p, k):
-    return RatFunc.one(p).shift_pi(k)
 
 
 class VertexClass:
@@ -162,11 +165,9 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
 
     # homothety: make the minimum diagonal exponent 0
     mn = min(exps)
-    out = tuple(tuple(laurent_from_pi_digits(cols[j][i], -mn) for j in range(3))
-                for i in range(3))
-    canon = MatrixRF(p, tuple(tuple(RatFunc.from_laurent_terms(p, c, e)
-                                    for e, c in row) for row in out))
-    canon._terms = out
+    canon = MatrixRF.from_terms(p, tuple(
+        tuple(laurent_from_pi_digits(cols[j][i], -mn) for j in range(3))
+        for i in range(3)))
     return VertexClass(p, canon, [a - mn for a in exps])
 
 
@@ -225,20 +226,15 @@ def relative_position(v1: VertexClass, v2: VertexClass):
     """Sorted pi-elementary-divisor exponents of M1^-1 M2, normalized d1 = 0.
 
     (0,0,0) iff equal classes; adjacency iff the result is (0,0,1) or (0,1,1).
+    d1, d1 + d2 and d1 + d2 + d3 are the least valuations of the entries, of
+    the 2x2 minors and of det N; the 2x2 minors are, up to sign, the
+    entries of adj(N).
     """
     N = v1.canon.inverse() * v2.canon
-    vals = [e.valuation() for row in N.rows for e in row]
-    d1 = min(vals)
-    minors2 = []
-    rows = N.rows
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for k in range(3):
-                for l in range(k + 1, 3):
-                    m = rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k]
-                    minors2.append(m.valuation())
-    d12 = min(minors2)
-    d123 = N.det().valuation()
+    d1 = min(laurent_valuation(x) for row in N._laurent_terms() for x in row)
+    d12 = min(laurent_valuation(x) for row in N.adjugate()._laurent_terms()
+              for x in row)
+    d123 = N.det_valuation()
     e = sorted((d1, d12 - d1, d123 - d12))
     # orient so that one step down an index-p sublattice reads (0,1,1)
     e = sorted(-x for x in e)
@@ -287,16 +283,17 @@ def _pivot(vec):
     raise ValueError("zero vector")
 
 
-def _lift_columns(vecs, p):
-    """Columns for the sublattice generated by the given residue vectors and pi*L."""
+def _lift_basis(vecs):
+    """The basis, as Laurent terms, of the sublattice generated by the given
+    residue vectors and pi*L: the vectors, then pi*e_j for each j that is
+    not the pivot of one of them, as columns."""
     pivots = {_pivot(v) for v in vecs}
-    pi1 = _pi(p, 1)
-    cols = [tuple(RatFunc.const(c, p) for c in v) for v in vecs]
+    cols = [tuple((0, (c,)) if c else (0, ()) for c in v) for v in vecs]
     for j in range(3):
         if j not in pivots:
-            cols.append(tuple(pi1 if i == j else RatFunc.zero(p)
-                              for i in range(3)))
-    return cols[:3]
+            # pi = t^-1
+            cols.append(tuple((-1, (1,)) if i == j else (0, ()) for i in range(3)))
+    return tuple(zip(*cols[:3]))
 
 
 def link(v: VertexClass):
@@ -312,15 +309,10 @@ def link(v: VertexClass):
     D = sum(v.exps)
     out = []
     for pt in projective_points(p):
-        cols = _lift_columns([pt], p)
-        G = MatrixRF(p, tuple(tuple(cols[j][i] for j in range(3))
-                              for i in range(3)))
+        G = MatrixRF.from_terms(p, _lift_basis([pt]))
         out.append(LinkVertex(1, pt, canonicalize(v.canon * G, D + 2)))
     for phi in projective_points(p):
-        b1, b2 = plane_basis(phi, p)
-        cols = _lift_columns([b1, b2], p)
-        G = MatrixRF(p, tuple(tuple(cols[j][i] for j in range(3))
-                              for i in range(3)))
+        G = MatrixRF.from_terms(p, _lift_basis(plane_basis(phi, p)))
         out.append(LinkVertex(2, phi, canonicalize(v.canon * G, D + 1)))
     return out
 
@@ -410,13 +402,15 @@ def conjugated_link_permutation(h: MatrixRF) -> LinkPermutation:
     h lies in pi^k GL3(O) with k the least entry valuation, that is
     nu(det h) = 3k (checked); the permutation is read from the pi^0 digits
     of pi^-k h, the residue matrix u-bar in GL3(F_p), by
-    ``residue_link_permutation``.
+    ``residue_link_permutation``.  Both are read from the Laurent terms of
+    h: the digit of an entry at pi^k is its coefficient of t^-k.
     """
-    k = min(e.valuation() for row in h.rows for e in row)
-    if h.det().valuation() != 3 * k:
+    t = h._laurent_terms()
+    k = min(laurent_valuation(x) for row in t for x in row)
+    if h.det_valuation() != 3 * k:
         raise AssertionError("conjugated stabilizer element is not in "
                              "pi^k GL3(O)")
-    u = [[e.shift_pi(-k).residue() for e in row] for row in h.rows]
+    u = [[laurent_pi_digits(x, k, 1)[0] for x in row] for row in t]
     return residue_link_permutation(u, h.p)
 
 

@@ -18,15 +18,14 @@ import time
 from typing import NamedTuple
 
 from . import __version__
-from .arith import check_prime, parse_laurent
-from .rep import (MatrixRF, is_homothety, letter_matrix,
-                  order_mod_homothety, parse_word, word_evaluate,
-                  word_evaluate_integral, named_word)
+from .arith import check_prime
+from .rep import (MatrixRF, letter_matrix, order_mod_homothety, parse_word,
+                  word_evaluate, word_evaluate_integral)
 from .building import (VertexClass, canonicalize, identity_vertex,
                        is_adjacent, link, link_dot)
-from .groupcalc import (RELATION_FAMILIES, orbit_classify, stab_exact,
-                        stab_identity_exact, stab_words, tube_pattern_check,
-                        verify_relations)
+from .groupcalc import (RELATION_FAMILIES, kernel_witness_check,
+                        orbit_classify, stab_exact, stab_identity_exact,
+                        stab_words, tube_pattern_check, verify_relations)
 
 CACHE_ENV = "BURAUBUILDING_CACHE_DIR"
 # part of every cache key: bump it whenever a change alters cached results,
@@ -165,11 +164,7 @@ def parse_vertex_spec(text: str, p: int) -> VertexClass:
     if text == "I":
         return identity_vertex(p)
     if text.startswith("["):
-        rows = _matrix_literal(text)
-        m = MatrixRF(p, tuple(
-            tuple(parse_laurent(str(e), p, "t").to_ratfunc() for e in row)
-            for row in rows))
-        return canonicalize(m)
+        return canonicalize(MatrixRF.from_strings(_matrix_literal(text), p))
     return canonicalize(word_evaluate(parse_word(text), p))
 
 
@@ -289,22 +284,19 @@ def cmd_witness(config: RunConfig, mod_only: bool, integral_only: bool) -> Claim
     if config.prime != 3:
         raise ValueError("the kernel witness is defined at p = 3 only")
     t0 = time.time()
-    word = named_word("kernel_word")
-    data = {"letters": len(word)}
+    rpt = kernel_witness_check()
+    data = {"letters": len(rpt.relator)}
     ok = True
     if not integral_only:
-        m3 = word_evaluate(word, 3)
-        hom = is_homothety(m3) is not None
-        data["homothetyMod3"] = hom
-        ok = ok and hom
+        data["homothetyMod3"] = rpt.holds_mod_p
+        ok = ok and rpt.holds_mod_p
     if not mod_only:
-        mi = word_evaluate_integral(word)
-        hom_i = is_homothety(mi) is not None
-        data["homothetyIntegral"] = hom_i
+        mi = word_evaluate_integral(rpt.relator)
+        data["homothetyIntegral"] = rpt.holds_integrally
         data["integralEntryDegrees"] = [
             [mi[i, j].maxexp if not mi[i, j].is_zero() else None
              for j in range(3)] for i in range(3)]
-        ok = ok and not hom_i
+        ok = ok and not rpt.holds_integrally
     return ClaimResult("kernel-witness", "pass" if ok else "fail", data,
                        time.time() - t0)
 

@@ -9,12 +9,12 @@ and the tube pattern walk.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import RatFunc, check_prime, inv_mod
+from .arith import (RatFunc, check_prime, inv_mod, laurent_from_pi_digits,
+                    laurent_valuation)
 from .rep import (
     GroupWord,
     MatrixRF,
@@ -110,21 +110,17 @@ def form_pullback(v: VertexClass) -> MatrixRF:
     J has odd s-exponents, matrices over t have even ones, so M*JM is s
     times a matrix over t.  A matrix g with Laurent entries satisfies
     g*Jg = J iff alpha = M^-1 g M satisfies alpha* F alpha = F for this F.
+    On Laurent terms, dividing by s lowers each exponent by one, and t = s^2
+    halves the exponents that are left, which must all be even.
     """
-    p = v.p
     Ms = v.canon.to_s()
-    F = Ms.star() * squier_form(p) * Ms
-    s_inv = RatFunc(p, (0, 1), (1,), "s").inverse()
+    F = Ms.star() * squier_form(v.p) * Ms
     rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            e = F[i, j] * s_inv
-            if any(e.num[1::2]) or any(e.den[1::2]):
-                raise ValueError("pulled-back form entry has odd s-exponents")
-            row.append(RatFunc(p, e.num[0::2], e.den[0::2], "t"))
-        rows.append(tuple(row))
-    return MatrixRF(p, rows, "t")
+    for row in F._laurent_terms():
+        if any(c and ((e - 1) % 2 or any(c[1::2])) for e, c in row):
+            raise ValueError("pulled-back form entry has odd s-exponents")
+        rows.append(tuple(((e - 1) // 2, c[::2]) if c else (0, ()) for e, c in row))
+    return MatrixRF.from_terms(v.p, tuple(rows))
 
 
 def entry_degree_bounds(F0: MatrixRF):
@@ -137,9 +133,9 @@ def entry_degree_bounds(F0: MatrixRF):
     need not be a unit, so F0^-1 is not formed: only its valuations are
     read, nu(F0^-1[l][j]) = nu(adj(F0)[l][j]) - nu(det F0).
     """
-    adj, d = F0.adjugate(), F0.det_valuation()
-    r = [min(F0[i, k].valuation() for k in range(3)) for i in range(3)]
-    c = [min(adj[l, j].valuation() for l in range(3)) - d for j in range(3)]
+    adj, d = F0.adjugate()._laurent_terms(), F0.det_valuation()
+    r = [min(laurent_valuation(x) for x in row) for row in F0._laurent_terms()]
+    c = [min(laurent_valuation(adj[l][j]) for l in range(3)) - d for j in range(3)]
     return [[-(r[b] + c[a]) for b in range(3)] for a in range(3)]
 
 
@@ -214,10 +210,11 @@ DEFAULT_DIGIT_BOUND = 8
 DEFAULT_COLUMN_BUDGET = 4_000_000
 
 
-def _laurent_pi_coeffs(e: RatFunc):
-    """Laurent entry as {pi-exponent: coefficient}."""
-    l = e.to_laurent()
-    return {-(l.minexp + i): c for i, c in enumerate(l.coeffs) if c}
+def _laurent_pi_coeffs(terms):
+    """A Laurent entry, given as its terms (minexp, coeffs), as
+    {pi-exponent: coefficient}."""
+    e, c = terms
+    return {-(e + i): a for i, a in enumerate(c) if a}
 
 
 _BLOCK_ENTRIES = 1 << 20    # entries of one block of the split form
@@ -323,7 +320,7 @@ def _column_candidates(p, F0, D, budget):
     with each distinct target F0[b][b] and returns only the solutions'
     indices, so only their digit rows are built.
     """
-    F0pi = [[_laurent_pi_coeffs(F0[a, e]) for e in range(3)] for a in range(3)]
+    F0pi = [[_laurent_pi_coeffs(x) for x in row] for row in F0._laurent_terms()]
     exps = [q for row in F0pi for d in row for q in d]
     dmax = max(max(row) for row in D)
     lo = min(exps) - dmax
@@ -348,12 +345,12 @@ def _column_candidates(p, F0, D, budget):
     return out
 
 
-def _digits_to_ratfuncs(row, ns, p):
-    """One digit row back to a column of three RatFunc entries."""
+def _digits_to_terms(row, ns):
+    """One digit row back to a column of three entries' Laurent terms."""
     out = []
     pos = 0
     for n in ns:
-        out.append(RatFunc.from_pi_digits([int(d) for d in row[pos:pos + n]], 0, p))
+        out.append(laurent_from_pi_digits([int(d) for d in row[pos:pos + n]], 0))
         pos += n
     return tuple(out)
 
@@ -366,7 +363,7 @@ def _linear_pair_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
     target entry.  B(u, w) = sum_e g_e w_e with g_e = sum_a bar(u_a) F0[a][e],
     so for a fixed u the constraint is linear in the digits of w.  Since
     bar(pi^k) = pi^-k, the pi-coefficients of g_e are an integer convolution
-    of u's digits with those of F0: no rational function is formed.
+    of u's digits with those of F0: no matrix is formed.
     """
     g = [{}, {}, {}]
     digits = iter(fixed_row.tolist())
@@ -435,8 +432,8 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     B(c_e, c_b) = F0[e][b] follow from B(c_b, c_e) = F0[b][e], so each
     cross constraint is imposed once.
 
-    Candidates are chosen on integer digits before any rational function is
-    built:
+    Candidates are chosen on integer digits before any matrix is built,
+    from the survivors' Laurent terms:
     - one sign per class: for odd p only first-column digit rows whose first
       nonzero digit lies in 1..(p-1)/2 are kept, so exactly one of +-alpha
       (at p = 2 they are equal); the zero column is never in GL3(O);
@@ -448,14 +445,14 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     """
     p = v.p
     F0 = form_pullback(v)
-    if F0.star() != F0.scale(RatFunc.one(p, F0.var).shift_pi(-1)):
+    if F0.star() != F0.scale(RatFunc.from_laurent_terms(p, (1,), 1)):
         raise AssertionError("pulled-back form fails F0* = t F0")
     D = entry_degree_bounds(F0)
     if max(max(row) for row in D) > digit_bound:
         raise ValueError("entry degree bound %d exceeds digit bound %d"
                          % (max(max(row) for row in D), digit_bound))
     digsets = _column_candidates(p, F0, D, column_budget)
-    F0pi = [[_laurent_pi_coeffs(F0[a, e]) for e in range(3)] for a in range(3)]
+    F0pi = [[_laurent_pi_coeffs(x) for x in row] for row in F0._laurent_terms()]
 
     # chain the cross constraints B(c_b, c_e) = F0[b][e], smallest column
     # first; the reversed constraint is implied since F0* = t F0
@@ -484,12 +481,11 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                                         F0pi[b1][b2])
             mask2 &= (res2a @ cross) % p != 0
             for row2 in digs2a[mask2]:
-                bycol = {b0: _digits_to_ratfuncs(row0, ns0, p),
-                         b1: _digits_to_ratfuncs(row1, ns1, p),
-                         b2: _digits_to_ratfuncs(row2, ns2, p)}
-                alpha = MatrixRF(p, tuple(tuple(bycol[col][row]
-                                                for col in range(3))
-                                          for row in range(3)))
+                bycol = {b0: _digits_to_terms(row0, ns0),
+                         b1: _digits_to_terms(row1, ns1),
+                         b2: _digits_to_terms(row2, ns2)}
+                alpha = MatrixRF.from_terms(p, tuple(zip(bycol[0], bycol[1],
+                                                         bycol[2])))
                 # alpha is in GL3(O): the read checks nu(det alpha) = 0
                 perm = conjugated_link_permutation(alpha).perm
                 if alpha.star() * F0 * alpha != F0:
@@ -660,21 +656,6 @@ def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
     return seen
 
 
-# a depth-6 BFS over x, y, u and their inverses holds at most
-# 1 + 6 * (1 + 5 + ... + 5^5) vertices, so a budget this large never trips
-XYU_ORBIT_BOUND = 1 + 6 * sum(5 ** d for d in range(6))
-
-
-@lru_cache(maxsize=None)
-def xyu_orbit(start: VertexClass) -> frozenset:
-    """The <x, y, u>-orbit of start to depth 6, computed once per vertex.
-
-    Deep enough to cover the radius-2 ball around [I]; the anchors of
-    ``orbit_classify`` ask for the orbits of [I] and the n-point repeatedly.
-    """
-    return frozenset(orbit_bfs(start, ("x", "y", "u"), 6))
-
-
 def ball(p: int, radius: int):
     """All vertices within the given link-distance of the identity vertex."""
     I = identity_vertex(p)
@@ -739,19 +720,12 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
             complete = False
             return {rep}
 
-    # the depth-6 <x, y, u>-orbits of [I] and the n-point are memoized; a
-    # BFS that cannot trip its budget returns the same set
-    memoized = (tuple(gens) == ("x", "y", "u") and orbit_depth == 6
-                and budget >= XYU_ORBIT_BOUND)
     orbit_entries = []
     assigned = {}
     for label, rep in anchors:
         if rep not in B:
             continue
-        if memoized and label in ("group-point", "n-point"):
-            orb = xyu_orbit(rep)
-        else:
-            orb = orbit(rep)
+        orb = orbit(rep)
         members = [w for w in B if w in orb and w not in assigned]
         for w in members:
             assigned[w] = label

@@ -4,11 +4,14 @@ orders, and the named constant matrices u, h, u1, alpha_k, beta2, M19 and
 the kernel witness word.
 
 ``MatrixRF`` is the one 3x3 matrix type: RatFunc entries mod p, or
-LaurentPoly entries over Z[t, 1/t] when ``p`` is None.  Its product, its
-determinant and the canonical forms of ``building`` need Laurent entries,
-and refuse any other: each matrix is read once as (minexp, coeffs) per
-entry, and each output entry is one integer convolution, reduced mod p
-once, trimmed and built in normal form directly, for both rings alike.
+LaurentPoly entries over Z[t, 1/t] when ``p`` is None.  Every entry must be
+a Laurent polynomial.  Each matrix is read once as its Laurent terms
+(minexp, coeffs) per entry, and every operation works on those: the
+product, the cofactors behind ``det``, ``adjugate`` and ``inverse``,
+``scale``, ``star`` and ``to_s``.  Each output entry is one integer
+convolution (``laurent_dot``), reduced mod p once and trimmed, and
+``from_terms`` builds it in normal form directly, for both rings alike, and
+caches the terms for the next product.  No RatFunc field arithmetic runs.
 
 Convention: several reduced-Burau conventions circulate, differing by
 transpose, inversion and t <-> 1/t.  The convention fixed here is the one
@@ -28,8 +31,8 @@ from .arith import (
     RatFunc,
     check_prime,
     laurent_dot,
+    laurent_valuation,
     parse_laurent,
-    ptrim,
 )
 
 
@@ -60,6 +63,17 @@ class MatrixRF:
         return cls(p, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), var)
 
     @classmethod
+    def from_terms(cls, p, terms, var="t"):
+        """The matrix whose entries have the given Laurent terms: a tuple of
+        three rows of (minexp, coeffs), reduced mod p and trimmed at both
+        ends as ``laurent_dot`` returns them.  The terms are cached."""
+        entry = _entry_type(p)
+        out = cls(p, tuple(tuple(entry(p, c, e, var) for e, c in row)
+                           for row in terms), var)
+        out._terms = terms
+        return out
+
+    @classmethod
     def from_strings(cls, rows, p, var="t"):
         def entry(text):
             e = parse_laurent(text, p, var)
@@ -79,21 +93,16 @@ class MatrixRF:
 
         Each output entry is ``laurent_dot`` of a row and a column (see
         ``_laurent_terms``): its at most three nonzero term products added
-        into one integer list, reduced mod p once and trimmed at both ends,
-        then built in normal form directly, a RatFunc over t^k mod p or a
-        LaurentPoly over Z.
+        into one integer list, reduced mod p once and trimmed at both ends.
         """
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
         a, b = self._laurent_terms(), other._laurent_terms()
-        p, var = self.p, self.var
+        p = self.p
         cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
-        terms = tuple(tuple(laurent_dot(r, col, p) for col in cols) for r in a)
-        entry = LaurentPoly if p is None else RatFunc.from_laurent_terms
-        out = MatrixRF(p, tuple(tuple(entry(p, c, e, var) for e, c in row)
-                                for row in terms), var)
-        out._terms = terms
-        return out
+        return MatrixRF.from_terms(
+            p, tuple(tuple(laurent_dot(r, col, p) for col in cols) for r in a),
+            self.var)
 
     def _laurent_terms(self):
         """Every entry as (minexp, coeffs), trimmed at both ends, read once
@@ -106,60 +115,51 @@ class MatrixRF:
             self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
         return self._terms
 
-    def __add__(self, other):
-        return MatrixRF(self.p, tuple(tuple(a + b for a, b in zip(r, s))
-                                      for r, s in zip(self.rows, other.rows)), self.var)
+    def _cofactors(self, i):
+        """The cofactors of row i as Laurent terms, each one ``laurent_dot``:
+        with indices mod 3, cof(i, j) = a[i+1][j+1] a[i+2][j+2] -
+        a[i+1][j+2] a[i+2][j+1], the subtracted term negated."""
+        t, p = self._laurent_terms(), self.p
+        b, c = t[(i + 1) % 3], t[(i + 2) % 3]
+        return tuple(laurent_dot((b[(j + 1) % 3], _neg(b[(j + 2) % 3], p)),
+                                 (c[(j + 2) % 3], c[(j + 1) % 3]), p)
+                     for j in range(3))
 
-    def __sub__(self, other):
-        return MatrixRF(self.p, tuple(tuple(a - b for a, b in zip(r, s))
-                                      for r, s in zip(self.rows, other.rows)), self.var)
-
-    def __neg__(self):
-        return self.entry_map(lambda e: -e)
-
-    def scale(self, c: RatFunc):
-        return self.entry_map(lambda e: e * c)
+    def _det_terms(self):
+        """det as Laurent terms: row 0 dotted with its cofactors."""
+        return laurent_dot(self._laurent_terms()[0], self._cofactors(0), self.p)
 
     def det(self):
-        """The expansion along row 0 on the entries' Laurent terms (see
-        ``_laurent_terms``): each 2x2 minor and the expansion itself is one
-        ``laurent_dot``, with the subtracted terms negated."""
-        t = self._laurent_terms()
-        p, b, c = self.p, t[1], t[2]
-
-        def neg(x):
-            return x[0], tuple(-a if p is None else -a % p for a in x[1])
-
-        def minor(j, k):
-            return laurent_dot((b[j], neg(b[k])), (c[k], c[j]), p)
-
-        e, coeffs = laurent_dot(t[0], (minor(1, 2), neg(minor(0, 2)), minor(0, 1)), p)
-        entry = LaurentPoly if p is None else RatFunc.from_laurent_terms
-        return entry(p, coeffs, e, self.var)
+        e, c = self._det_terms()
+        return _entry_type(self.p)(self.p, c, e, self.var)
 
     def det_valuation(self):
         """nu(det), computed once per matrix; +inf for a singular matrix."""
         if self._det_valuation is None:
-            self._det_valuation = self.det().valuation()
+            self._det_valuation = laurent_valuation(self._det_terms())
         return self._det_valuation
 
     def adjugate(self):
-        r = self.rows
-
-        def cof(i, j):
-            sub = [[r[a][b] for b in range(3) if b != j] for a in range(3) if a != i]
-            m = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            return -m if (i + j) % 2 else m
-
-        return MatrixRF(self.p, tuple(tuple(cof(j, i) for j in range(3))
-                                      for i in range(3)), self.var)
+        """adj[j][i] = cof(i, j)."""
+        return MatrixRF.from_terms(
+            self.p, tuple(zip(*(self._cofactors(i) for i in range(3)))), self.var)
 
     def inverse(self):
         """adj / det; the determinant must be a unit c*t^k (c = +-1 over Z),
         else ZeroDivisionError, as ``LaurentPoly.inverse`` refuses it."""
-        d = self.det().laurent_terms()
-        dinv = LaurentPoly(self.p, d[1], d[0], self.var).inverse()
-        return self.adjugate().scale(dinv if self.p is None else dinv.to_ratfunc())
+        e, c = self._det_terms()
+        return self.adjugate().scale(LaurentPoly(self.p, c, e, self.var).inverse())
+
+    def scale(self, c):
+        """c times every entry, for a Laurent scalar c of the same ring."""
+        if c.p != self.p or c.var != self.var:
+            raise ValueError("scalar modulus/variable mismatch")
+        x, p = c.laurent_terms(), self.p
+        if x is None:
+            raise ValueError("scalar is not a Laurent polynomial")
+        return MatrixRF.from_terms(
+            p, tuple(tuple(laurent_dot((a,), (x,), p) for a in row)
+                     for row in self._laurent_terms()), self.var)
 
     def reduce_mod(self, p):
         """The image mod p of a matrix over Z[t, 1/t]."""
@@ -171,15 +171,20 @@ class MatrixRF:
                                       for i in range(3)), self.var)
 
     def star(self):
-        """Bar involution entrywise, then transpose: (a_ij)* = bar(a_ji)."""
-        return self.transpose().entry_map(lambda e: e.involution())
+        """Bar involution entrywise, then transpose: (a_ij)* = bar(a_ji).
+        bar sends t^k to t^-k, so it reverses each coefficient tuple."""
+        t = self._laurent_terms()
+        return MatrixRF.from_terms(
+            self.p, tuple(tuple((1 - e - len(c), c[::-1]) if c else (0, ())
+                                for e, c in col) for col in zip(*t)), self.var)
 
     def to_s(self):
-        """Substitute t = s^2 in every entry."""
+        """Substitute t = s^2 in every entry: each exponent doubles."""
         if self.var != "t":
             raise ValueError("matrix already in the s-ring")
-        return MatrixRF(self.p, tuple(tuple(_rat_to_s(e) for e in row)
-                                      for row in self.rows), "s")
+        return MatrixRF.from_terms(
+            self.p, tuple(tuple((2 * e, _stretch(c)) for e, c in row)
+                          for row in self._laurent_terms()), "s")
 
     def __pow__(self, n):
         if n < 0:
@@ -208,15 +213,24 @@ class MatrixRF:
         return "MatrixRF(p=%s, %s)" % (self.p, self)
 
 
+def _entry_type(p):
+    """The constructor (p, coeffs, minexp, var) of an entry with those Laurent
+    terms in normal form: LaurentPoly over Z (p None), a RatFunc over a
+    power of t mod p."""
+    return LaurentPoly if p is None else RatFunc.from_laurent_terms
+
+
+def _neg(x, p):
+    """-x on Laurent terms."""
+    return x[0], tuple(-a if p is None else -a % p for a in x[1])
+
+
 def _stretch(coeffs):
-    out = []
-    for c in coeffs:
-        out.extend((c, 0))
-    return ptrim(out)
-
-
-def _rat_to_s(x: RatFunc) -> RatFunc:
-    return RatFunc(x.p, _stretch(x.num), _stretch(x.den), "s", normalize=False)
+    """The coefficients of f(t^2) from those of f: a zero after each but
+    the last."""
+    out = [0] * (2 * len(coeffs) - 1)
+    out[::2] = coeffs
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +293,8 @@ def convention_survey(p: int):
                 if inv:
                     gens = [g.inverse() for g in gens]
                 if flip:
-                    gens = [g.entry_map(lambda e: e.involution()) for g in gens]
+                    # t -> 1/t entrywise is star without the transpose
+                    gens = [g.star().transpose() for g in gens]
                 out[(trans, inv, flip)] = all(is_unitary(g) for g in gens)
     return out
 

@@ -24,12 +24,12 @@ from buraubuilding.groupcalc import (
     _relator_word,
     kernel_witness_check,
     n_point_base,
+    orbit_bfs,
     seven_star,
     stab_exact,
     stab_identity_exact,
     tube_pattern_check,
     verify_relations,
-    xyu_orbit,
 )
 from buraubuilding.rep import (
     MatrixRF,
@@ -58,7 +58,7 @@ def report(n, name, ok, elapsed, limit):
 @pytest.fixture(scope="module")
 def group_orbit():
     # the <x, y, u>-orbit of [I], deep enough to cover the radius-2 ball
-    return xyu_orbit(identity_vertex(3))
+    return orbit_bfs(identity_vertex(3), ("x", "y", "u"), 6)
 
 
 @pytest.fixture(scope="module")

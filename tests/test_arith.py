@@ -116,9 +116,10 @@ def fields(x):
     return (x.num, x.den)
 
 
-def test_laurent_fast_path_matches_general_path():
-    # Laurent operands take the t-power path; LaurentPoly arithmetic and the
-    # gcd normalization of a disguised quotient are the references
+def test_ratfunc_field_arithmetic_matches_laurent_arithmetic():
+    # RatFunc arithmetic, the reference field of the test oracles, on
+    # Laurent operands: LaurentPoly arithmetic and the gcd normalization of
+    # a disguised quotient are the references
     rng = random.Random(3)
     for p in (2, 3, 5, 7):
         for _ in range(150):

@@ -224,9 +224,10 @@ def test_laurent_pi_digits_match_pi_digits():
 
 
 def test_a_non_laurent_entry_is_refused():
-    # the product, the determinant and the canonical form read every entry
-    # as Laurent terms; one entry whose denominator is not a power of t is
-    # refused by each of them, whether or not canonicalize is given nu(det)
+    # every matrix operation and the canonical form read every entry as
+    # Laurent terms; one entry whose denominator is not a power of t is
+    # refused by each of them, whether or not canonicalize is given nu(det),
+    # and so is such an entry as the scalar of scale
     rng = random.Random(20261104)
     for p in (2, 3, 5, 7):
         gens = [letter_matrix(a, p) for a in ("s1", "s2", "x", "y")]
@@ -239,7 +240,10 @@ def test_a_non_laurent_entry_is_refused():
             rows[i][j] = rows[i][j] + RatFunc(p, (1,), (rng.randrange(1, p), 1))
             M = MatrixRF(p, rows)
             d = g.det_valuation() + sum(v.exps)
+            one = RatFunc.one(p)
             for op in (lambda: M * g, lambda: g * M, M.det, M.det_valuation,
+                       M.adjugate, M.inverse, lambda: M.scale(one), M.star,
+                       M.to_s, lambda: g.scale(rows[i][j]),
                        lambda: canonicalize(M), lambda: canonicalize(M, d)):
                 with pytest.raises(ValueError, match="not a Laurent polynomial"):
                     op()
@@ -317,6 +321,40 @@ def test_relative_position_reflexive():
             continue
         v = canonicalize(m)
         assert relative_position(v, v) == (0, 0, 0)
+
+
+def relative_position_oracle(v1, v2):
+    """Sorted pi-elementary-divisor exponents of N = M1^-1 M2 from the
+    least valuations of its entries, of its 2x2 minors, each formed over
+    RatFunc in four nested loops, and of det N."""
+    N = v1.canon.inverse() * v2.canon
+    rows = N.rows
+    d1 = min(e.valuation() for row in rows for e in row)
+    minors2 = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for k in range(3):
+                for l in range(k + 1, 3):
+                    m = rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k]
+                    minors2.append(m.valuation())
+    d12 = min(minors2)
+    d123 = N.det().valuation()
+    e = sorted(-x for x in (d1, d12 - d1, d123 - d12))
+    return tuple(x - e[0] for x in e)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_relative_position_matches_minor_oracle(p):
+    # d12 is read from the entries of adj(N), which are the 2x2 minors of N
+    # up to sign; every pair of the radius-1 ball must agree
+    verts = sorted(ball(p, 1), key=lambda v: v.sort_key())
+    seen = set()
+    for v1, v2 in itertools.combinations_with_replacement(verts, 2):
+        got = relative_position(v1, v2)
+        assert got == relative_position_oracle(v1, v2), (v1, v2)
+        seen.add(got)
+    # two link vertices may lie at distance 2, in any of three positions
+    assert seen == {(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 0, 2), (0, 1, 2), (0, 2, 2)}
 
 
 def test_adjacency_symmetric():

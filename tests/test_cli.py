@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from buraubuilding import cli
+from buraubuilding import arith, cli, rep
 from buraubuilding.cli import (
     build_config,
     dumps,
@@ -238,6 +238,8 @@ def test_presentation_export(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["witness"], "9427b5f4478f9dfd"),
+    (["witness", "--mod-only"], "cf81c37e30c3c344"),
+    (["witness", "--integral-only"], "8fa58c7e867fbd90"),
     (["verify"], "180306f50215daae"),
     (["presentation-export"], "603def1405b3501a"),
     (["stab-identity", "--p", "3"], "5cd065bde8b8f8a3"),
@@ -250,8 +252,8 @@ def test_presentation_export(capsys):
      "b260d926e5dc5bb2"),
     (["explore", "--p", "5", "--radius", "1", "--gens", "x"],
      "3c041fe0b709f08c"),
-], ids=["witness", "verify", "presentation-export", "stab-identity-p3",
-        "stab-M19", "stab-7star", "stab-I", "link-I", "explore-p2-r2-xy",
+], ids=["witness", "witness-mod-only", "witness-integral-only", "verify",
+        "presentation-export", "stab-identity-p3", "stab-M19", "stab-7star", "stab-I", "link-I", "explore-p2-r2-xy",
         "explore-p5-r1-x"])
 def test_json_output_golden(argv, digest, capsys, tmp_path):
     # refactors must keep every claim's JSON byte-identical; the first five
@@ -260,11 +262,52 @@ def test_json_output_golden(argv, digest, capsys, tmp_path):
     # modulo pi^(D+1), stab-7star and stab-I before the column enumeration of
     # stab_exact took one half-window pass per digit profile; stab-identity-p3
     # was re-pinned when stab_identity_exact became stab_exact at [I], which
-    # changed only its "bounds"
+    # changed only its "bounds"; the two witness forms were pinned before
+    # the witness command took its verdicts from kernel_witness_check
     cache = tmp_path if argv[0] == "explore" else None
     d = json.loads(run(argv + ["--json"], capsys, cache_dir=cache))
     d.pop("elapsed")
     assert hashlib.sha256(dumps(d).encode()).hexdigest()[:16] == digest
+
+
+# RatFunc field arithmetic and the gcd it normalizes with; no claim needs
+# them, since every matrix operation works on Laurent terms
+RATFUNC_ARITHMETIC = ("__add__", "__sub__", "__mul__", "__neg__", "inverse",
+                      "__truediv__", "__pow__", "involution", "shift_pi")
+
+
+def test_claims_run_without_ratfunc_arithmetic(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("RatFunc arithmetic reached")
+
+    for name in RATFUNC_ARITHMETIC:
+        monkeypatch.setattr(arith.RatFunc, name, refuse)
+    monkeypatch.setattr(arith, "pgcd", refuse)
+    # the letter matrices and their inverses are built again under the patch
+    for cached in (rep.burau_generator, rep.letter_matrix, rep._letter_inverse,
+                   rep.squier_form):
+        cached.cache_clear()
+    seven = "[[1,0,0],[2,t^-2,0],[0,0,t^-2]]"
+    claims = [
+        (["stab", "--vertex", seven], 0, "79ad6b39952751e9"),
+        (["stab", "--vertex", "M19"], 0, "889ad74bdb1ddd0a"),
+        (["stab", "--vertex", "I"], 0, "af8a3e004b07e811"),
+        (["stab", "--vertex", seven, "--method", "words"], 1, "9994d04547ad18dd"),
+        (["stab", "--vertex", "M19", "--method", "words"], 1, "4f381fe9fc482703"),
+        (["stab", "--vertex", "I", "--method", "words"], 1, "29deadfd55d40f7b"),
+        (["stab-identity", "--p", "2"], 0, "e485a706db7b5718"),
+        (["link", "--vertex", "I"], 0, "f1551c1aa0ac9a15"),
+        (["witness"], 0, "9427b5f4478f9dfd"),
+        (["verify"], 0, "180306f50215daae"),
+        (["presentation-export"], 0, "603def1405b3501a"),
+        (["explore", "--p", "2", "--radius", "2", "--gens", "x,y"], 0,
+         "b260d926e5dc5bb2"),
+    ]
+    for argv, code, digest in claims:
+        cache = tmp_path if argv[0] == "explore" else None
+        d = json.loads(run(argv + ["--json"], capsys, cache_dir=cache, expect=code))
+        d.pop("elapsed")
+        assert hashlib.sha256(dumps(d).encode()).hexdigest()[:16] == digest, argv
 
 
 def test_explore_cache_round_trip(tmp_path, capsys):

@@ -182,7 +182,7 @@ def test_column_enumeration_matches_dense_oracle():
     for v in verts:
         F0 = form_pullback(v)
         D = entry_degree_bounds(F0)
-        F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e]) for e in range(3)]
+        F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e].laurent_terms()) for e in range(3)]
                 for a in range(3)]
         exps = [q for row in F0pi for d in row for q in d]
         dmax = max(max(row) for row in D)
@@ -197,7 +197,7 @@ def test_column_enumeration_matches_dense_oracle():
 
 
 def _assert_columns_match_oracle(p, F0, D, budget=groupcalc.DEFAULT_COLUMN_BUDGET):
-    F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e]) for e in range(3)]
+    F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e].laurent_terms()) for e in range(3)]
             for a in range(3)]
     exps = [q for row in F0pi for d in row for q in d]
     dmax = max(max(row) for row in D)
@@ -283,7 +283,7 @@ def test_pulled_back_form_bar_symmetry():
         t = RatFunc.one(p).shift_pi(-1)
         assert F0.star() == F0.scale(t), v.to_text()
         exps = {q for a in range(3) for e in range(3)
-                for q in groupcalc._laurent_pi_coeffs(F0[a, e])}
+                for q in groupcalc._laurent_pi_coeffs(F0[a, e].laurent_terms())}
         assert exps == {1 - q for q in exps}
         for _ in range(3):
             c = [RatFunc.from_pi_digits([rng.randrange(p) for _ in range(4)],
@@ -293,7 +293,7 @@ def test_pulled_back_form_bar_symmetry():
                 for e in range(3):
                     B = B + c[a].involution() * F0[a, e] * c[e]
             assert B.involution() == B * t
-            coeffs = groupcalc._laurent_pi_coeffs(B)
+            coeffs = groupcalc._laurent_pi_coeffs(B.laurent_terms())
             assert all(coeffs.get(1 - q) == f for q, f in coeffs.items())
 
 
@@ -320,8 +320,8 @@ def linear_pair_filter_oracle(p, F0, fixed_col, digs, ns, target_entry):
         for a in range(3):
             if not fixed_col[a].is_zero() and not F0[a, e].is_zero():
                 acc = acc + fixed_col[a].involution() * F0[a, e]
-        g.append(lpc(acc))
-    tgt = lpc(target_entry)
+        g.append(lpc(acc.laurent_terms()))
+    tgt = lpc(target_entry.laurent_terms())
     exps = [q for d in g for q in d]
     if not exps:
         ok = not tgt
@@ -360,7 +360,8 @@ def test_integer_pair_filter_matches_ratfunc_oracle(monkeypatch):
     def checked(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
         got = integer_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target)
         want = linear_pair_filter_oracle(
-            p, F0, groupcalc._digits_to_ratfuncs(fixed_row, fixed_ns, p),
+            p, F0, [RatFunc.from_laurent_terms(p, c, e) for e, c in
+                    groupcalc._digits_to_terms(fixed_row, fixed_ns)],
             digs, ns, _from_pi_coeffs(target, p))
         assert np.array_equal(got, want), (v.to_text(), fixed_row, target)
         calls.append((int(got.sum()), len(got)))
@@ -391,10 +392,9 @@ def test_residue_determinant_matches_valuation(p):
             ns = tuple(rng.choice((0, 1, 1, 2, 3)) for _ in range(3))
             row = np.array([rng.randrange(p) for _ in range(sum(ns))],
                            dtype=np.int16)
-            cols.append(groupcalc._digits_to_ratfuncs(row, ns, p))
+            cols.append(groupcalc._digits_to_terms(row, ns))
             res.append(groupcalc._residues(row[None, :], ns)[0])
-        alpha = MatrixRF(p, tuple(tuple(cols[b][a] for b in range(3))
-                                  for a in range(3)))
+        alpha = MatrixRF.from_terms(p, tuple(zip(*cols)))
         cross = np.cross(res[0], res[1]) % p
         unit = int(res[2] @ cross) % p != 0
         assert unit == (alpha.det().valuation() == 0), (alpha, res)
@@ -715,7 +715,7 @@ CLASSIFY_P3_DIGESTS = {None: "aa622c230d2a0f15", 100: "2e9235fa68c21225"}
 
 
 @pytest.mark.parametrize("budget", [None, 100])
-def test_orbit_classify_memoized_anchors_unchanged(budget):
+def test_orbit_classify_anchor_tables_unchanged(budget):
     kw = {} if budget is None else {"budget": budget}
     table = orbit_classify(3, radius=1, stab_reports=False, **kw)
     text = json.dumps(table.to_json_dict(), sort_keys=True)

@@ -336,11 +336,37 @@ def _expanded_det(m):
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
 
+def _entrywise_adjugate(m):
+    """adj[j][i] = (-1)^(i+j) times the minor of entry (i, j), the 2x2
+    submatrix left when row i and column j are deleted, in entrywise
+    arithmetic."""
+    r = m.rows
+
+    def cof(i, j):
+        sub = [[r[a][b] for b in range(3) if b != j] for a in range(3) if a != i]
+        x = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+        return -x if (i + j) % 2 else x
+
+    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
+
+
+def _entrywise_to_s(e):
+    return e.to_s_ring() if e.p is None else e.to_laurent().to_s_ring().to_ratfunc()
+
+
+def _assert_own_terms(m):
+    # the terms a kernel caches on its output are those of the entries
+    assert m._laurent_terms() == tuple(tuple(e.laurent_terms() for e in row)
+                                       for row in m.rows)
+
+
 def test_det_on_laurent_terms_matches_entrywise_expansion():
-    # all-Laurent matrices take the laurent_dot minors; the determinant must
-    # equal the entrywise expansion field for field, singular ones included
+    # all-Laurent matrices take the laurent_dot cofactors; the determinant,
+    # the adjugate, the inverse, scale, star and to_s must equal entrywise
+    # arithmetic field for field, singular matrices and zero entries included
     rng = random.Random(20261102)
-    zeros = 0
+    zeros = inverted = refused = 0
+    letters = ("s1", "s2", "s3", "x", "y")
     for p in (None, 2, 3, 5, 7, 11):
         for big in (False, True):
             for _ in range(30):
@@ -350,14 +376,50 @@ def test_det_on_laurent_terms_matches_entrywise_expansion():
                 # row 2 a combination of rows 0 and 1, and two equal rows
                 dependent = (rows[0], rows[1],
                              tuple(f * a + g * b for a, b in zip(rows[0], rows[1])))
+                word = GroupWord((rng.choice(letters), rng.choice((1, -1)))
+                                 for _ in range(rng.randint(1, 6)))
                 for mat in (m, MatrixRF(p, dependent),
-                            MatrixRF(p, (rows[0], rows[1], rows[0]))):
+                            MatrixRF(p, (rows[0], rows[1], rows[0])),
+                            word_evaluate(word, p)):
                     assert mat._laurent_terms()
                     got = mat.det()
                     assert got == _expanded_det(mat)
                     assert type(got) is (LaurentPoly if p is None else RatFunc)
                     zeros += got.is_zero()
+                    adj = mat.adjugate()
+                    assert adj.rows == _entrywise_adjugate(mat)
+                    star = mat.star()
+                    assert star.rows == tuple(tuple(mat[j, i].involution()
+                                                    for j in range(3))
+                                              for i in range(3))
+                    to_s = mat.to_s()
+                    assert to_s.var == "s"
+                    assert to_s.rows == tuple(tuple(_entrywise_to_s(e) for e in row)
+                                              for row in mat.rows)
+                    c = _laurent_entry(rng, p, "t", big)
+                    scaled = mat.scale(c)
+                    assert scaled.rows == tuple(tuple(e * c for e in row)
+                                                for row in mat.rows)
+                    for out in (adj, star, to_s, scaled):
+                        _assert_own_terms(out)
+                    terms = got.laurent_terms()
+                    if len(terms[1]) == 1 and (p is not None or terms[1][0] in (1, -1)):
+                        inv = mat.inverse()
+                        if p is None:
+                            want = tuple(tuple(e * got.inverse() for e in row)
+                                         for row in _entrywise_adjugate(mat))
+                        else:
+                            want = tuple(tuple(e / got for e in row)
+                                         for row in _entrywise_adjugate(mat))
+                        assert inv.rows == want
+                        _assert_own_terms(inv)
+                        inverted += 1
+                    else:
+                        with pytest.raises(ZeroDivisionError, match="not a unit"):
+                            mat.inverse()
+                        refused += 1
     assert zeros >= 2 * 6 * 2 * 30
+    assert inverted >= 6 * 2 * 30 and refused >= 2 * 6 * 2 * 30
 
 
 def test_det_valuation_matches_det():
