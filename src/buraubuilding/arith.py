@@ -96,10 +96,26 @@ def laurent_dot(xs, ys, p):
     each given as (minexp, coeffs) with nonzero end coefficients (in [0, p)
     mod p), in the same form: the products of nonzero pairs are added into
     one integer list, reduced mod p once (not at all over Z, p None) and
-    trimmed at both ends; (0, ()) for zero."""
+    trimmed at both ends; (0, ()) for zero.
+
+    A lone nonzero pair with a monomial c*t^k on one side is the other
+    side's coefficients times c, shifted by k (unchanged for c = 1), reduced
+    mod p: no end coefficient vanishes, since p is prime and Z has no zero
+    divisors, so nothing is trimmed."""
     products = [(x[0] + y[0], x[1], y[1]) for x, y in zip(xs, ys) if x[1] and y[1]]
     if not products:
         return 0, ()
+    if len(products) == 1:
+        e, f, g = products[0]
+        if len(f) > len(g):
+            f, g = g, f
+        if len(f) == 1:
+            c = f[0]
+            if c == 1:
+                return e, g
+            if p is None:
+                return e, tuple([c * a for a in g])
+            return e, tuple([c * a % p for a in g])
     lo = min([t[0] for t in products])
     acc = [0] * (max([e + len(f) + len(g) for e, f, g in products]) - 1 - lo)
     for e, f, g in products:

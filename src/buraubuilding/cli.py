@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import __version__
 from .arith import check_prime
 from .rep import (MatrixRF, letter_matrix, order_mod_homothety, parse_word,
-                  word_evaluate, word_evaluate_integral)
+                  word_evaluate)
 from .building import (VertexClass, canonicalize, identity_vertex,
                        is_adjacent, link, link_dot)
 from .groupcalc import (RELATION_FAMILIES, kernel_witness_check,
@@ -291,7 +291,7 @@ def cmd_witness(config: RunConfig, mod_only: bool, integral_only: bool) -> Claim
         data["homothetyMod3"] = rpt.holds_mod_p
         ok = ok and rpt.holds_mod_p
     if not mod_only:
-        mi = word_evaluate_integral(rpt.relator)
+        mi = rpt.integral
         data["homothetyIntegral"] = rpt.holds_integrally
         data["integralEntryDegrees"] = [
             [mi[i, j].maxexp if not mi[i, j].is_zero() else None

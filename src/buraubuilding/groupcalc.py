@@ -4,14 +4,15 @@ every vertex, the identity vertex included), word search, orbit
 classification outward from the identity vertex, relation verification for
 the presentation of the isometry group at p = 3, the kernel-witness check,
 and the tube pattern walk.
+
+numpy is imported only by the column enumeration of ``stab_exact`` and its
+helpers, so the claims that never call it do not load numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .arith import (RatFunc, check_prime, inv_mod, laurent_from_pi_digits,
                     laurent_valuation)
@@ -172,6 +173,7 @@ class RelationReport(NamedTuple):
     relator: object              # GroupWord
     holds_mod_p: bool
     holds_integrally: Optional[bool]   # None when the relator involves u
+    integral: Optional[MatrixRF] = None  # the relator over Z, kernel witness only
 
     def to_json_dict(self):
         return {
@@ -222,6 +224,8 @@ _BLOCK_ENTRIES = 1 << 20    # entries of one block of the split form
 
 def _digit_rows(n, p, width):
     """The base-p digits, lowest first, of each index in n: int16 rows."""
+    import numpy as np
+
     digs = np.empty((len(n), width), dtype=np.int16)
     for k in range(width):
         digs[:, k] = (n // p ** k) % p
@@ -237,6 +241,8 @@ def _form_matrices(p, F0pi, ns, qmax):
     coefficient of F0[a][e] at pi^q meet at pi^(q + m - k).  Terms that
     feed only q < 1 are skipped.
     """
+    import numpy as np
+
     total = sum(ns)
     starts = np.cumsum((0,) + ns)
     W = np.zeros((qmax, total, total), dtype=np.int64)
@@ -263,6 +269,8 @@ def _profile_solutions(p, F0pi, ns, qmax, targets):
     compared with every target before the next block.  A q with W[q - 1] = 0
     is not formed: there B(c, c) is 0 at pi^q.
     """
+    import numpy as np
+
     W = _form_matrices(p, F0pi, ns, qmax)
     live = [q for q in range(qmax) if W[q].any()]
     total = sum(ns)
@@ -365,6 +373,8 @@ def _linear_pair_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
     bar(pi^k) = pi^-k, the pi-coefficients of g_e are an integer convolution
     of u's digits with those of F0: no matrix is formed.
     """
+    import numpy as np
+
     g = [{}, {}, {}]
     digits = iter(fixed_row.tolist())
     for a in range(3):
@@ -400,6 +410,8 @@ def _linear_pair_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
 
 def _residues(digs, ns):
     """The pi^0 digit of each entry of every digit row (0 for a zero entry)."""
+    import numpy as np
+
     out = np.zeros((len(digs), 3), dtype=np.int64)
     pos = 0
     for a, n in enumerate(ns):
@@ -443,6 +455,8 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     Each element's link permutation is read from alpha, which is
     v.canon^-1 g v.canon up to a scalar, by ``conjugated_link_permutation``.
     """
+    import numpy as np
+
     p = v.p
     F0 = form_pullback(v)
     if F0.star() != F0.scale(RatFunc.from_laurent_terms(p, (1,), 1)):
@@ -826,7 +840,7 @@ def kernel_witness_check():
     return RelationReport(
         name="kernel witness (%d letters)" % len(word), relator=word,
         holds_mod_p=is_homothety(m3) is not None,
-        holds_integrally=is_homothety(mi) is not None)
+        holds_integrally=is_homothety(mi) is not None, integral=mi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ a Laurent polynomial.  Each matrix is read once as its Laurent terms
 (minexp, coeffs) per entry, and every operation works on those: the
 product, the cofactors behind ``det``, ``adjugate`` and ``inverse``,
 ``scale``, ``star`` and ``to_s``.  Each output entry is one integer
-convolution (``laurent_dot``), reduced mod p once and trimmed, and
-``from_terms`` builds it in normal form directly, for both rings alike, and
-caches the terms for the next product.  No RatFunc field arithmetic runs.
+convolution (``laurent_dot``), reduced mod p once and trimmed.
+``from_terms`` keeps only those terms, for the next operation; the entries
+are built from them, in normal form for both rings alike, on the first read
+of ``rows``, so a word evaluation builds no entry object until something
+reads one.  No RatFunc field arithmetic runs.
 
 Convention: several reduced-Burau conventions circulate, differing by
 transpose, inversion and t <-> 1/t.  The convention fixed here is the one
@@ -43,35 +45,46 @@ class MatrixRF:
     """3x3 matrix of entries sharing modulus and variable tag: RatFunc mod p,
     or LaurentPoly over Z when ``p`` is None."""
 
-    __slots__ = ("p", "var", "rows", "_det_valuation", "_terms")
+    __slots__ = ("p", "var", "_rows", "_det_valuation", "_terms", "_inverse")
 
     def __init__(self, p, rows, var="t"):
         self.p = p
         self.var = var
-        self.rows = tuple(tuple(row) for row in rows)
+        self._rows = tuple(tuple(row) for row in rows)
         self._det_valuation = None
         self._terms = None
-        for row in self.rows:
+        self._inverse = None
+        for row in self._rows:
             for e in row:
                 if e.p != p or e.var != var:
                     raise ValueError("entry modulus/variable mismatch")
 
     @classmethod
     def identity(cls, p, var="t"):
-        ring = LaurentPoly if p is None else RatFunc
-        one, zero = ring.one(p, var), ring.zero(p, var)
-        return cls(p, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), var)
+        one, zero = (0, (1,)), (0, ())
+        return cls.from_terms(
+            p, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), var)
 
     @classmethod
     def from_terms(cls, p, terms, var="t"):
         """The matrix whose entries have the given Laurent terms: a tuple of
         three rows of (minexp, coeffs), reduced mod p and trimmed at both
-        ends as ``laurent_dot`` returns them.  The terms are cached."""
-        entry = _entry_type(p)
-        out = cls(p, tuple(tuple(entry(p, c, e, var) for e, c in row)
-                           for row in terms), var)
-        out._terms = terms
+        ends as ``laurent_dot`` returns them.  Only the terms are stored;
+        the entries are built from them on the first read of ``rows``."""
+        out = cls.__new__(cls)
+        out.p, out.var, out._terms = p, var, terms
+        out._rows = out._det_valuation = out._inverse = None
         return out
+
+    @property
+    def rows(self):
+        """The entries, three rows of three; a matrix made by ``from_terms``
+        builds them in normal form on the first read."""
+        if self._rows is None:
+            entry, p, var = _entry_type(self.p), self.p, self.var
+            self._rows = tuple(tuple(entry(p, c, e, var) for e, c in row)
+                               for row in self._terms)
+        return self._rows
 
     @classmethod
     def from_strings(cls, rows, p, var="t"):
@@ -145,10 +158,14 @@ class MatrixRF:
             self.p, tuple(zip(*(self._cofactors(i) for i in range(3)))), self.var)
 
     def inverse(self):
-        """adj / det; the determinant must be a unit c*t^k (c = +-1 over Z),
-        else ZeroDivisionError, as ``LaurentPoly.inverse`` refuses it."""
-        e, c = self._det_terms()
-        return self.adjugate().scale(LaurentPoly(self.p, c, e, self.var).inverse())
+        """adj / det, computed once per matrix; the determinant must be a
+        unit c*t^k (c = +-1 over Z), else ZeroDivisionError, as
+        ``LaurentPoly.inverse`` refuses it."""
+        if self._inverse is None:
+            e, c = self._det_terms()
+            self._inverse = self.adjugate().scale(
+                LaurentPoly(self.p, c, e, self.var).inverse())
+        return self._inverse
 
     def scale(self, c):
         """c times every entry, for a Laurent scalar c of the same ring."""
@@ -308,16 +325,15 @@ class HomothetyWitness(NamedTuple):
 
 
 def is_homothety(A: MatrixRF) -> Optional[HomothetyWitness]:
-    """The scalar c*t^k iff A = c*t^k*I, else None."""
-    r = A.rows
+    """The scalar c*t^k iff A = c*t^k*I, else None; read off the Laurent
+    terms, so no entry is built."""
+    r = A._laurent_terms()
     for i in range(3):
         for j in range(3):
-            if i != j and not r[i][j].is_zero():
+            if i != j and r[i][j][1]:
                 return None
-    if not (r[0][0] == r[1][1] == r[2][2]):
-        return None
-    d = r[0][0].laurent_terms()
-    if d is None or len(d[1]) != 1:
+    d = r[0][0]
+    if len(d[1]) != 1 or not (d == r[1][1] == r[2][2]):
         return None
     return HomothetyWitness(d[1][0], d[0])
 

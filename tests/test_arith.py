@@ -8,6 +8,7 @@ from buraubuilding.arith import (
     INF,
     LaurentPoly,
     RatFunc,
+    laurent_dot,
     laurent_pi_digits,
     parse_laurent,
     pmul,
@@ -139,6 +140,38 @@ def test_ratfunc_field_arithmetic_matches_laurent_arithmetic():
                 assert fields((x * g) * g.inverse()) == fields(x)
             assert fields(x + g) == fields(g + x)
             assert fields(x * g) == fields(g * x)
+
+
+def test_laurent_dot_lone_monomial_matches_products():
+    # a dot whose one nonzero pair has a monomial c*t^k on one side takes
+    # the direct path; LaurentPoly's product (pmul) is the reference, and a
+    # second nonzero pair drives the general accumulate-and-trim loop
+    rng = random.Random(20261118)
+    zero = (0, ())
+    for p in (2, 3, 5, 7, None):
+        scalars = {1, 2, p - 1} - {0, p} if p else {1, 2, -1}
+        for c in sorted(scalars):
+            for k in (-3, -1, 0, 2):
+                mono = LaurentPoly.term(c, k, p)
+                m = mono.laurent_terms()
+                for _ in range(15):
+                    f = random_laurent(rng, p) if p else random_integral(rng)
+                    g = random_laurent(rng, p) if p else random_integral(rng)
+                    h = random_laurent(rng, p) if p else random_integral(rng)
+                    want = (mono * f).laurent_terms()
+                    x = f.laurent_terms()
+                    assert laurent_dot((m,), (x,), p) == want
+                    assert laurent_dot((x,), (m,), p) == want
+                    # zero pairs and half-zero pairs around the one nonzero pair
+                    assert laurent_dot((zero, m, g.laurent_terms()),
+                                       (h.laurent_terms(), x, zero), p) == want
+                    both = laurent_dot((m, g.laurent_terms()),
+                                       (x, h.laurent_terms()), p)
+                    assert both == (mono * f + g * h).laurent_terms()
+    for p in (2, 3, None):
+        assert laurent_dot((), (), p) == zero
+        assert laurent_dot((zero, zero), ((0, (1,)), zero), p) == zero
+        assert laurent_dot(((2, (1,)),), (zero,), p) == zero
 
 
 # -- integer coefficients (p = None) -------------------------------------------

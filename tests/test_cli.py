@@ -202,6 +202,50 @@ def test_witness_agrees_with_kernel_witness_check(capsys):
     assert d["homothetyIntegral"] == rpt.holds_integrally
 
 
+def test_witness_evaluates_the_kernel_word_once_per_ring(monkeypatch, capsys):
+    # the integral matrix of the verdict also gives the entry degrees
+    from buraubuilding import groupcalc
+    calls = []
+    for module in (groupcalc, cli):
+        for name in ("word_evaluate", "word_evaluate_integral"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, name=name, original=original):
+                    calls.append(name)
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    d = json.loads(run(["witness", "--json"], capsys))["data"]
+    assert sorted(calls) == ["word_evaluate", "word_evaluate_integral"]
+    assert len(d["integralEntryDegrees"]) == 3
+
+
+def test_only_the_column_enumeration_loads_numpy(tmp_path):
+    code = """
+import contextlib, io, sys
+from buraubuilding.cli import main
+
+def claim(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv) + ["--json"]) == 0, argv
+
+claim("explore", "--p", "2", "--radius", "1", "--gens", "x,y",
+      "--cache-dir", sys.argv[1])
+claim("link", "--vertex", "I")
+claim("verify")
+claim("witness")
+assert "numpy" not in sys.modules
+claim("stab", "--vertex", "I")
+assert "numpy" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_link_text_and_dot(capsys):
     out = run(["link", "--p", "2", "--vertex", "I"], capsys)
     assert "count: 14" in out.replace("  ", " ").replace("   ", " ") or "14" in out

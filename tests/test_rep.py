@@ -328,6 +328,66 @@ def test_laurent_product_kernel_matches_entrywise_product():
     assert trimmed["low"] > 0 and trimmed["high"] > 0
 
 
+def _eager(p, terms, var):
+    """The matrix with the given Laurent terms, its entries built up front."""
+    def entry(e, c):
+        if p is None:
+            return LaurentPoly(p, c, e, var)
+        return RatFunc.from_laurent_terms(p, c, e, var)
+
+    return MatrixRF(p, tuple(tuple(entry(e, c) for e, c in row) for row in terms),
+                    var)
+
+
+def test_product_entries_built_on_first_read_match_eager_entries():
+    # a product holds Laurent terms only; the entries its first read builds,
+    # its equality and its hash must be those of the same matrix built
+    # eagerly, whichever reader comes first
+    rng = random.Random(20261119)
+    for p in (None, 2, 3, 5, 7):
+        for var in ("t", "s"):
+            for _ in range(20):
+                a, b = (_laurent_matrix(rng, p, var, False) for _ in range(2))
+                eager = _eager(p, (a * b)._laurent_terms(), var)
+                got = a * b
+                assert got._rows is None
+                assert hash(got) == hash(eager)
+                assert got.rows == eager.rows
+                got = a * b
+                assert got == eager and eager == got
+                got = a * b
+                assert [got[i, j] for i in range(3) for j in range(3)] == \
+                    [eager[i, j] for i in range(3) for j in range(3)]
+                got = a * b
+                assert str(got) == str(eager)
+                assert got.transpose() == eager.transpose()
+
+
+def test_word_evaluation_builds_no_entries_until_read(monkeypatch):
+    rng = random.Random(20261120)
+    letters = [(name, sgn) for name in ("s1", "s2", "s3", "x", "y", "u")
+               for sgn in (1, -1)] * 2
+    rng.shuffle(letters)
+    word = GroupWord(letters)
+    assert len(word) == 24
+    word_evaluate(word, 3)      # the letter matrices and their inverses
+    built = []
+    init = RatFunc.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    m = word_evaluate(word, 3)
+    # is_homothety reads terms, not entries
+    is_homothety(m)
+    assert is_homothety(word_evaluate(parse_word("x^4"), 3)) is not None
+    assert not built
+    assert m[1, 1] == m.rows[1][1]
+    assert len(built) == 9
+
+
 def _expanded_det(m):
     """The row-0 expansion in entrywise arithmetic."""
     r = m.rows
