@@ -32,6 +32,7 @@ from .rep import (
 )
 from .building import (
     VertexClass,
+    _cross,
     apply,
     canonicalize,
     conjugated_link_permutation,
@@ -232,33 +233,33 @@ def _digit_rows(n, p, width):
     return digs
 
 
-def _form_matrices(p, F0pi, ns, qmax):
-    """W with x^T W[q - 1] x = B(c, c) at pi^q mod p, for q = 1..qmax.
+def _form_tensor(p, F0pi, ns_u, ns_w, lo, hi):
+    """T with x_u^T T[q - lo] x_w = B(u, w) at pi^q mod p, for lo <= q <= hi.
 
-    x is the digit vector of the column: entry a takes the next ns[a] digits
-    as c_a = sum_k d_k pi^k.  B(c, c) = sum_a,e bar(c_a) F0[a][e] c_e, and
-    bar(pi^k) = pi^-k, so digit k of c_a, digit m of c_e and the
-    coefficient of F0[a][e] at pi^q meet at pi^(q + m - k).  Terms that
-    feed only q < 1 are skipped.
+    x_u is the digit vector of the column u: entry a takes the next ns_u[a]
+    digits as u_a = sum_k d_k pi^k; likewise x_w for w.  B(u, w) =
+    sum_a,e bar(u_a) F0[a][e] w_e, and bar(pi^k) = pi^-k, so digit k of u_a,
+    digit m of w_e and the coefficient of F0[a][e] at pi^q meet at
+    pi^(q + m - k).  Terms that land outside [lo, hi] are skipped.
     """
     import numpy as np
 
-    total = sum(ns)
-    starts = np.cumsum((0,) + ns)
-    W = np.zeros((qmax, total, total), dtype=np.int64)
+    su, sw = np.cumsum((0,) + ns_u), np.cumsum((0,) + ns_w)
+    T = np.zeros((hi - lo + 1, sum(ns_u), sum(ns_w)), dtype=np.int64)
     for a in range(3):
         for e in range(3):
             for q, f in F0pi[a][e].items():
-                for k in range(ns[a]):
-                    for m in range(ns[e]):
-                        if q + m - k >= 1:
-                            W[q + m - k - 1, starts[a] + k, starts[e] + m] += f
-    return W % p
+                for k in range(ns_u[a]):
+                    for m in range(ns_w[e]):
+                        if lo <= q + m - k <= hi:
+                            T[q + m - k - lo, su[a] + k, sw[e] + m] += f
+    return T % p
 
 
 def _profile_solutions(p, F0pi, ns, qmax, targets):
     """Indices n < p^total, ascending, of the digit vectors x with
-    x^T W[q - 1] x = t[q - 1] mod p at q = 1..qmax, one array per target t.
+    x^T W[q - 1] x = t[q - 1] mod p at q = 1..qmax, one array per target t,
+    where W is ``_form_tensor`` of the column with itself over [1, qmax].
 
     Row n holds the base-p digits of n, lowest first, so n = nl + p^l nh
     splits x into its low half xl (l digits) and its high half xh, and
@@ -271,7 +272,7 @@ def _profile_solutions(p, F0pi, ns, qmax, targets):
     """
     import numpy as np
 
-    W = _form_matrices(p, F0pi, ns, qmax)
+    W = _form_tensor(p, F0pi, ns, ns, 1, qmax)
     live = [q for q in range(qmax) if W[q].any()]
     total = sum(ns)
     l = total // 2
@@ -363,49 +364,40 @@ def _digits_to_terms(row, ns):
     return tuple(out)
 
 
-def _linear_pair_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
-    """Mask of candidate columns w with B(u, w) = target.
+def _pair_form(p, F0pi, ns_u, ns_w, target):
+    """The constraint B(u, w) = target on columns u, w with digit counts
+    ns_u, ns_w: ``_form_tensor`` over the window of pi-exponents that
+    B(u, w) can reach and the target's coefficient vector on that window,
+    or None when the target has a coefficient outside it."""
+    import numpy as np
 
-    u is the fixed column, given by its digit row with digit counts
-    fixed_ns; F0pi and target are pi-coefficient dicts of F0 and of the
-    target entry.  B(u, w) = sum_e g_e w_e with g_e = sum_a bar(u_a) F0[a][e],
-    so for a fixed u the constraint is linear in the digits of w.  Since
-    bar(pi^k) = pi^-k, the pi-coefficients of g_e are an integer convolution
-    of u's digits with those of F0: no matrix is formed.
+    exps = [q for row in F0pi for d in row for q in d]
+    lo = min(exps) - (max(ns_u) - 1)
+    hi = max(exps) + (max(ns_w) - 1)
+    if any(q < lo or q > hi for q in target):
+        return None
+    tvec = np.zeros(hi - lo + 1, dtype=np.int64)
+    for q, f in target.items():
+        tvec[q - lo] = f
+    return _form_tensor(p, F0pi, ns_u, ns_w, lo, hi), tvec
+
+
+def _linear_pair_filter(p, form, fixed_row, digs):
+    """Mask of the candidate columns w, rows of digs, with B(u, w) = target
+    for the fixed column u, given by its digit row, and form = (T, target
+    vector) of ``_pair_form``; a form of None refuses every w.
+
+    For a fixed u the constraint is linear in the digits of w: L = x_u^T T
+    mod p, and one int64 product digs L^T gives every coefficient of the
+    window.  Each sum has one term below p^2 per digit of a column.
     """
     import numpy as np
 
-    g = [{}, {}, {}]
-    digits = iter(fixed_row.tolist())
-    for a in range(3):
-        for k in range(fixed_ns[a]):
-            d = next(digits)
-            if not d:
-                continue
-            for e in range(3):
-                for q, f in F0pi[a][e].items():
-                    g[e][q - k] = g[e].get(q - k, 0) + d * f
-    g = [{q: c % p for q, c in ge.items() if c % p} for ge in g]
-    exps = [q for d in g for q in d]
-    if not exps:
-        ok = not target
-        return np.full(len(digs), ok, dtype=bool)
-    lo = min(min(d) for d in g if d)
-    hi = max(max(d) + ns[e] - 1 for e, d in enumerate(g) if d)
-    if any(q < lo or q > hi for q in target):
+    if form is None:
         return np.zeros(len(digs), dtype=bool)
-    width = hi - lo + 1
-    starts = np.cumsum([0] + list(ns))
-    L = np.zeros((sum(ns), width), dtype=np.int64)
-    for e in range(3):
-        for r, f in g[e].items():
-            for m in range(ns[e]):
-                L[starts[e] + m, r + m - lo] += f
-    P = (digs.astype(np.int64) @ L) % p
-    tvec = np.zeros(width, dtype=np.int64)
-    for q, f in target.items():
-        tvec[q - lo] = f % p
-    return np.all(P == tvec, axis=1)
+    T, tvec = form
+    L = (fixed_row @ T) % p
+    return np.all((digs @ L.T) % p == tvec, axis=1)
 
 
 def _residues(digs, ns):
@@ -436,13 +428,14 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     pass, and only the coefficients at pi^q, q >= 1, are formed and
     compared: F0* = t F0 (checked here) makes the coefficients at pi^q and
     pi^(1-q) of B(c, c) equal.  Each coefficient is a quadratic form in the
-    digits, split into low-half and high-half tables and a cross term that
-    is a matrix product, formed in blocks of high halves of bounded size, so
-    the pass needs memory for a block and for the solutions, not for all
-    p^total candidates; ``column_budget`` caps p^total per column, that is
-    the time of the pass.  The same identity F0* = t F0 makes
-    B(c_e, c_b) = F0[e][b] follow from B(c_b, c_e) = F0[b][e], so each
-    cross constraint is imposed once.
+    digits, a slice of ``_form_tensor``, the one encoding of B on digit
+    vectors.  It is split into low-half and high-half tables and a cross
+    term that is a matrix product, formed in blocks of high halves of
+    bounded size, so the pass needs memory for a block and for the
+    solutions, not for all p^total candidates; ``column_budget`` caps
+    p^total per column, that is the time of the pass.  The same identity
+    F0* = t F0 makes B(c_e, c_b) = F0[e][b] follow from B(c_b, c_e) =
+    F0[b][e], so each cross constraint is imposed once.
 
     Candidates are chosen on integer digits before any matrix is built,
     from the survivors' Laurent terms:
@@ -451,7 +444,9 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
       (at p = 2 they are equal); the zero column is never in GL3(O);
     - the residue determinant: alpha has entries in O, so nu(det alpha) = 0
       iff the determinant of its pi^0 digits is nonzero mod p;
-    - the cross constraints on digits, by ``_linear_pair_filter``.
+    - the cross constraints on digits, by ``_linear_pair_filter``, against
+      the forms of the pairs (b0, b1), (b0, b2) and (b1, b2), each a
+      ``_form_tensor`` over the window B can reach, built once per call.
     Each element's link permutation is read from alpha, which is
     v.canon^-1 g v.canon up to a scalar, by ``conjugated_link_permutation``.
     """
@@ -478,21 +473,22 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     digs0 = digs0[nonzero.any(axis=1) & (first <= max((p - 1) // 2, 1))]
     res0, res1, res2 = (_residues(d, n) for d, n in
                         ((digs0, ns0), (digs1, ns1), (digs2, ns2)))
+    form01, form02, form12 = (_pair_form(p, F0pi, nu, nw, F0pi[b][e]) for
+                              b, nu, e, nw in ((b0, ns0, b1, ns1), (b0, ns0, b2, ns2),
+                                               (b1, ns1, b2, ns2)))
     M = v.canon
     Minv = M.inverse()
     found = []
-    for row0, r0 in zip(digs0, res0):
-        mask1 = _linear_pair_filter(p, F0pi, row0, ns0, digs1, ns1, F0pi[b0][b1])
-        mask2a = _linear_pair_filter(p, F0pi, row0, ns0, digs2, ns2,
-                                     F0pi[b0][b2])
+    for row0, r0 in zip(digs0, res0.tolist()):
+        mask1 = _linear_pair_filter(p, form01, row0, digs1)
+        mask2a = _linear_pair_filter(p, form02, row0, digs2)
         digs2a, res2a = digs2[mask2a], res2[mask2a]
-        for row1, r1 in zip(digs1[mask1], res1[mask1]):
+        for row1, r1 in zip(digs1[mask1], res1[mask1].tolist()):
             # up to sign, det(alpha) mod pi = (r0 x r1) . r2
-            cross = np.cross(r0, r1) % p
-            if not cross.any():
+            cross = [c % p for c in _cross(r0, r1)]
+            if not any(cross):
                 continue
-            mask2 = _linear_pair_filter(p, F0pi, row1, ns1, digs2a, ns2,
-                                        F0pi[b1][b2])
+            mask2 = _linear_pair_filter(p, form12, row1, digs2a)
             mask2 &= (res2a @ cross) % p != 0
             for row2 in digs2a[mask2]:
                 bycol = {b0: _digits_to_terms(row0, ns0),
@@ -518,7 +514,8 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     if len(set(elements)) != len(elements):
         raise AssertionError("two enumerated elements agree modulo homothety")
     return _report(v, "exact", elements, [pm for _, pm in found],
-                   [order_mod_homothety(g) for g in elements],
+                   # an element's order divides the group order
+                   [order_mod_homothety(g, maxn=len(elements)) for g in elements],
                    {"digitBound": digit_bound, "columnBudget": column_budget,
                     "degreeBounds": D})
 

@@ -216,11 +216,13 @@ class MatrixRF:
         return out
 
     def __eq__(self, other):
+        """Equal p, var and Laurent terms, as equal entries: none is built."""
         return (isinstance(other, MatrixRF) and self.p == other.p
-                and self.var == other.var and self.rows == other.rows)
+                and self.var == other.var
+                and self._laurent_terms() == other._laurent_terms())
 
     def __hash__(self):
-        return hash((self.p, self.var, self.rows))
+        return hash((self.p, self.var, self._laurent_terms()))
 
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]"

@@ -354,11 +354,17 @@ def _from_pi_coeffs(coeffs, p):
 
 
 def test_integer_pair_filter_matches_ratfunc_oracle(monkeypatch):
-    integer_filter = groupcalc._linear_pair_filter
+    # each pair form carries its digit counts and target to the filter, so
+    # that every mask stab_exact asks for is checked against the oracle
+    pair_form, integer_filter = groupcalc._pair_form, groupcalc._linear_pair_filter
     calls = []
 
-    def checked(p, F0pi, fixed_row, fixed_ns, digs, ns, target):
-        got = integer_filter(p, F0pi, fixed_row, fixed_ns, digs, ns, target)
+    def tagged(p, F0pi, fixed_ns, ns, target):
+        return pair_form(p, F0pi, fixed_ns, ns, target), fixed_ns, ns, target
+
+    def checked(p, form, fixed_row, digs):
+        form, fixed_ns, ns, target = form
+        got = integer_filter(p, form, fixed_row, digs)
         want = linear_pair_filter_oracle(
             p, F0, [RatFunc.from_laurent_terms(p, c, e) for e, c in
                     groupcalc._digits_to_terms(fixed_row, fixed_ns)],
@@ -367,6 +373,7 @@ def test_integer_pair_filter_matches_ratfunc_oracle(monkeypatch):
         calls.append((int(got.sum()), len(got)))
         return got
 
+    monkeypatch.setattr(groupcalc, "_pair_form", tagged)
     monkeypatch.setattr(groupcalc, "_linear_pair_filter", checked)
     verts = [n_point_base(3), seven_star(3)]
     for p in (2, 3):
@@ -377,6 +384,46 @@ def test_integer_pair_filter_matches_ratfunc_oracle(monkeypatch):
     # the masks pass some candidates and refuse others
     assert any(0 < kept < n for kept, n in calls)
     assert any(kept == 0 < n for kept, n in calls)
+
+
+def test_form_tensor_matches_ratfunc_form():
+    # x_u^T T[q - lo] x_w is the pi^q coefficient of B(u, w) =
+    # sum_a,e bar(u_a) F0[a][e] w_e in RatFunc arithmetic, for columns with
+    # unequal digit counts, on windows that reach q <= 0
+    rng = random.Random(17)
+    verts = [n_point_base(3), seven_star(3)]
+    for p in (2, 3):
+        I = identity_vertex(p)
+        verts += [I] + [lv.vclass for lv in link(I)]
+    lpc = groupcalc._laurent_pi_coeffs
+    low_hits = 0
+    for v in verts:
+        p = v.p
+        F0 = form_pullback(v)
+        F0pi = [[lpc(x) for x in row] for row in F0._laurent_terms()]
+        for _ in range(3):
+            ns_u = ns_w = ()
+            while ns_u == ns_w:
+                ns_u, ns_w = (tuple(rng.randrange(4) for _ in range(3))
+                              for _ in range(2))
+            lo, hi = rng.randrange(-5, 1), rng.randrange(1, 6)
+            T = groupcalc._form_tensor(p, F0pi, ns_u, ns_w, lo, hi)
+            assert T.shape == (hi - lo + 1, sum(ns_u), sum(ns_w))
+            xu, xw = (np.array([rng.randrange(p) for _ in range(sum(ns))],
+                               dtype=np.int16) for ns in (ns_u, ns_w))
+            u, w = ([RatFunc.from_laurent_terms(p, c, e) for e, c in
+                     groupcalc._digits_to_terms(x, ns)]
+                    for x, ns in ((xu, ns_u), (xw, ns_w)))
+            B = RatFunc.zero(p)
+            for a in range(3):
+                for e in range(3):
+                    B = B + u[a].involution() * F0[a, e] * w[e]
+            coeffs = lpc(B.laurent_terms())
+            for q in range(lo, hi + 1):
+                got = int(xu.astype(np.int64) @ T[q - lo] @ xw) % p
+                assert got == coeffs.get(q, 0), (v.to_text(), ns_u, ns_w, q)
+                low_hits += q <= 0 and got != 0
+    assert low_hits > 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -403,6 +450,17 @@ def test_residue_determinant_matches_valuation(p):
 
 
 # -- exact stabilizers -------------------------------------------------------------
+
+def test_stab_identity_element_orders_need_no_order_cap(monkeypatch):
+    # an element's order divides the group order, so stab_exact caps the
+    # order search there, not at the default of order_mod_homothety
+    def capped(A, maxn=3):
+        return order_mod_homothety(A, maxn)
+
+    monkeypatch.setattr(groupcalc, "order_mod_homothety", capped)
+    rpt = stab_identity_exact(7)
+    assert rpt.element_orders == (1, 2, 4, 4, 8, 8, 8, 8)
+
 
 def test_stab_identity_small_primes():
     for p, n in ((2, 4), (3, 4), (5, 4)):

@@ -388,6 +388,39 @@ def test_word_evaluation_builds_no_entries_until_read(monkeypatch):
     assert len(built) == 9
 
 
+def test_matrix_equality_and_hash_read_terms_not_entries(monkeypatch):
+    # == and hash read the Laurent terms: each verdict is that of comparing
+    # the entries, equal matrices hash alike, and comparing two computed
+    # products builds no entry
+    rng = random.Random(20261122)
+    verdicts = set()
+    for p in (None, 2, 3, 5, 7):
+        for _ in range(30):
+            a, b, c = (_laurent_matrix(rng, p, "t", False) for _ in range(3))
+            pairs = [((a * b) * c, a * (b * c)), (a * b, b * a),
+                     (a * b, MatrixRF(p, (a * b).rows)),
+                     (a * b, MatrixRF(p, (a * c).rows))]
+            for x, y in pairs:
+                assert (x == y) == (y == x) == (x.rows == y.rows)
+                if x == y:
+                    assert hash(x) == hash(y)
+                verdicts.add(x == y)
+    assert verdicts == {True, False}
+    s1, s2 = burau_generator(1, 3), burau_generator(2, 3)
+    built = []
+    init = RatFunc.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    left, right = s1 * s2 * s1, s2 * s1 * s2
+    assert left == right and hash(left) == hash(right)
+    assert left != s1 * s2
+    assert not built
+
+
 def _expanded_det(m):
     """The row-0 expansion in entrywise arithmetic."""
     r = m.rows
