@@ -16,13 +16,19 @@ rational-function arithmetic runs.
 ``canonicalize`` eliminates on pi-adic digit lists truncated modulo
 pi^(D+1), D = nu(det) of the basis scaled into O^3 (Cohen's HNF modulo D,
 worked over F_p[[pi]]): the lattice contains pi^D * O^3, so the truncation
-does not change the class.
+does not change the class.  The window shrinks as the pivots are found:
+once row r has its pivot pi^a, the remaining columns span, in the remaining
+rows, a lattice with nu(det) lowered by a, so those rows are kept modulo
+pi^(D+1-a), and the last row needs only a_3 + 1 digits.  Each step updates
+only the rows after its pivot row, whose pivot (pi^a) and cleared entries
+(0) are known and not stored.
 ``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
 The digits are read from the Laurent terms (minexp, coeffs) that the matrix
 product has cached, the digit at pi^k being the coefficient of t^-k; a
-matrix with a non-Laurent entry is refused.  The canonical entries are built
-from their digits and keep their terms, so the next product does not read
-them again.
+matrix with a non-Laurent entry is refused.  Only the three entries below
+the diagonal are built from digits: the diagonal is three monomials and the
+rest is zero.  The canonical matrix keeps its terms, so the next product
+does not read them again.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -109,13 +115,26 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     min a_i = 0.
 
     The elimination runs on pi-adic digits of pi^-m * M (m the least entry
-    valuation, so the entries lie in O) modulo pi^(D+1), D = nu(det) - 3m:
-    the lattice L contains pi^D * O^3, so a column changed by an element of
-    pi^(D+1) * O^3 keeps nu(det) = D and still generates L, and the
-    canonical form of L is unique.  The digits are read from the entries'
-    Laurent terms (``MatrixRF._laurent_terms``), which a product has
-    already cached.  The canonical entries are built from their digits,
-    and their terms are cached on ``canon`` for the next product.
+    valuation, so the entries lie in O) modulo pi^n, n = D+1,
+    D = nu(det) - 3m: the lattice L contains pi^D * O^3, so a column
+    changed by an element of pi^(D+1) * O^3 keeps nu(det) = D and still
+    generates L, and the canonical form of L is unique.  The window then
+    shrinks.  When row r has its pivot pi^a, with the unit scaled away and
+    the rest of row r cleared, the columns after r span, in the rows after
+    r, a lattice with nu(det) = n - 1 - a, which contains
+    pi^(n-1-a) * O^k; so from then on those rows are kept modulo pi^(n-a),
+    by the same argument.  The windows go n, n - a_1, a_3 + 1 (pivots
+    before the homothety), and each multiplier, the digits of row r from
+    pi^a on, fills the next window exactly.  The known rows are not
+    updated: the pivot row is pi^a and the cleared entries are 0.  The
+    final reduction modulo the pivots needs one product, for entry (2, 0);
+    then each entry below the diagonal is its first a_row digits.
+
+    The digits are read from the entries' Laurent terms
+    (``MatrixRF._laurent_terms``), which a product has already cached.
+    Only the three entries below the diagonal are built from digits; the
+    diagonal entries are monomials and the others zero.  The terms are
+    cached on ``canon`` for the next product.
 
     ``det_valuation`` is nu(det M) when the caller knows it (``apply`` and
     ``link`` do); without it the determinant is computed.  An infinite
@@ -136,8 +155,9 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
             for j in range(3)]
     exps = [0, 0, 0]
 
-    # rows above r are zero mod pi^n in every column >= r, so each step
-    # updates rows r and below only
+    # rows above r are zero in every column >= r, and after step r the pivot
+    # is pi^a and the rest of row r is zero: neither is stored, so each step
+    # updates the rows after r only
     for r in range(3):
         # pivot: minimum-valuation entry of row r among columns >= r
         best, bestval = None, n
@@ -147,38 +167,47 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
                 best, bestval = j, v
         cols[r], cols[best] = cols[best], cols[r]
         a = exps[r] = bestval
-        col = cols[r]
-        unit = col[r][a:]
-        if unit[0] != 1 or any(unit[1:]):
-            # scaling by any unit congruent to the inverse mod pi^(n-a)
-            # leaves the pivot pi^a modulo pi^n
-            unit_inv = _series_inverse(unit, p)
-            for i in range(r, 3):
-                col[i] = _muladd([0] * n, unit_inv, col[i], p)
-        for j in range(r + 1, 3):
-            _eliminate(cols[j], col, r, a, p)
+        piv = cols[r]
+        # the columns after r span, in the rows after r, a lattice with
+        # nu(det) = n - 1 - a, which contains pi^(n-1-a) * O^k: rows after r
+        # are kept modulo pi^(n-a) from here on
+        unit, n = piv[r][a:], n - a
+        rows = range(r + 1, 3)
+        # scaling by any unit congruent to the inverse mod pi^n leaves the
+        # pivot pi^a modulo the window of row r
+        unit_inv = _series_inverse(unit, p) \
+            if unit[0] != 1 or any(unit[1:]) else None
+        for i in rows:
+            piv[i] = piv[i][:n]
+            if unit_inv and any(piv[i]):
+                piv[i] = _muladd([0] * n, unit_inv, piv[i], p)
+        live = [i for i in rows if any(piv[i])]
+        for j in rows:
+            col = cols[j]
+            lam = [-d for d in col[r][a:]]
+            for i in rows:
+                col[i] = col[i][:n]
+                if i in live and any(lam):
+                    col[i] = _muladd(col[i], lam, piv[i], p)
 
-    # reduce below-diagonal entries modulo the row pivot pi^(a_i)
-    for j in range(2):
-        for i in range(j + 1, 3):
-            _eliminate(cols[j], cols[i], i, exps[i], p)
+    # reduce below-diagonal entries modulo the row pivot pi^(a_i): with
+    # q = (1, 0) / pi^a1, (2, 0) becomes (2, 0) - q * (2, 1), and then each
+    # entry is its first a_i digits
+    a0, a1, a2 = exps
+    c0, c1 = cols[0], cols[1]
+    q = [-d for d in c0[1][a1:a1 + a2]]
+    below = (c0[1][:a1], _muladd(c0[2][:a2], q, c1[2], p), c1[2][:a2])
 
-    # homothety: make the minimum diagonal exponent 0
+    # homothety: make the minimum diagonal exponent 0; only the entries
+    # below the diagonal are built from digits
     mn = min(exps)
-    canon = MatrixRF.from_terms(p, tuple(
-        tuple(laurent_from_pi_digits(cols[j][i], -mn) for j in range(3))
-        for i in range(3)))
+    e10, e20, e21 = (laurent_from_pi_digits(d, -mn) for d in below)
+    zero = (0, ())
+    canon = MatrixRF.from_terms(p, (
+        ((mn - a0, (1,)), zero, zero),
+        (e10, (mn - a1, (1,)), zero),
+        (e20, e21, (mn - a2, (1,)))))
     return VertexClass(p, canon, [a - mn for a in exps])
-
-
-def _eliminate(col, piv, r, a, p):
-    """col - (col[r] / pi^a) * piv on the digit lists of rows r and below,
-    in place: with piv[r] = pi^a this clears col[r] from pi^a on.  A zero
-    multiplier leaves col as it is."""
-    lam = [-d for d in col[r][a:]]
-    if any(lam):
-        for i in range(r, 3):
-            col[i] = _muladd(col[i], lam, piv[i], p)
 
 
 def _order(digits):

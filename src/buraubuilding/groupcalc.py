@@ -58,27 +58,37 @@ def normalize_mod_homothety(A: MatrixRF) -> MatrixRF:
 
 
 def perm_group_order(perms):
-    """Order of the permutation group generated by the given tuples."""
-    n = None
-    gens = []
+    """Order of the permutation group generated by the given tuples.
+
+    A permutation becomes a generator only when it lies outside the group H
+    closed so far.  The closure then grows in two steps: the products
+    h s of the known elements with the new generator s, all new since H is
+    a group; then each new element times every generator, until no product
+    is new.  The set holds the identity and is closed under multiplication
+    by every generator, so it is the group.  Elements that are a group
+    already (an exact report's permutations) need few generators: the
+    closure costs the group order times their number, not its square.
+    """
+    seen, gens = None, []
     for pm in perms:
-        n = len(pm)
-        gens.append(tuple(pm))
-    if not gens:
-        return 1
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = tuple(h[g[i]] for i in range(n))
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return len(seen)
+        s = tuple(pm)
+        if seen is None:
+            seen = {tuple(range(len(s)))}
+        if s in seen:
+            continue
+        gens.append(s)
+        frontier = [tuple([s[i] for i in h]) for h in seen]
+        seen.update(frontier)
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for g in gens:
+                    prod = tuple([g[i] for i in h])
+                    if prod not in seen:
+                        seen.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+    return len(seen) if seen else 1
 
 
 def perm_orbit_sizes(perms, n):
@@ -448,7 +458,9 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
       the forms of the pairs (b0, b1), (b0, b2) and (b1, b2), each a
       ``_form_tensor`` over the window B can reach, built once per call.
     Each element's link permutation is read from alpha, which is
-    v.canon^-1 g v.canon up to a scalar, by ``conjugated_link_permutation``.
+    v.canon^-1 g v.canon up to a scalar, by ``conjugated_link_permutation``,
+    and so is its order modulo homothety: conjugation maps homotheties to
+    homotheties, and alpha has about half the coefficients of g.
     """
     import numpy as np
 
@@ -508,14 +520,16 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 if not is_unitary(g) or apply(g, v) != v:
                     raise AssertionError(
                         "enumerated matrix fails the independent re-check")
-                found.append((normalize_mod_homothety(g), perm))
-    found.sort(key=lambda gp: _matrix_sort_key(gp[0]))
-    elements = [g for g, _ in found]
+                found.append((normalize_mod_homothety(g), perm, alpha))
+    found.sort(key=lambda gpa: _matrix_sort_key(gpa[0]))
+    elements = [g for g, _, _ in found]
     if len(set(elements)) != len(elements):
         raise AssertionError("two enumerated elements agree modulo homothety")
-    return _report(v, "exact", elements, [pm for _, pm in found],
-                   # an element's order divides the group order
-                   [order_mod_homothety(g, maxn=len(elements)) for g in elements],
+    # alpha is conjugate to g, so their orders modulo homothety agree, and
+    # an element's order divides the group order
+    return _report(v, "exact", elements, [pm for _, pm, _ in found],
+                   [order_mod_homothety(alpha, maxn=len(elements))
+                    for _, _, alpha in found],
                    {"digitBound": digit_bound, "columnBudget": column_budget,
                     "degreeBounds": D})
 

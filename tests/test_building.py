@@ -20,7 +20,8 @@ from buraubuilding.building import (
     relative_position,
 )
 from buraubuilding.rep import MatrixRF, letter_matrix, named_matrix, word_evaluate, parse_word
-from buraubuilding.groupcalc import ball, seven_star, stab_exact, stab_identity_exact
+from buraubuilding.groupcalc import (ball, seven_star, stab_exact, stab_identity_exact,
+                                     tube_chain)
 from pi_adic import pi_adic_expand, pi_digits_window
 
 
@@ -201,6 +202,58 @@ def test_canonicalize_matches_exact_elimination(oracle_inputs):
         got, want = canonicalize(M), canonicalize_oracle(M)
         assert (got.exps, got.to_text()) == (want.exps, want.to_text())
         assert got == want
+
+
+def _letters_and_inverses(p):
+    letters = ["s1", "s2", "s3", "x", "y"] + (["u"] if p == 3 else [])
+    gens = [letter_matrix(a, p) for a in letters]
+    return gens + [g.inverse() for g in gens]
+
+
+@pytest.fixture(scope="module")
+def deep_inputs():
+    """Seeded matrices on which the pi-adic windows of ``canonicalize``
+    shrink by many digits: letters and their inverses times the bases of
+    tube(k) and its xyx partner, k = 1..4, at p = 3; and at p = 2, 3, 5, 7 a
+    letter times a vertex 100 to 130 steps along a walk from [I], as it is
+    and with a column scaled by a unit 1 + c*pi^k, k = 1..3, whose inverse
+    has several digits."""
+    rng = random.Random(20261019)
+    out = []
+    gens = _letters_and_inverses(3)
+    for k, level, partner in tube_chain(3):
+        out += [g * v.canon for v in (level, partner) for g in gens]
+        if k == 4:
+            break
+    for p in (2, 3, 5, 7):
+        gens = _letters_and_inverses(p)
+        v = identity_vertex(p)
+        for step in range(1, 131):
+            v = apply(rng.choice(gens), v)
+            if step >= 100 and step % 6 == 0:
+                M = rng.choice(gens) * v.canon
+                out.append(M)
+                for k in (1, 2, 3):
+                    c = rng.randrange(1, p)
+                    # 1 + c*pi^k = (t^k + c) / t^k
+                    unit = RatFunc(p, (c,) + (0,) * (k - 1) + (1,),
+                                   (0,) * k + (1,))
+                    out.append(_scale_column(M, rng.randrange(3), unit))
+    return out
+
+
+def test_canonicalize_matches_exact_elimination_on_deep_inputs(deep_inputs):
+    rng = random.Random(5)
+    shrunk = 0
+    for M in deep_inputs:
+        got, want = canonicalize(M), canonicalize_oracle(M)
+        assert (got.exps, got.to_text()) == (want.exps, want.to_text())
+        assert got == want
+        w = canonicalize(random_column_ops(rng, got))
+        assert (w.exps, w.to_text()) == (got.exps, got.to_text())
+        # the window shrinks from nu(det) + 1 to a_3 + 1 digits
+        shrunk += got.exps[0] + got.exps[1] > 0
+    assert len(deep_inputs) >= 150 and shrunk >= 0.9 * len(deep_inputs)
 
 
 def test_laurent_pi_digits_match_pi_digits():

@@ -54,6 +54,48 @@ def test_perm_group_order():
     assert perm_group_order([(1, 0, 2), (1, 2, 0)]) == 6
 
 
+def perm_group_order_oracle(perms):
+    """The group closed by breadth-first search with every permutation a
+    generator."""
+    gens = [tuple(pm) for pm in perms]
+    if not gens:
+        return 1
+    n = len(gens[0])
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                prod = tuple(h[g[i]] for i in range(n))
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return len(seen)
+
+
+def test_perm_group_order_matches_bfs_closure():
+    # exact reports (their permutations are a group already), a word search
+    # at 7* (duplicates, and a larger image than the set), and seeded sets in
+    # S_n whose closure is larger than the set
+    cases = [stab_identity_exact(p).perms for p in (2, 3, 5, 7)]
+    cases.append(stab_words(seven_star(3), ("u", "u1", "h"), 2).perms)
+    rng = random.Random(20261019)
+    for n in (3, 4, 5, 6, 7):
+        for k in (1, 2, 3):
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(k)]
+            if perm_group_order_oracle(gens) > len(set(gens)):
+                cases.append(gens)
+    # a subgroup of S_6 that moves {0, 1, 2} and {3, 4, 5} as blocks
+    cases.append([(1, 2, 0, 3, 4, 5), (3, 4, 5, 0, 1, 2), (1, 0, 2, 4, 3, 5)])
+    assert len(cases) >= 18
+    for perms in cases:
+        assert perm_group_order(perms) == perm_group_order_oracle(perms)
+    assert perm_group_order([]) == 1
+    assert perm_group_order([(0, 1, 2)]) == 1
+
+
 def test_perm_orbit_sizes():
     assert perm_orbit_sizes([(1, 0, 2, 3)], 4) == (1, 1, 2)
 
