@@ -335,10 +335,6 @@ class LaurentPoly:
             raise ValueError("odd s-exponent present; not in the image of t = s^2")
         return LaurentPoly(self.p, self.coeffs[::2], self.minexp // 2, "t")
 
-    def evaluate_at_one(self):
-        total = sum(self.coeffs)
-        return total if self.p is None else total % self.p
-
     def reduce_mod(self, p):
         """The image mod p of a polynomial over Z."""
         return LaurentPoly(p, self.coeffs, self.minexp, self.var)

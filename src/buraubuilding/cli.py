@@ -448,7 +448,9 @@ def main(argv=None) -> int:
         else:
             raise ValueError("unknown command %r" % args.command)
     except (ValueError, KeyError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        # str() of a KeyError is the repr of its message: print the message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write("error: %s\n" % (msg,))
         return 2
     except Exception as exc:
         # a failed internal check or a bug: report it, never a traceback

@@ -596,11 +596,13 @@ def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
             continue
         if not is_unitary(g):
             raise AssertionError("word-search element fails the unitarity re-check")
-        found.append((key, conjugated_link_permutation(Minv * g * M).perm))
-    found.sort(key=lambda gp: _matrix_sort_key(gp[0]))
-    stab = [g for g, _ in found]
-    return _report(v, "word-search", stab, [pm for _, pm in found],
-                   [order_mod_homothety(g, maxn=200) or 0 for g in stab],
+        # the conjugate has g's order mod homothety, on shorter entries
+        conj = Minv * g * M
+        found.append((key, conj, conjugated_link_permutation(conj).perm))
+    found.sort(key=lambda gcp: _matrix_sort_key(gcp[0]))
+    return _report(v, "word-search", [g for g, _, _ in found],
+                   [pm for _, _, pm in found],
+                   [order_mod_homothety(c, maxn=200) or 0 for _, c, _ in found],
                    {"depth": depth, "generators": len(gens)})
 
 

@@ -15,6 +15,15 @@ are built from them, in normal form for both rings alike, on the first read
 of ``rows``, so a word evaluation builds no entry object until something
 reads one.  No RatFunc field arithmetic runs.
 
+``word_evaluate`` does not call the product: it keeps the running product of
+a word as nine integers, each entry's coefficients packed into W-bit slots
+(Kronecker substitution), so a letter step is a few big-integer products.
+A bound on every slot's |coefficient| keeps the packing exact: before a step
+would let a slot overflow, the chain unpacks, reduces mod p or reads the
+exact maximum over Z, and widens W only if it must.  ``MatrixRF.__mul__``
+stays on unpacked terms, since one product of short entries gains nothing
+from packing them.
+
 Convention: several reduced-Burau conventions circulate, differing by
 transpose, inversion and t <-> 1/t.  The convention fixed here is the one
 under which all three generators are J-unitary *and* u^2 commutes with
@@ -25,6 +34,8 @@ of J-unitary matrices are J-unitary.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -96,10 +107,6 @@ class MatrixRF:
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
-
-    def entry_map(self, f):
-        return MatrixRF(self.p, tuple(tuple(f(e) for e in row) for row in self.rows),
-                        self.var)
 
     def __mul__(self, other):
         """The product, one Laurent convolution per entry.
@@ -490,20 +497,151 @@ def letter_matrix(name: str, p: Optional[int]) -> MatrixRF:
     raise KeyError("letter %r has no matrix at p = %d" % (name, p))
 
 
-@lru_cache(maxsize=None)
-def _letter_inverse(name: str, p: Optional[int]) -> MatrixRF:
-    return letter_matrix(name, p).inverse()
-
-
 def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
     """Left-to-right product of the letter matrices mod p, or over
-    Z[t, 1/t] when p is None."""
+    Z[t, 1/t] when p is None, on entries packed into integers.
+
+    The running product is t^E times nine polynomials, each packed into one
+    integer: coefficient s is the integer in bit slot [sW, sW + W), balanced
+    (signed) over Z and non-negative mod p.  A letter step is then nine sums
+    of at most three big-integer products and shifts (Kronecker
+    substitution, *Modern Computer Algebra* 8.4), with no Python loop over
+    coefficients, and E grows by the letter's least exponent.  ``bound`` bounds every slot's
+    |coefficient|, and a step multiplies it by at most the letter's growth
+    factor g (see ``_packed_letter``).  While bound * g fits a slot (below
+    2^(W-1) over Z, 2^W mod p), no slot carries into the next, so the packed
+    product is exact.  When it would not fit, the entries are unpacked and
+    reduced mod p (the bound becomes p - 1), or over Z the bound becomes
+    their largest |coefficient|; the low slots that are zero in all nine
+    entries move into E, and W grows by 64 bits until bound * g fits.  The
+    result's terms are those of the left-to-right ``MatrixRF`` product.
+
+    ``MatrixRF.__mul__`` stays on unpacked terms: a lone product's entries
+    are short, and packing and unpacking them costs more than it saves; a
+    word's running product is unpacked only when its bound says so.
+    """
     if p is not None:
         check_prime(p)
-    out = MatrixRF.identity(p)
+    signed = p is None
+    w8 = 8                      # bytes per slot: W = 8 * w8 bits
+    while p and p >> (8 * w8):
+        w8 += 8                 # every coefficient mod p fits a slot
+    E, bound = 0, 1
+    A = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for name, sgn in w:
-        out = out * (letter_matrix(name, p) if sgn > 0 else _letter_inverse(name, p))
-    return out
+        lo, cols, g = _packed_letter(name, sgn, p, w8)
+        if bound * g >= 1 << (8 * w8 - signed):
+            z, slots = _unpack_matrix(A, w8, p)
+            E += z
+            bound = p - 1 if p else max([max(map(abs, s)) for s in slots if s])
+            while bound * g >= 1 << (8 * w8 - signed):
+                w8 += 8
+            A = tuple(tuple(_pack(s, w8, signed) for s in slots[i:i + 3])
+                      for i in (0, 3, 6))
+            lo, cols, g = _packed_letter(name, sgn, p, w8)
+        (m00, s00, m10, s10, m20, s20), (m01, s01, m11, s11, m21, s21), \
+            (m02, s02, m12, s12, m22, s22) = cols
+        A = tuple(((a0 * m00 << s00) + (a1 * m10 << s10) + (a2 * m20 << s20),
+                   (a0 * m01 << s01) + (a1 * m11 << s11) + (a2 * m21 << s21),
+                   (a0 * m02 << s02) + (a1 * m12 << s12) + (a2 * m22 << s22))
+                  for a0, a1, a2 in A)
+        E += lo
+        bound *= g
+    z, slots = _unpack_matrix(A, w8, p)
+    terms = [_trimmed(s, E + z) for s in slots]
+    return MatrixRF.from_terms(p, (tuple(terms[:3]), tuple(terms[3:6]),
+                                   tuple(terms[6:])))
+
+
+@lru_cache(maxsize=None)
+def _packed_letter(name: str, sgn: int, p: Optional[int], w8: int):
+    """A letter (sgn 1) or its inverse (sgn -1) for ``word_evaluate``, at
+    w8 bytes per slot: (lo, cols, g).  lo is its least exponent; cols[j]
+    holds (m, s) for each entry (k, j), k = 0, 1, 2: the entry is m shifted
+    up by s bits, m packed from the entry's own least exponent and s = W
+    times that exponent minus lo, so a monomial costs one small product and
+    a shift.  g = max_j sum_k ||L_kj||_1, with ||.||_1 the sum of
+    |coefficient|, taken as at least 2 so that a chain unpacks, and moves
+    its shared zero low slots into E, at least once every W steps."""
+    m = letter_matrix(name, p)
+    t = (m if sgn > 0 else m.inverse())._laurent_terms()
+    lo = min([e for row in t for e, c in row if c])
+    cols = []
+    for j in range(3):
+        col = ()
+        for k in range(3):
+            e, c = t[k][j]
+            col += (_pack(c, w8, p is None), 8 * w8 * (e - lo)) if c else (0, 0)
+        cols.append(col)
+    g = max([sum([sum(map(abs, t[k][j][1])) for k in range(3)])
+             for j in range(3)])
+    return lo, tuple(cols), max(g, 2)
+
+
+def _pack(coeffs, w8, signed):
+    """The integer with the given coefficients in w8-byte slots, lowest
+    first: balanced (each |c| < 2^(W-1)) when signed, else 0 <= c < 2^W."""
+    if signed:
+        half = 1 << (8 * w8 - 1)
+        coeffs = [c + half for c in coeffs]
+    if w8 == 8:
+        a = array("Q", coeffs)
+        if sys.byteorder == "big":
+            a.byteswap()
+        x = int.from_bytes(a.tobytes(), "little")
+    else:
+        x = int.from_bytes(b"".join([c.to_bytes(w8, "little") for c in coeffs]),
+                           "little")
+    return x - _half_slots(len(coeffs), w8) if signed else x
+
+
+def _half_slots(n, w8):
+    """2^(W-1) in each of n slots: adding it makes balanced slots
+    non-negative without a carry."""
+    return int.from_bytes((bytes(w8 - 1) + b"\x80") * n, "little")
+
+
+def _unpack(x, w8, p):
+    """The slot coefficients of a packed integer (see ``_pack``), balanced
+    over Z (p None), reduced mod p otherwise; zero slots at the top too."""
+    n = x.bit_length() // (8 * w8) + 1
+    if p is None:
+        x += _half_slots(n, w8)
+    b = x.to_bytes(n * w8, "little")
+    if w8 == 8:
+        a = array("Q", b)
+        if sys.byteorder == "big":
+            a.byteswap()
+        coeffs = a.tolist()
+    else:
+        coeffs = [int.from_bytes(b[i:i + w8], "little")
+                  for i in range(0, n * w8, w8)]
+    if p is None:
+        half = 1 << (8 * w8 - 1)
+        return [c - half for c in coeffs]
+    return [c % p for c in coeffs]
+
+
+def _unpack_matrix(A, w8, p):
+    """(z, slots): the nine entries of a packed matrix, row by row, as
+    coefficient lists without the z low slots that are zero in all nine."""
+    slots = [_unpack(x, w8, p) for row in A for x in row]
+    z = min([next(i for i, c in enumerate(s) if c) for s in slots if any(s)])
+    return z, [s[z:] for s in slots]
+
+
+def _trimmed(coeffs, e):
+    """Laurent terms (minexp, coeffs) of sum c_s t^(e+s), trimmed at both
+    ends; (0, ()) for zero."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, ()
+    lo = 0
+    while not coeffs[lo]:
+        lo += 1
+    return e + lo, tuple(coeffs[lo:hi])
 
 
 def word_evaluate_integral(w: GroupWord) -> MatrixRF:

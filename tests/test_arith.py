@@ -400,14 +400,6 @@ def test_s_ring_round_trip():
         assert a.to_s_ring().from_s_ring() == a
 
 
-# -- evaluate at t = 1 ----------------------------------------------------------
-
-def test_evaluate_at_one():
-    assert L("t^2+t+2", 3).evaluate_at_one() == 1
-    assert parse_laurent("t^-1+t", 5).evaluate_at_one() == 2
-    assert LaurentPoly.zero(3).evaluate_at_one() == 0
-
-
 # -- rendering / parsing ---------------------------------------------------------
 
 def test_render_parse_round_trip():

@@ -550,9 +550,14 @@ def test_apply_refuses_a_singular_matrix():
                 apply(g, w)
 
 
+def entry_map(m, f):
+    """The matrix with f applied to every entry of m."""
+    return MatrixRF(m.p, tuple(tuple(f(e) for e in row) for row in m.rows), m.var)
+
+
 def test_homothety_acts_trivially():
     v = canonicalize(named_matrix("M19", 3))
-    tI = MatrixRF.identity(3).entry_map(lambda e: e.shift_pi(3))
+    tI = entry_map(MatrixRF.identity(3), lambda e: e.shift_pi(3))
     assert apply(tI, v) == v
 
 

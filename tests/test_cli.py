@@ -259,6 +259,11 @@ def test_stab_n_point(capsys):
     assert d["data"]["order"] == 6
 
 
+def test_unknown_letter_error_prints_the_message_without_quotes(capsys):
+    assert main(["stab", "--vertex", "q"]) == 2
+    assert capsys.readouterr().err == "error: letter 'q' has no matrix at p = 3\n"
+
+
 def test_stab_word_search_partial(capsys):
     code = main(["stab", "--p", "3", "--vertex", "M19", "--method", "words",
                  "--gens", "u", "--depth", "2", "--json"])
@@ -327,8 +332,9 @@ def test_claims_run_without_ratfunc_arithmetic(monkeypatch, capsys, tmp_path):
     for name in RATFUNC_ARITHMETIC:
         monkeypatch.setattr(arith.RatFunc, name, refuse)
     monkeypatch.setattr(arith, "pgcd", refuse)
-    # the letter matrices and their inverses are built again under the patch
-    for cached in (rep.burau_generator, rep.letter_matrix, rep._letter_inverse,
+    # the letter matrices, their inverses and their packed forms are built
+    # again under the patch
+    for cached in (rep.burau_generator, rep.letter_matrix, rep._packed_letter,
                    rep.squier_form):
         cached.cache_clear()
     seven = "[[1,0,0],[2,t^-2,0],[0,0,t^-2]]"

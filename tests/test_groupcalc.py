@@ -100,9 +100,14 @@ def test_perm_orbit_sizes():
     assert perm_orbit_sizes([(1, 0, 2, 3)], 4) == (1, 1, 2)
 
 
+def entry_map(m, f):
+    """The matrix with f applied to every entry of m."""
+    return MatrixRF(m.p, tuple(tuple(f(e) for e in row) for row in m.rows), m.var)
+
+
 def test_normalize_mod_homothety():
     u = named_matrix("u", 3)
-    shifted = u.entry_map(lambda e: e.shift_pi(2))
+    shifted = entry_map(u, lambda e: e.shift_pi(2))
     assert normalize_mod_homothety(shifted) == normalize_mod_homothety(u)
 
 

@@ -527,6 +527,120 @@ def test_det_valuation_matches_det():
     assert MatrixRF(3, ((z, z, z),) * 3).det_valuation() == math.inf
 
 
+# -- packed word evaluation ----------------------------------------------------
+
+def word_evaluate_oracle(w, p):
+    """The left-to-right ``MatrixRF`` product of the letter matrices, one
+    ``__mul__`` per letter: the reference for the packed chain."""
+    out = MatrixRF.identity(p)
+    for name, sgn in w:
+        m = letter_matrix(name, p)
+        out = out * (m if sgn > 0 else m.inverse())
+    return out
+
+
+def assert_same_as_oracle(w, p):
+    got = word_evaluate(w, p)._laurent_terms()
+    assert got == word_evaluate_oracle(w, p)._laurent_terms()
+    # normal form: trimmed at both ends, coefficients in [0, p) mod p
+    for row in got:
+        for e, c in row:
+            if not c:
+                assert e == 0
+                continue
+            assert c[0] and c[-1]
+            assert p is None or all(0 <= a < p for a in c)
+    return got
+
+
+def _repeat(text, n):
+    return GroupWord(tuple(parse_word(text)) * n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 157, None])
+def test_packed_words_match_the_oracle(p):
+    rng = random.Random(20261019 + (p or 0))
+    names = ["s1", "s2", "s3", "x", "y"]
+    if p == 3:
+        names += ["w", "u", "u1", "h", "alpha1", "alpha2"]
+    letters = [(name, sgn) for name in names for sgn in (1, -1)]
+    for length in (0, 1, 2, 7, 40, 150, 400):
+        assert_same_as_oracle(
+            GroupWord(rng.choice(letters) for _ in range(length)), p)
+    # every letter and its inverse alone
+    for letter in letters:
+        assert_same_as_oracle(GroupWord([letter]), p)
+
+
+@pytest.mark.parametrize("p", [3, None])
+def test_packed_kernel_word_matches_the_oracle(p):
+    assert_same_as_oracle(named_word("kernel_word"), p)
+
+
+@pytest.mark.parametrize("k", [60, 200])
+def test_packed_words_widen_past_64_bit_slots(monkeypatch, k):
+    from buraubuilding import rep
+    widths = set()
+    packed = rep._packed_letter
+
+    def spy(name, sgn, p, w8):
+        widths.add(w8)
+        return packed(name, sgn, p, w8)
+
+    monkeypatch.setattr(rep, "_packed_letter", spy)
+    got = assert_same_as_oracle(_repeat("s1.s2^-1", k), None)
+    assert max(abs(a).bit_length() for row in got for _, c in row for a in c) > 64
+    assert min(widths) == 8 and max(widths) > 8
+
+
+def test_packed_words_past_a_64_bit_prime(monkeypatch):
+    # 2^89 - 1 is a Mersenne prime; trial division cannot certify it quickly
+    from buraubuilding import rep
+    monkeypatch.setattr(rep, "check_prime", lambda p: p)
+    p = 2 ** 89 - 1
+    assert_same_as_oracle(parse_word("s1.s2^-1.x.y^-1.s3^-1") * _repeat("x.s2", 20), p)
+
+
+@pytest.mark.parametrize("text, p", [
+    ("s1^-1.s1", None), ("s1^-1.s1", 3), ("x^-1", 3), ("x^-1", None),
+    ("M19.M19^-1", 2),      # monomial letters: the chain's bound hardly grows
+])
+def test_packed_words_fold_a_drifting_exponent(monkeypatch, text, p):
+    # E drifts by each letter's least exponent; the shared zero low slots
+    # are folded back, so the packed entries stay as long at any length
+    from buraubuilding import rep
+    sizes = []
+    unpack = rep._unpack
+
+    def spy(x, w8, modulus):
+        sizes.append(x.bit_length())
+        return unpack(x, w8, modulus)
+
+    monkeypatch.setattr(rep, "_unpack", spy)
+    longest = []
+    for n in (500, 2000):
+        sizes.clear()
+        assert_same_as_oracle(_repeat(text, n), p)
+        longest.append(max(sizes))
+    assert longest[0] == longest[1] < 4096
+
+
+def test_word_evaluate_makes_no_matrix_product(monkeypatch):
+    calls = []
+    mul = MatrixRF.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MatrixRF, "__mul__", counted)
+    for p in (2, 3, None):
+        word_evaluate(named_word("kernel_word"), p)
+        word_evaluate(parse_word("s1.s2^-1.x.y^-1") * _repeat("s3.x^-1", 40), p)
+    word_evaluate(parse_word("u.u1^-1.h.w^-1.alpha2"), 3)
+    assert not calls
+
+
 # -- homothety and order helpers ----------------------------------------------
 
 def test_is_homothety_witness():
