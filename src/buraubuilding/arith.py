@@ -25,14 +25,40 @@ from functools import lru_cache
 INF = math.inf
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least n that is a strong probable prime to every base in _SMALL_PRIMES
+# and is composite (Sorenson and Webster, 2017)
+_SPRP_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Trial division by the primes up to 41, then, below ``_SPRP_BOUND``,
+    strong probable-prime tests to those primes as bases, which no composite
+    below that bound passes; trial division above it."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
+    if n < _SPRP_BOUND:
+        d, s = n - 1, 0
+        while not d & 1:
+            d >>= 1
+            s += 1
+        for a in _SMALL_PRIMES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+    f = 43
     while f * f <= n:
         if n % f == 0:
             return False

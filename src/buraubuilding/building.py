@@ -23,12 +23,17 @@ pi^(D+1-a), and the last row needs only a_3 + 1 digits.  Each step updates
 only the rows after its pivot row, whose pivot (pi^a) and cleared entries
 (0) are known and not stored.
 ``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
-The digits are read from the Laurent terms (minexp, coeffs) that the matrix
-product has cached, the digit at pi^k being the coefficient of t^-k; a
-matrix with a non-Laurent entry is refused.  Only the three entries below
-the diagonal are built from digits: the diagonal is three monomials and the
-rest is zero.  The canonical matrix keeps its terms, so the next product
-does not read them again.
+The digits have one source, ``_window_digits``: it reads the window of
+pi^-m (A B) straight from the Laurent terms (minexp, coeffs) of two factors,
+the digit at pi^k being the coefficient of t^-k.  ``g * v.canon`` is a
+product not yet formed (``rep``), so it gives g and v.canon, and ``apply``
+and ``link`` never form the product's nine entries; any other matrix gives
+its own terms and the identity.  A matrix with a non-Laurent entry is
+refused.  Only the three entries below the diagonal are built from digits:
+the diagonal is three monomials and the rest is zero.  The canonical matrix
+keeps its terms, so the next product does not read them again, and a
+vertex is keyed on p, its exponents and its three entries below the
+diagonal.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -53,11 +58,12 @@ from typing import NamedTuple
 
 from .arith import (
     INF,
+    RatFunc,
     inv_mod,
     laurent_from_pi_digits,
     laurent_pi_digits,
     laurent_valuation,
-    render_laurent,
+    render_laurent_data,
 )
 from .rep import MatrixRF
 
@@ -65,9 +71,11 @@ from .rep import MatrixRF
 class VertexClass:
     """A vertex of Delta(p): a lattice class with its canonical basis matrix.
 
-    Equality is equality of canonical forms.  The key holds p and the
-    (num, den) int tuples of the nine normalized entries, and its hash is
-    taken once: it holds no string, so it is the same in every process.
+    Equality is equality of canonical forms.  The diagonal of canon is
+    pi^exps and the entries above it are zero, so the key holds p, exps
+    and the (num, den) int tuples of the three entries below the diagonal,
+    built in normal form from canon's terms; its hash is taken once: it
+    holds no string, so it is the same in every process.
     """
 
     __slots__ = ("p", "canon", "exps", "_key", "_hash")
@@ -76,7 +84,9 @@ class VertexClass:
         self.p = p
         self.canon = canon
         self.exps = tuple(exps)
-        self._key = (p,) + tuple((e.num, e.den) for row in canon.rows for e in row)
+        below = [RatFunc.from_laurent_terms(p, c, e)
+                 for e, c in _below(canon._laurent_terms())]
+        self._key = (p, self.exps) + tuple((x.num, x.den) for x in below)
         self._hash = hash(self._key)
 
     def __eq__(self, other):
@@ -91,16 +101,21 @@ class VertexClass:
 
     def to_text(self):
         """Serialize as `(a1,a2,a3 | e21;e31;e32)` with Laurent entries."""
-        below = [self.canon[1, 0], self.canon[2, 0], self.canon[2, 1]]
+        below = _below(self.canon._laurent_terms())
         return "(%s | %s)" % (",".join(str(a) for a in self.exps),
-                              ";".join(render_laurent(e.to_laurent())
-                                       for e in below))
+                              ";".join(render_laurent_data(c, e, "t")
+                                       for e, c in below))
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
         return "VertexClass(p=%d, %s)" % (self.p, self.to_text())
+
+
+def _below(t):
+    """Entries (1, 0), (2, 0) and (2, 1) of the rows t."""
+    return t[1][0], t[2][0], t[2][1]
 
 
 def identity_vertex(p) -> VertexClass:
@@ -114,9 +129,9 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     output; the result is lower triangular with diagonal pi^(a_i) and
     min a_i = 0.
 
-    The elimination runs on pi-adic digits of pi^-m * M (m the least entry
-    valuation, so the entries lie in O) modulo pi^n, n = D+1,
-    D = nu(det) - 3m: the lattice L contains pi^D * O^3, so a column
+    The elimination runs on pi-adic digits of pi^-m * M modulo pi^n,
+    n = D+1, D = nu(det) - 3m, for m at most the least entry valuation, so
+    that the entries lie in O: the lattice L contains pi^D * O^3, so a column
     changed by an element of pi^(D+1) * O^3 keeps nu(det) = D and still
     generates L, and the canonical form of L is unique.  The window then
     shrinks.  When row r has its pivot pi^a, with the unit scaled away and
@@ -130,11 +145,17 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     final reduction modulo the pivots needs one product, for entry (2, 0);
     then each entry below the diagonal is its first a_row digits.
 
-    The digits are read from the entries' Laurent terms
-    (``MatrixRF._laurent_terms``), which a product has already cached.
-    Only the three entries below the diagonal are built from digits; the
-    diagonal entries are monomials and the others zero.  The terms are
-    cached on ``canon`` for the next product.
+    The digits have one source, ``_window_digits``, which reads them
+    straight from two factors' Laurent terms (``MatrixRF._factor_terms``):
+    those of a product not yet formed, so ``apply`` and ``link`` form no
+    product, or M's own terms and the identity.  There m is the least
+    val(A_il) + val(B_lj) over the nonzero pairs of factor entries, a lower
+    bound on the product's least valuation.  When leading terms cancel, m
+    is below the true valuation m', the window grows by 3(m' - m) and every
+    pivot by m' - m, and the homothety takes the class to the same
+    canonical form.  Only the three entries below the diagonal are built
+    from digits; the diagonal entries are monomials and the others zero.
+    The terms are cached on ``canon`` for the next product.
 
     ``det_valuation`` is nu(det M) when the caller knows it (``apply`` and
     ``link`` do); without it the determinant is computed.  An infinite
@@ -146,13 +167,8 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
         det_valuation = M.det_valuation()
     if det_valuation == INF:
         raise ValueError("singular matrix does not define a lattice")
-    terms = M._laurent_terms()
-    # nu = -(largest exponent) = -(minexp + len(coeffs) - 1)
-    m = 1 - max(e + len(c) for row in terms for e, c in row if c)
-    n = det_valuation - 3 * m + 1
-    # cols[j][i]: the digits of pi^-m * M[i, j] modulo pi^n
-    cols = [[laurent_pi_digits(terms[i][j], m, n) for i in range(3)]
-            for j in range(3)]
+    A, B = M._factor_terms()
+    n, cols = _window_digits(A, B, p, det_valuation)
     exps = [0, 0, 0]
 
     # rows above r are zero in every column >= r, and after step r the pivot
@@ -208,6 +224,50 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
         (e10, (mn - a1, (1,)), zero),
         (e20, e21, (mn - a2, (1,)))))
     return VertexClass(p, canon, [a - mn for a in exps])
+
+
+def _window_digits(A, B, p, D):
+    """(n, cols): cols[j][i] is the list of the digits of pi^-m * (A B)[i, j]
+    at pi^0 .. pi^(n-1), n = D - 3m + 1, for Laurent terms A and B whose
+    product has nu(det) = D.
+
+    m is the least val(A[i][l]) + val(B[l][j]) over the nonzero pairs, a
+    lower bound on the least valuation of the product's entries, so every
+    entry of pi^-m * (A B) lies in O.  Each term product is added straight
+    into the window, reduced mod p as it goes: the coefficient of t^k is the
+    digit at pi^-k, and the pairs of coefficients whose digit falls at or
+    past pi^n are skipped.  A pair of monomials adds one digit.
+    """
+    # each nonzero entry as (its column, nu, its digits from pi^nu on)
+    a = [[(q, 1 - e - len(c), c[::-1]) for q, (e, c) in enumerate(row) if c]
+         for row in A]
+    b = [[(j, 1 - e - len(c), c[::-1]) for j, (e, c) in enumerate(row) if c]
+         for row in B]
+    m = min([va + min([y[1] for y in b[q]]) for row in a for q, va, _ in row
+             if b[q]])
+    n = D - 3 * m + 1
+    cols = [[None] * 3, [None] * 3, [None] * 3]
+    for i, row in enumerate(a):
+        acc = [0] * n, [0] * n, [0] * n
+        for q, va, f in row:
+            for j, vb, g in b[q]:
+                o = va + vb - m
+                if o >= n:
+                    continue
+                t = acc[j]
+                if len(g) == 1:
+                    if len(f) == 1:
+                        t[o] = (t[o] + f[0] * g[0]) % p
+                        continue
+                    x, y = g, f
+                else:
+                    x, y = f, g
+                for k, c in enumerate(x[:n - o], o):
+                    if c:
+                        for h, d in enumerate(y[:n - k], k):
+                            t[h] = (t[h] + c * d) % p
+        cols[0][i], cols[1][i], cols[2][i] = acc
+    return n, cols
 
 
 def _order(digits):

@@ -15,6 +15,13 @@ are built from them, in normal form for both rings alike, on the first read
 of ``rows``, so a word evaluation builds no entry object until something
 reads one.  No RatFunc field arithmetic runs.
 
+A product is formed on first read too: ``A * B`` checks p and var and reads
+both factors' terms, so every error is raised at ``*``, and keeps the two
+term tuples; its own terms are formed on the first ``_laurent_terms`` read,
+which ``rows``, ``==``, ``hash``, ``det`` and every other reader go
+through.  ``building.canonicalize`` reads the digits it needs straight from
+the factors (``_factor_terms``), so ``building.apply`` forms no product.
+
 ``word_evaluate`` does not call the product: it keeps the running product of
 a word as nine integers, each entry's coefficients packed into W-bit slots
 (Kronecker substitution), so a letter step is a few big-integer products.
@@ -56,7 +63,8 @@ class MatrixRF:
     """3x3 matrix of entries sharing modulus and variable tag: RatFunc mod p,
     or LaurentPoly over Z when ``p`` is None."""
 
-    __slots__ = ("p", "var", "_rows", "_det_valuation", "_terms", "_inverse")
+    __slots__ = ("p", "var", "_rows", "_det_valuation", "_terms", "_inverse",
+                 "_factors")
 
     def __init__(self, p, rows, var="t"):
         self.p = p
@@ -65,6 +73,7 @@ class MatrixRF:
         self._det_valuation = None
         self._terms = None
         self._inverse = None
+        self._factors = None
         for row in self._rows:
             for e in row:
                 if e.p != p or e.var != var:
@@ -72,9 +81,7 @@ class MatrixRF:
 
     @classmethod
     def identity(cls, p, var="t"):
-        one, zero = (0, (1,)), (0, ())
-        return cls.from_terms(
-            p, ((one, zero, zero), (zero, one, zero), (zero, zero, one)), var)
+        return cls.from_terms(p, _IDENTITY_TERMS, var)
 
     @classmethod
     def from_terms(cls, p, terms, var="t"):
@@ -84,17 +91,17 @@ class MatrixRF:
         the entries are built from them on the first read of ``rows``."""
         out = cls.__new__(cls)
         out.p, out.var, out._terms = p, var, terms
-        out._rows = out._det_valuation = out._inverse = None
+        out._rows = out._det_valuation = out._inverse = out._factors = None
         return out
 
     @property
     def rows(self):
         """The entries, three rows of three; a matrix made by ``from_terms``
-        builds them in normal form on the first read."""
+        or ``*`` builds them in normal form on the first read."""
         if self._rows is None:
             entry, p, var = _entry_type(self.p), self.p, self.var
             self._rows = tuple(tuple(entry(p, c, e, var) for e, c in row)
-                               for row in self._terms)
+                               for row in self._laurent_terms())
         return self._rows
 
     @classmethod
@@ -109,31 +116,47 @@ class MatrixRF:
         return self.rows[ij[0]][ij[1]]
 
     def __mul__(self, other):
-        """The product, one Laurent convolution per entry.
+        """The product, formed on the first read of its terms.
 
-        Each output entry is ``laurent_dot`` of a row and a column (see
-        ``_laurent_terms``): its at most three nonzero term products added
-        into one integer list, reduced mod p once and trimmed at both ends.
+        p and var are checked and both factors' terms read here, so every
+        error is raised at ``*``; the product keeps the two term tuples
+        (``_factor_terms``) until ``_laurent_terms`` forms them into one
+        ``laurent_dot`` per entry: a row and a column, their at most three
+        nonzero term products added into one integer list, reduced mod p
+        once and trimmed at both ends.
         """
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
-        a, b = self._laurent_terms(), other._laurent_terms()
-        p = self.p
-        cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
-        return MatrixRF.from_terms(
-            p, tuple(tuple(laurent_dot(r, col, p) for col in cols) for r in a),
-            self.var)
+        out = MatrixRF.from_terms(self.p, None, self.var)
+        out._factors = self._laurent_terms(), other._laurent_terms()
+        return out
 
     def _laurent_terms(self):
         """Every entry as (minexp, coeffs), trimmed at both ends, read once
         per matrix; ValueError when some entry mod p is not a RatFunc over a
-        power of t."""
+        power of t.  A product forms its terms here, from its factors'."""
         if self._terms is None:
-            flat = [e.laurent_terms() for row in self.rows for e in row]
-            if None in flat:
-                raise ValueError("matrix entry is not a Laurent polynomial")
-            self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
+            if self._factors is not None:
+                a, b = self._factors
+                p = self.p
+                cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
+                self._terms = tuple(tuple(laurent_dot(r, col, p) for col in cols)
+                                    for r in a)
+                self._factors = None
+            else:
+                flat = [e.laurent_terms() for row in self.rows for e in row]
+                if None in flat:
+                    raise ValueError("matrix entry is not a Laurent polynomial")
+                self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
         return self._terms
+
+    def _factor_terms(self):
+        """(A, B), Laurent terms whose product is this matrix: a product not
+        yet formed gives its two factors, any other matrix its own terms and
+        those of the identity."""
+        if self._factors is not None:
+            return self._factors
+        return self._laurent_terms(), _IDENTITY_TERMS
 
     def _cofactors(self, i):
         """The cofactors of row i as Laurent terms, each one ``laurent_dot``:
@@ -237,6 +260,10 @@ class MatrixRF:
 
     def __repr__(self):
         return "MatrixRF(p=%s, %s)" % (self.p, self)
+
+
+_IDENTITY_TERMS = tuple(tuple((0, (1,)) if i == j else (0, ()) for j in range(3))
+                        for i in range(3))
 
 
 def _entry_type(p):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,8 @@ from buraubuilding.arith import (
     INF,
     LaurentPoly,
     RatFunc,
+    check_prime,
+    is_prime,
     laurent_dot,
     laurent_pi_digits,
     parse_laurent,
@@ -40,6 +43,41 @@ def random_ratfunc(rng, p, var="t", span=3):
         if not any(den):
             den = ()
     return RatFunc(p, num, den, var)
+
+
+# -- primality ----------------------------------------------------------------
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(-3, 10 ** 5) if _trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, 3825123056546413051 to every prime base up to
+    # 31 and 318665857834031151167461 to every prime base up to 37
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            check_prime(n)
+
+
+def test_check_prime_certifies_a_61_bit_prime_at_once():
+    start = time.perf_counter()
+    assert check_prime(2 ** 61 - 1) == 2 ** 61 - 1
+    assert not is_prime(2 ** 61 + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- ring_ops -----------------------------------------------------------------

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from buraubuilding.arith import INF, LaurentPoly, RatFunc, laurent_pi_digits
+from buraubuilding.arith import (INF, LaurentPoly, RatFunc, laurent_pi_digits,
+                                  laurent_valuation)
 from buraubuilding import building
 from buraubuilding.building import (
     VertexClass,
@@ -254,6 +255,107 @@ def test_canonicalize_matches_exact_elimination_on_deep_inputs(deep_inputs):
         # the window shrinks from nu(det) + 1 to a_3 + 1 digits
         shrunk += got.exps[0] + got.exps[1] > 0
     assert len(deep_inputs) >= 150 and shrunk >= 0.9 * len(deep_inputs)
+
+
+def _assert_window_read_from_factors(A, B):
+    """canonicalize of the unformed product A * B, which reads its digits
+    from the factors, against the formed product's terms and the oracle."""
+    M = A * B
+    assert M._factors is not None
+    got = canonicalize(M)
+    formed = MatrixRF.from_terms(A.p, (A * B)._laurent_terms())
+    for want in (canonicalize(formed), canonicalize_oracle(formed)):
+        assert (got.exps, got.to_text()) == (want.exps, want.to_text())
+        assert got == want and hash(got) == hash(want)
+
+
+def _pair_bound(A, B):
+    """The least val(A_il) + val(B_lj), the m of ``_window_digits``."""
+    a, b = A._laurent_terms(), B._laurent_terms()
+    return min(laurent_valuation(a[i][l]) + laurent_valuation(b[l][j])
+               for i, l, j in itertools.product(range(3), repeat=3))
+
+
+def test_window_digits_from_factors_match_the_formed_product(oracle_inputs):
+    # letters and their inverses on both sides of the seeded inputs, the
+    # random column operations on classes among them, at p = 2, 3, 5, 7
+    rng = random.Random(20261202)
+    for M in oracle_inputs[::3]:
+        g = rng.choice(_letters_and_inverses(M.p))
+        _assert_window_read_from_factors(g, M)
+        _assert_window_read_from_factors(M, g)
+
+
+def test_window_digits_when_leading_terms_cancel():
+    # A = V E and B = E^-1 g for a vertex basis V, a letter g and the
+    # elementary matrix E that adds c t^k times column i to column j: A B is
+    # V g, while A's column i times E^-1's c t^k reaches valuations k lower,
+    # past the spread of V and g, so the bound m is strictly below the
+    # product's least valuation and the leading terms cancel
+    rng = random.Random(20261203)
+    below = 0
+    for p in (2, 3, 5, 7):
+        gens = _letters_and_inverses(p)
+        v = identity_vertex(p)
+        for _ in range(8):
+            v = apply(rng.choice(gens), v)
+            i, j = rng.sample(range(3), 2)
+            c, k = rng.randrange(1, p), rng.randint(16, 20)
+            E = [[(0, (1,)) if r == s else (0, ()) for s in range(3)]
+                 for r in range(3)]
+            E[i][j] = (k, (c,))
+            E = MatrixRF.from_terms(p, tuple(map(tuple, E)))
+            A = MatrixRF.from_terms(p, (v.canon * E)._laurent_terms())
+            B = MatrixRF.from_terms(p, (E.inverse() * rng.choice(gens))
+                                    ._laurent_terms())
+            true = min(laurent_valuation(x) for row in (A * B)._laurent_terms()
+                       for x in row)
+            below += _pair_bound(A, B) < true
+            _assert_window_read_from_factors(A, B)
+    assert below == 32
+
+
+def test_canonicalize_refuses_a_singular_product():
+    rng = random.Random(4)
+    for p in (2, 3, 5, 7):
+        while True:
+            g = random_matrix(rng, p)
+            if not g.det().is_zero():
+                break
+        lam = RatFunc(p, (1, 1), (1,))
+        m = MatrixRF(p, tuple((r[0], r[1], r[0] + lam * r[1]) for r in g.rows))
+        for M in (g * m, m * g):
+            assert M._factors is not None
+            with pytest.raises(ValueError, match="singular"):
+                canonicalize(M)
+
+
+def test_apply_forms_no_product_and_keys_on_three_entries(monkeypatch):
+    # apply's product is never formed: its digits are read from g and
+    # v.canon, and the new vertex builds only its three entries below the
+    # diagonal for its key
+    from buraubuilding import rep
+    p = 3
+    gens = _letters_and_inverses(p)
+    for g in gens:
+        g.det_valuation()
+    dots, built = [], []
+    dot, init = rep.laurent_dot, RatFunc.__init__
+
+    def counting_dot(*args):
+        dots.append(1)
+        return dot(*args)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    v = identity_vertex(p)
+    monkeypatch.setattr(rep, "laurent_dot", counting_dot)
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    for g in gens:
+        v = apply(g, v)
+    assert not dots and len(built) == 3 * len(gens)
 
 
 def test_laurent_pi_digits_match_pi_digits():

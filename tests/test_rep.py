@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from buraubuilding.arith import LaurentPoly, RatFunc
+from buraubuilding.arith import LaurentPoly, RatFunc, laurent_dot
 from buraubuilding.rep import (
     GroupWord,
     KERNEL_WORD_TEXT,
@@ -361,6 +361,74 @@ def test_product_entries_built_on_first_read_match_eager_entries():
                 got = a * b
                 assert str(got) == str(eager)
                 assert got.transpose() == eager.transpose()
+
+
+def _eager_product(a, b):
+    """The terms of a * b formed at once, one ``laurent_dot`` per entry."""
+    ta, tb = a._laurent_terms(), b._laurent_terms()
+    cols = [(tb[0][j], tb[1][j], tb[2][j]) for j in range(3)]
+    return tuple(tuple(laurent_dot(r, col, a.p) for col in cols) for r in ta)
+
+
+def test_lazy_product_forms_the_eager_terms():
+    # a product keeps its factors' terms until its own are read; once
+    # formed they are the laurent_dot product's, for single products,
+    # chains both ways round and powers
+    rng = random.Random(20261201)
+    for p in (None, 2, 3, 5, 7):
+        for _ in range(20):
+            a, b, c = (_laurent_matrix(rng, p, "t", False) for _ in range(3))
+            got = a * b
+            assert got._terms is None and got._rows is None
+            assert got._laurent_terms() == _eager_product(a, b)
+            ab = _eager(p, _eager_product(a, b), "t")
+            bc = _eager(p, _eager_product(b, c), "t")
+            assert (a * b * c)._laurent_terms() == _eager_product(ab, c)
+            assert (a * (b * c))._laurent_terms() == _eager_product(a, bc)
+        for g in (burau_generator(1, p), word_evaluate(parse_word("x.y^-1"), p)):
+            want = MatrixRF.identity(p)
+            for n in range(7):
+                assert (g ** n)._laurent_terms() == want._laurent_terms()
+                want = _eager(p, _eager_product(want, g), "t")
+
+
+def test_lazy_product_raises_at_the_product():
+    # the factors are checked and read at *, not when the product is read
+    s1 = burau_generator(1, 3)
+    for other in (burau_generator(1, 5), burau_generator(1, None), s1.to_s()):
+        for op in (lambda: s1 * other, lambda: other * s1):
+            with pytest.raises(ValueError, match="mismatch"):
+                op()
+    rows = [list(r) for r in s1.rows]
+    rows[1][2] = RatFunc(3, (1,), (1, 1))       # 1 / (1 + t)
+    bad = MatrixRF(3, rows)
+    for op in (lambda: bad * s1, lambda: s1 * bad, lambda: s1 * s1 * bad):
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
+            op()
+
+
+def test_a_product_read_twice_forms_its_terms_once(monkeypatch):
+    from buraubuilding import rep
+    calls = []
+    dot = rep.laurent_dot
+
+    def counting(*args):
+        calls.append(1)
+        return dot(*args)
+
+    monkeypatch.setattr(rep, "laurent_dot", counting)
+    a, b = burau_generator(1, 3), burau_generator(2, 3)
+    m = a * b
+    assert not calls
+    first = m._laurent_terms()
+    assert len(calls) == 9
+    assert m._laurent_terms() is first
+    # every later reader goes through the formed terms
+    for read in (lambda: m.rows, lambda: hash(m), lambda: str(m),
+                 lambda: is_homothety(m), lambda: m == m):
+        read()
+    assert m._factor_terms() == (first, MatrixRF.identity(3)._laurent_terms())
+    assert len(calls) == 9
 
 
 def test_word_evaluation_builds_no_entries_until_read(monkeypatch):
