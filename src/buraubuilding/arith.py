@@ -34,7 +34,8 @@ _SPRP_BOUND = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Trial division by the primes up to 41, then, below ``_SPRP_BOUND``,
     strong probable-prime tests to those primes as bases, which no composite
-    below that bound passes; trial division above it."""
+    below that bound passes.  Past the bound no test here certifies a prime:
+    ValueError, unless trial division has found a factor."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -42,27 +43,23 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < 43 * 43:
         return True
-    if n < _SPRP_BOUND:
-        d, s = n - 1, 0
-        while not d & 1:
-            d >>= 1
-            s += 1
-        for a in _SMALL_PRIMES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    f = 43
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _SPRP_BOUND:
+        raise ValueError("primality of %d is not certified at or above %d"
+                         % (n, _SPRP_BOUND))
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -24,16 +24,16 @@ only the rows after its pivot row, whose pivot (pi^a) and cleared entries
 (0) are known and not stored.
 ``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
 The digits have one source, ``_window_digits``: it reads the window of
-pi^-m (A B) straight from the Laurent terms (minexp, coeffs) of two factors,
-the digit at pi^k being the coefficient of t^-k.  ``g * v.canon`` is a
-product not yet formed (``rep``), so it gives g and v.canon, and ``apply``
-and ``link`` never form the product's nine entries; any other matrix gives
-its own terms and the identity.  A matrix with a non-Laurent entry is
-refused.  Only the three entries below the diagonal are built from digits:
-the diagonal is three monomials and the rest is zero.  The canonical matrix
-keeps its terms, so the next product does not read them again, and a
-vertex is keyed on p, its exponents and its three entries below the
-diagonal.
+pi^-m (A B) straight from the digit rows of two factors, which each matrix
+builds once, the digit at pi^k being the coefficient of t^-k.
+``g * v.canon`` is a product not yet formed (``rep``), so it gives g and
+v.canon, and ``apply`` and ``link`` never form the product's nine entries;
+any other matrix gives itself and the identity.  A matrix with a
+non-Laurent entry is refused.  Only the three entries below the diagonal
+are built from digits: the diagonal is three monomials and the rest is
+zero.  The canonical matrix keeps its terms, so the next product does not
+read them again, and a vertex is keyed on p, its exponents and its three
+entries below the diagonal.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -146,9 +146,9 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     then each entry below the diagonal is its first a_row digits.
 
     The digits have one source, ``_window_digits``, which reads them
-    straight from two factors' Laurent terms (``MatrixRF._factor_terms``):
+    straight from two factors' digit rows (``MatrixRF._factor_matrices``):
     those of a product not yet formed, so ``apply`` and ``link`` form no
-    product, or M's own terms and the identity.  There m is the least
+    product, or M itself and the identity.  There m is the least
     val(A_il) + val(B_lj) over the nonzero pairs of factor entries, a lower
     bound on the product's least valuation.  When leading terms cancel, m
     is below the true valuation m', the window grows by 3(m' - m) and every
@@ -167,7 +167,7 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
         det_valuation = M.det_valuation()
     if det_valuation == INF:
         raise ValueError("singular matrix does not define a lattice")
-    A, B = M._factor_terms()
+    A, B = M._factor_matrices()
     n, cols = _window_digits(A, B, p, det_valuation)
     exps = [0, 0, 0]
 
@@ -228,8 +228,9 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
 
 def _window_digits(A, B, p, D):
     """(n, cols): cols[j][i] is the list of the digits of pi^-m * (A B)[i, j]
-    at pi^0 .. pi^(n-1), n = D - 3m + 1, for Laurent terms A and B whose
-    product has nu(det) = D.
+    at pi^0 .. pi^(n-1), n = D - 3m + 1, for matrices A and B whose product
+    has nu(det) = D, read from their digit rows (``MatrixRF._digit_rows``),
+    which each matrix builds once.
 
     m is the least val(A[i][l]) + val(B[l][j]) over the nonzero pairs, a
     lower bound on the least valuation of the product's entries, so every
@@ -239,12 +240,9 @@ def _window_digits(A, B, p, D):
     past pi^n are skipped.  A pair of monomials adds one digit.
     """
     # each nonzero entry as (its column, nu, its digits from pi^nu on)
-    a = [[(q, 1 - e - len(c), c[::-1]) for q, (e, c) in enumerate(row) if c]
-         for row in A]
-    b = [[(j, 1 - e - len(c), c[::-1]) for j, (e, c) in enumerate(row) if c]
-         for row in B]
-    m = min([va + min([y[1] for y in b[q]]) for row in a for q, va, _ in row
-             if b[q]])
+    a = A._digit_rows()[0]
+    b, least = B._digit_rows()
+    m = min([va + least[q] for row in a for q, va, _ in row if b[q]])
     n = D - 3 * m + 1
     cols = [[None] * 3, [None] * 3, [None] * 3]
     for i, row in enumerate(a):

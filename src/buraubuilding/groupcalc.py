@@ -26,7 +26,7 @@ from .rep import (
     named_word,
     order_mod_homothety,
     parse_word,
-    squier_form,
+    squier_form_t,
     word_evaluate,
     word_evaluate_integral,
 )
@@ -117,22 +117,14 @@ def perm_orbit_sizes(perms, n):
 # the pulled-back form and valuation bounds
 
 def form_pullback(v: VertexClass) -> MatrixRF:
-    """(M* J M) / s over F_p(t), where M is the canonical basis of v.
+    """M* H M over F_p(t), where M is the canonical basis of v and
+    H = J / s (``squier_form_t``): (M* J M) / s, since s is central.
 
-    J has odd s-exponents, matrices over t have even ones, so M*JM is s
-    times a matrix over t.  A matrix g with Laurent entries satisfies
-    g*Jg = J iff alpha = M^-1 g M satisfies alpha* F alpha = F for this F.
-    On Laurent terms, dividing by s lowers each exponent by one, and t = s^2
-    halves the exponents that are left, which must all be even.
+    A matrix g with Laurent entries satisfies g*Jg = J iff g*Hg = H iff
+    alpha = M^-1 g M satisfies alpha* F alpha = F for this F.
     """
-    Ms = v.canon.to_s()
-    F = Ms.star() * squier_form(v.p) * Ms
-    rows = []
-    for row in F._laurent_terms():
-        if any(c and ((e - 1) % 2 or any(c[1::2])) for e, c in row):
-            raise ValueError("pulled-back form entry has odd s-exponents")
-        rows.append(tuple(((e - 1) // 2, c[::2]) if c else (0, ()) for e, c in row))
-    return MatrixRF.from_terms(v.p, tuple(rows))
+    M = v.canon
+    return M.star() * squier_form_t(v.p) * M
 
 
 def entry_degree_bounds(F0: MatrixRF):

@@ -8,7 +8,7 @@ LaurentPoly entries over Z[t, 1/t] when ``p`` is None.  Every entry must be
 a Laurent polynomial.  Each matrix is read once as its Laurent terms
 (minexp, coeffs) per entry, and every operation works on those: the
 product, the cofactors behind ``det``, ``adjugate`` and ``inverse``,
-``scale``, ``star`` and ``to_s``.  Each output entry is one integer
+``scale`` and ``star``.  Each output entry is one integer
 convolution (``laurent_dot``), reduced mod p once and trimmed.
 ``from_terms`` keeps only those terms, for the next operation; the entries
 are built from them, in normal form for both rings alike, on the first read
@@ -17,19 +17,22 @@ reads one.  No RatFunc field arithmetic runs.
 
 A product is formed on first read too: ``A * B`` checks p and var and reads
 both factors' terms, so every error is raised at ``*``, and keeps the two
-term tuples; its own terms are formed on the first ``_laurent_terms`` read,
+factors; its own terms are formed on the first ``_laurent_terms`` read,
 which ``rows``, ``==``, ``hash``, ``det`` and every other reader go
 through.  ``building.canonicalize`` reads the digits it needs straight from
-the factors (``_factor_terms``), so ``building.apply`` forms no product.
+the factors (``_factor_matrices``), each factor's digit rows built once per
+matrix (``_digit_rows``), so ``building.apply`` forms no product.
 
 ``word_evaluate`` does not call the product: it keeps the running product of
 a word as nine integers, each entry's coefficients packed into W-bit slots
-(Kronecker substitution), so a letter step is a few big-integer products.
-A bound on every slot's |coefficient| keeps the packing exact: before a step
-would let a slot overflow, the chain unpacks, reduces mod p or reads the
-exact maximum over Z, and widens W only if it must.  ``MatrixRF.__mul__``
-stays on unpacked terms, since one product of short entries gains nothing
-from packing them.
+(Kronecker substitution), so a letter step is a few big-integer products
+and shifts, one per nonzero letter entry and row, compiled once per letter
+(``_packed_letter``).  A bound on every slot's |coefficient| keeps the
+packing exact: before a step would let a slot overflow, the chain unpacks,
+reduces mod p or reads the exact maximum over Z, and widens W only if it
+must.  ``MatrixRF.__mul__`` stays on unpacked terms, since one product of
+short entries gains nothing from packing them; the compiled steps serve the
+word chain only.
 
 Convention: several reduced-Burau conventions circulate, differing by
 transpose, inversion and t <-> 1/t.  The convention fixed here is the one
@@ -64,7 +67,7 @@ class MatrixRF:
     or LaurentPoly over Z when ``p`` is None."""
 
     __slots__ = ("p", "var", "_rows", "_det_valuation", "_terms", "_inverse",
-                 "_factors")
+                 "_factors", "_digits")
 
     def __init__(self, p, rows, var="t"):
         self.p = p
@@ -74,6 +77,7 @@ class MatrixRF:
         self._terms = None
         self._inverse = None
         self._factors = None
+        self._digits = None
         for row in self._rows:
             for e in row:
                 if e.p != p or e.var != var:
@@ -92,6 +96,7 @@ class MatrixRF:
         out = cls.__new__(cls)
         out.p, out.var, out._terms = p, var, terms
         out._rows = out._det_valuation = out._inverse = out._factors = None
+        out._digits = None
         return out
 
     @property
@@ -119,16 +124,18 @@ class MatrixRF:
         """The product, formed on the first read of its terms.
 
         p and var are checked and both factors' terms read here, so every
-        error is raised at ``*``; the product keeps the two term tuples
-        (``_factor_terms``) until ``_laurent_terms`` forms them into one
-        ``laurent_dot`` per entry: a row and a column, their at most three
-        nonzero term products added into one integer list, reduced mod p
-        once and trimmed at both ends.
+        error is raised at ``*``; the product keeps the two factors
+        (``_factor_matrices``) until ``_laurent_terms`` forms their terms
+        into one ``laurent_dot`` per entry: a row and a column, their at
+        most three nonzero term products added into one integer list,
+        reduced mod p once and trimmed at both ends.
         """
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
+        self._laurent_terms()
+        other._laurent_terms()
         out = MatrixRF.from_terms(self.p, None, self.var)
-        out._factors = self._laurent_terms(), other._laurent_terms()
+        out._factors = self, other
         return out
 
     def _laurent_terms(self):
@@ -137,7 +144,7 @@ class MatrixRF:
         power of t.  A product forms its terms here, from its factors'."""
         if self._terms is None:
             if self._factors is not None:
-                a, b = self._factors
+                a, b = self._factor_terms()
                 p = self.p
                 cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
                 self._terms = tuple(tuple(laurent_dot(r, col, p) for col in cols)
@@ -150,13 +157,32 @@ class MatrixRF:
                 self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
         return self._terms
 
-    def _factor_terms(self):
-        """(A, B), Laurent terms whose product is this matrix: a product not
-        yet formed gives its two factors, any other matrix its own terms and
-        those of the identity."""
+    def _factor_matrices(self):
+        """(A, B), matrices whose product is this one: a product not yet
+        formed gives its two factors, any other matrix itself and the
+        identity."""
         if self._factors is not None:
             return self._factors
-        return self._laurent_terms(), _IDENTITY_TERMS
+        return self, _identity(self.p, self.var)
+
+    def _factor_terms(self):
+        """The Laurent terms of the two ``_factor_matrices``."""
+        a, b = self._factor_matrices()
+        return a._laurent_terms(), b._laurent_terms()
+
+    def _digit_rows(self):
+        """(rows, least): rows[i] lists the nonzero entries of row i as
+        (column, nu, digits), the pi-adic digits from pi^nu on, which are
+        the coefficients reversed (the digit at pi^k is the coefficient of
+        t^-k); least[i] is the least nu in row i, None for a zero row.
+        Built once per matrix, for ``building._window_digits``."""
+        if self._digits is None:
+            rows = tuple(tuple((j, 1 - e - len(c), c[::-1])
+                               for j, (e, c) in enumerate(row) if c)
+                         for row in self._laurent_terms())
+            self._digits = rows, tuple(min([x[1] for x in r]) if r else None
+                                       for r in rows)
+        return self._digits
 
     def _cofactors(self, i):
         """The cofactors of row i as Laurent terms, each one ``laurent_dot``:
@@ -225,14 +251,6 @@ class MatrixRF:
             self.p, tuple(tuple((1 - e - len(c), c[::-1]) if c else (0, ())
                                 for e, c in col) for col in zip(*t)), self.var)
 
-    def to_s(self):
-        """Substitute t = s^2 in every entry: each exponent doubles."""
-        if self.var != "t":
-            raise ValueError("matrix already in the s-ring")
-        return MatrixRF.from_terms(
-            self.p, tuple(tuple((2 * e, _stretch(c)) for e, c in row)
-                          for row in self._laurent_terms()), "s")
-
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
@@ -278,12 +296,10 @@ def _neg(x, p):
     return x[0], tuple(-a if p is None else -a % p for a in x[1])
 
 
-def _stretch(coeffs):
-    """The coefficients of f(t^2) from those of f: a zero after each but
-    the last."""
-    out = [0] * (2 * len(coeffs) - 1)
-    out[::2] = coeffs
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _identity(p, var):
+    """One identity matrix per ring, so its cached digits are shared."""
+    return MatrixRF.identity(p, var)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +315,23 @@ def squier_form(p: int) -> MatrixRF:
          ["0", "s", "-1*s+-1*s^-1"]], p, "s")
 
 
+@lru_cache(maxsize=None)
+def squier_form_t(p: int) -> MatrixRF:
+    """H = J / s over F_p[t, 1/t], t = s^2: J has odd s-exponents only, so
+    H has even ones, and s is a central unit, so a matrix A over t has
+    A* J A = J iff A* H A = H."""
+    check_prime(p)
+    return MatrixRF.from_strings(
+        [["-1+-1*t^-1", "t^-1", "0"],
+         ["1", "-1+-1*t^-1", "t^-1"],
+         ["0", "1", "-1+-1*t^-1"]], p)
+
+
 def is_unitary(A: MatrixRF) -> bool:
-    """True iff A* J A = J over F_p[s, 1/s]."""
-    As = A.to_s() if A.var == "t" else A
-    J = squier_form(A.p)
-    return As.star() * J * As == J
+    """True iff A* J A = J over F_p[s, 1/s], for A over t: read as
+    A* H A = H with H = J / s (``squier_form_t``)."""
+    H = squier_form_t(A.p)
+    return A.star() * H * A == H
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +558,12 @@ def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
 
     The running product is t^E times nine polynomials, each packed into one
     integer: coefficient s is the integer in bit slot [sW, sW + W), balanced
-    (signed) over Z and non-negative mod p.  A letter step is then nine sums
-    of at most three big-integer products and shifts (Kronecker
-    substitution, *Modern Computer Algebra* 8.4), with no Python loop over
-    coefficients, and E grows by the letter's least exponent.  ``bound`` bounds every slot's
+    (signed) over Z and non-negative mod p.  A letter step is then the
+    letter's compiled ``step`` (see ``_packed_letter``): for each row, one
+    term a_k * m << s per nonzero letter entry (k, j), with no `* 1`, no
+    `<< 0` and no zero term (Kronecker substitution, *Modern Computer
+    Algebra* 8.4), and no Python loop over coefficients; E grows by the
+    letter's least exponent.  ``bound`` bounds every slot's
     |coefficient|, and a step multiplies it by at most the letter's growth
     factor g (see ``_packed_letter``).  While bound * g fits a slot (below
     2^(W-1) over Z, 2^W mod p), no slot carries into the next, so the packed
@@ -543,9 +573,10 @@ def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
     entries move into E, and W grows by 64 bits until bound * g fits.  The
     result's terms are those of the left-to-right ``MatrixRF`` product.
 
-    ``MatrixRF.__mul__`` stays on unpacked terms: a lone product's entries
-    are short, and packing and unpacking them costs more than it saves; a
-    word's running product is unpacked only when its bound says so.
+    ``MatrixRF.__mul__`` stays on unpacked terms and uses no compiled step:
+    a lone product's entries are short, and packing and unpacking them
+    costs more than it saves; a word's running product is unpacked only
+    when its bound says so.
     """
     if p is not None:
         check_prime(p)
@@ -556,7 +587,7 @@ def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
     E, bound = 0, 1
     A = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for name, sgn in w:
-        lo, cols, g = _packed_letter(name, sgn, p, w8)
+        lo, step, g = _packed_letter(name, sgn, p, w8)
         if bound * g >= 1 << (8 * w8 - signed):
             z, slots = _unpack_matrix(A, w8, p)
             E += z
@@ -565,13 +596,8 @@ def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
                 w8 += 8
             A = tuple(tuple(_pack(s, w8, signed) for s in slots[i:i + 3])
                       for i in (0, 3, 6))
-            lo, cols, g = _packed_letter(name, sgn, p, w8)
-        (m00, s00, m10, s10, m20, s20), (m01, s01, m11, s11, m21, s21), \
-            (m02, s02, m12, s12, m22, s22) = cols
-        A = tuple(((a0 * m00 << s00) + (a1 * m10 << s10) + (a2 * m20 << s20),
-                   (a0 * m01 << s01) + (a1 * m11 << s11) + (a2 * m21 << s21),
-                   (a0 * m02 << s02) + (a1 * m12 << s12) + (a2 * m22 << s22))
-                  for a0, a1, a2 in A)
+            lo, step, g = _packed_letter(name, sgn, p, w8)
+        A = step(A)
         E += lo
         bound *= g
     z, slots = _unpack_matrix(A, w8, p)
@@ -583,26 +609,61 @@ def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
 @lru_cache(maxsize=None)
 def _packed_letter(name: str, sgn: int, p: Optional[int], w8: int):
     """A letter (sgn 1) or its inverse (sgn -1) for ``word_evaluate``, at
-    w8 bytes per slot: (lo, cols, g).  lo is its least exponent; cols[j]
-    holds (m, s) for each entry (k, j), k = 0, 1, 2: the entry is m shifted
-    up by s bits, m packed from the entry's own least exponent and s = W
-    times that exponent minus lo, so a monomial costs one small product and
-    a shift.  g = max_j sum_k ||L_kj||_1, with ||.||_1 the sum of
+    w8 bytes per slot: (lo, step, g).  lo is its least exponent.  step maps
+    the three packed rows of the running product to those of its product
+    with the letter: row entry j is the sum, over the letter's nonzero
+    entries (k, j), of a_k * m << s, m the entry packed from its own least
+    exponent and s = W times that exponent minus lo.  The step is compiled
+    once (``_compile_step``) and holds only those terms, without a `* 1` or
+    a `<< 0`.  g = max_j sum_k ||L_kj||_1, with ||.||_1 the sum of
     |coefficient|, taken as at least 2 so that a chain unpacks, and moves
     its shared zero low slots into E, at least once every W steps."""
     m = letter_matrix(name, p)
     t = (m if sgn > 0 else m.inverse())._laurent_terms()
     lo = min([e for row in t for e, c in row if c])
-    cols = []
-    for j in range(3):
-        col = ()
-        for k in range(3):
-            e, c = t[k][j]
-            col += (_pack(c, w8, p is None), 8 * w8 * (e - lo)) if c else (0, 0)
-        cols.append(col)
+    cols = [[(k, _pack(c, w8, p is None), 8 * w8 * (e - lo))
+             for k, (e, c) in enumerate(col) if c] for col in zip(*t)]
     g = max([sum([sum(map(abs, t[k][j][1])) for k in range(3)])
              for j in range(3)])
-    return lo, tuple(cols), max(g, 2)
+    return lo, _compile_step(cols), max(g, 2)
+
+
+def _compile_step(cols):
+    """The function taking packed rows (a0, a1, a2) to the rows whose entry
+    j is sum(a_k * m << s) over (k, m, s) in cols[j]: straight-line code,
+    run with ``exec`` from a source that holds only the names a0..a2,
+    integer shift counts and the names m<k><j> of the multipliers other
+    than 1, which are bound in the function's own namespace."""
+    consts, sums = {}, []
+    for j, col in enumerate(cols):
+        terms = []
+        for k, m, s in col:
+            x = "a%d" % k
+            if m != 1:
+                consts["m%d%d" % (k, j)] = m
+                x += " * m%d%d" % (k, j)
+            terms.append("(%s << %d)" % (x, s) if s else x)
+        sums.append(" + ".join(terms))
+    exec(_step_code(tuple(sums)), consts)
+    return consts["step"]
+
+
+@lru_cache(maxsize=None)
+def _step_code(sums):
+    """The compiled source of a step whose row entries are the three sums,
+    one per letter step that differs from another only in the values of its
+    multipliers (a letter mod 3 and mod 5, say), so each is compiled once.
+    Its file name, in tracebacks and profiles, is the sums."""
+    row = "(%s, %s, %s)" % sums
+    src = ("def step(A):\n"
+           "    r0, r1, r2 = A\n"
+           "    a0, a1, a2 = r0\n"
+           "    n0 = %s\n"
+           "    a0, a1, a2 = r1\n"
+           "    n1 = %s\n"
+           "    a0, a1, a2 = r2\n"
+           "    return n0, n1, %s\n" % (row, row, row))
+    return compile(src, "<step %s>" % " | ".join(sums), "exec")
 
 
 def _pack(coeffs, w8, signed):

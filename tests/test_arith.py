@@ -6,6 +6,7 @@ import time
 import pytest
 
 from buraubuilding.arith import (
+    _SPRP_BOUND,
     INF,
     LaurentPoly,
     RatFunc,
@@ -77,6 +78,18 @@ def test_check_prime_certifies_a_61_bit_prime_at_once():
     start = time.perf_counter()
     assert check_prime(2 ** 61 - 1) == 2 ** 61 - 1
     assert not is_prime(2 ** 61 + 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_check_prime_refuses_past_the_certified_bound_at_once():
+    # 2^89 - 1 is a Mersenne prime past the strong-pseudoprime bound: it is
+    # refused, not trial-divided; a multiple of a prime up to 41 is still
+    # found composite there
+    start = time.perf_counter()
+    for n in (2 ** 89 - 1, _SPRP_BOUND):
+        with pytest.raises(ValueError, match="not certified"):
+            check_prime(n)
+    assert not is_prime(41 * (2 ** 89 - 1))
     assert time.perf_counter() - start < 1.0
 
 

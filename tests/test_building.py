@@ -398,7 +398,7 @@ def test_a_non_laurent_entry_is_refused():
             one = RatFunc.one(p)
             for op in (lambda: M * g, lambda: g * M, M.det, M.det_valuation,
                        M.adjugate, M.inverse, lambda: M.scale(one), M.star,
-                       M.to_s, lambda: g.scale(rows[i][j]),
+                       lambda: g.scale(rows[i][j]),
                        lambda: canonicalize(M), lambda: canonicalize(M, d)):
                 with pytest.raises(ValueError, match="not a Laurent polynomial"):
                     op()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -155,6 +156,18 @@ def test_stab_identity_over_the_column_budget():
     assert "column candidate space 4330747 exceeds budget 4000000" \
         in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_a_prime_past_the_certified_bound_is_refused_at_once():
+    # 2^89 - 1 is prime, but past 3.3e24 no test here certifies it
+    start = time.perf_counter()
+    proc = _main_subprocess("stab-identity", "--p", str(2 ** 89 - 1))
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: primality of %d is not certified at or above "
+        "3317044064679887385961981" % (2 ** 89 - 1)]
     assert proc.stdout == ""
 
 
@@ -335,7 +348,7 @@ def test_claims_run_without_ratfunc_arithmetic(monkeypatch, capsys, tmp_path):
     # the letter matrices, their inverses and their packed forms are built
     # again under the patch
     for cached in (rep.burau_generator, rep.letter_matrix, rep._packed_letter,
-                   rep.squier_form):
+                   rep.squier_form, rep.squier_form_t):
         cached.cache_clear()
     seven = "[[1,0,0],[2,t^-2,0],[0,0,t^-2]]"
     claims = [

@@ -42,6 +42,7 @@ from buraubuilding.rep import (
     named_matrix,
     order_mod_homothety,
     parse_word,
+    squier_form,
     word_evaluate,
 )
 
@@ -118,6 +119,29 @@ def test_form_pullback_identity_fixed_by_unitary_constants():
     # entries live over t: even part of M* J M in s
     bounds = entry_degree_bounds(F0)
     assert all(b >= 0 for b in (bounds[0][0], bounds[1][1], bounds[2][2]))
+
+
+def form_pullback_in_the_s_ring(v):
+    """(M* J M) / s formed over F_p[s, 1/s], t = s^2 substituted entrywise,
+    then read back over t."""
+    p = v.p
+    Ms = MatrixRF(p, tuple(tuple(e.to_laurent().to_s_ring().to_ratfunc()
+                                 for e in row) for row in v.canon.rows), "s")
+    F = Ms.star() * squier_form(p) * Ms
+    s_inv = RatFunc.from_laurent_terms(p, (1,), -1, "s")
+    return MatrixRF(p, tuple(tuple((e * s_inv).to_laurent().from_s_ring()
+                                   .to_ratfunc() for e in row)
+                             for row in F.rows))
+
+
+def test_form_pullback_matches_the_s_ring_form():
+    rng = random.Random(20261024)
+    for p in (2, 3, 5):
+        gens = [letter_matrix(name, p) for name in ("x", "y", "s1")]
+        v = identity_vertex(p)
+        for _ in range(6):
+            assert form_pullback(v) == form_pullback_in_the_s_ring(v)
+            v = apply(rng.choice(gens), v)
 
 
 def test_degree_bounds_cut_search():

@@ -1,3 +1,4 @@
+import dis
 import math
 import random
 
@@ -395,7 +396,7 @@ def test_lazy_product_forms_the_eager_terms():
 def test_lazy_product_raises_at_the_product():
     # the factors are checked and read at *, not when the product is read
     s1 = burau_generator(1, 3)
-    for other in (burau_generator(1, 5), burau_generator(1, None), s1.to_s()):
+    for other in (burau_generator(1, 5), burau_generator(1, None), squier_form(3)):
         for op in (lambda: s1 * other, lambda: other * s1):
             with pytest.raises(ValueError, match="mismatch"):
                 op()
@@ -511,10 +512,6 @@ def _entrywise_adjugate(m):
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
-def _entrywise_to_s(e):
-    return e.to_s_ring() if e.p is None else e.to_laurent().to_s_ring().to_ratfunc()
-
-
 def _assert_own_terms(m):
     # the terms a kernel caches on its output are those of the entries
     assert m._laurent_terms() == tuple(tuple(e.laurent_terms() for e in row)
@@ -523,7 +520,7 @@ def _assert_own_terms(m):
 
 def test_det_on_laurent_terms_matches_entrywise_expansion():
     # all-Laurent matrices take the laurent_dot cofactors; the determinant,
-    # the adjugate, the inverse, scale, star and to_s must equal entrywise
+    # the adjugate, the inverse, scale and star must equal entrywise
     # arithmetic field for field, singular matrices and zero entries included
     rng = random.Random(20261102)
     zeros = inverted = refused = 0
@@ -553,15 +550,11 @@ def test_det_on_laurent_terms_matches_entrywise_expansion():
                     assert star.rows == tuple(tuple(mat[j, i].involution()
                                                     for j in range(3))
                                               for i in range(3))
-                    to_s = mat.to_s()
-                    assert to_s.var == "s"
-                    assert to_s.rows == tuple(tuple(_entrywise_to_s(e) for e in row)
-                                              for row in mat.rows)
                     c = _laurent_entry(rng, p, "t", big)
                     scaled = mat.scale(c)
                     assert scaled.rows == tuple(tuple(e * c for e in row)
                                                 for row in mat.rows)
-                    for out in (adj, star, to_s, scaled):
+                    for out in (adj, star, scaled):
                         _assert_own_terms(out)
                     terms = got.laurent_terms()
                     if len(terms[1]) == 1 and (p is not None or terms[1][0] in (1, -1)):
@@ -625,19 +618,33 @@ def _repeat(text, n):
     return GroupWord(tuple(parse_word(text)) * n)
 
 
+def _word_letters(p):
+    """The letters the packed-word tests use at p (over Z when p is None),
+    each with its inverse."""
+    names = ["s1", "s2", "s3", "x", "y"]
+    if p is not None:
+        names.append("M19")
+    if p == 3:
+        names += ["w", "u", "u1", "h", "alpha1", "alpha2"]
+    if p == 5:
+        names.append("beta2")
+    return [(name, sgn) for name in names for sgn in (1, -1)]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 157, None])
 def test_packed_words_match_the_oracle(p):
     rng = random.Random(20261019 + (p or 0))
-    names = ["s1", "s2", "s3", "x", "y"]
-    if p == 3:
-        names += ["w", "u", "u1", "h", "alpha1", "alpha2"]
-    letters = [(name, sgn) for name in names for sgn in (1, -1)]
+    letters = _word_letters(p)
     for length in (0, 1, 2, 7, 40, 150, 400):
         assert_same_as_oracle(
             GroupWord(rng.choice(letters) for _ in range(length)), p)
     # every letter and its inverse alone
     for letter in letters:
         assert_same_as_oracle(GroupWord([letter]), p)
+    if p is not None:
+        # M19 is monomial; mod 2 it is diag(t, 1, 1), whose growth factor 1
+        # is taken as 2
+        assert_same_as_oracle(_repeat("M19", 400), p)
 
 
 @pytest.mark.parametrize("p", [3, None])
@@ -659,6 +666,104 @@ def test_packed_words_widen_past_64_bit_slots(monkeypatch, k):
     got = assert_same_as_oracle(_repeat("s1.s2^-1", k), None)
     assert max(abs(a).bit_length() for row in got for _, c in row for a in c) > 64
     assert min(widths) == 8 and max(widths) > 8
+
+
+def _dense_step(name, sgn, p, w8):
+    """The letter step as nine three-term sums, all 27 terms (a_k * m << s)
+    written out, a zero entry as m = 0: the reference for the compiled
+    steps."""
+    from buraubuilding import rep
+    m = letter_matrix(name, p)
+    t = (m if sgn > 0 else m.inverse())._laurent_terms()
+    lo = min(e for row in t for e, c in row if c)
+    cols = []
+    for j in range(3):
+        col = ()
+        for k in range(3):
+            e, c = t[k][j]
+            col += (rep._pack(c, w8, p is None), 8 * w8 * (e - lo)) if c else (0, 0)
+        cols.append(col)
+    (m00, s00, m10, s10, m20, s20), (m01, s01, m11, s11, m21, s21), \
+        (m02, s02, m12, s12, m22, s22) = cols
+
+    def step(A):
+        return tuple(((a0 * m00 << s00) + (a1 * m10 << s10) + (a2 * m20 << s20),
+                      (a0 * m01 << s01) + (a1 * m11 << s11) + (a2 * m21 << s21),
+                      (a0 * m02 << s02) + (a1 * m12 << s12) + (a2 * m22 << s22))
+                     for a0, a1, a2 in A)
+
+    return lo, step
+
+
+def _random_packed_rows(rng, p, w8):
+    from buraubuilding import rep
+    top = 1 << (8 * w8 - 4)
+
+    def entry():
+        n = rng.choice((0, 0, 1, 3, 9))
+        coeffs = [rng.randrange(p) if p else rng.randrange(-top, top)
+                  for _ in range(n)]
+        return rep._pack(coeffs, w8, p is None) if coeffs else 0
+
+    return tuple(tuple(entry() for _ in range(3)) for _ in range(3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 157, None])
+def test_compiled_letter_steps_match_the_dense_step(p):
+    # every letter and inverse, at 64-bit and at widened slots, on random
+    # packed rows with zero entries and zero rows among them
+    from buraubuilding import rep
+    rng = random.Random(20261021 + (p or 0))
+    for name, sgn in _word_letters(p):
+        for w8 in (8, 24):
+            lo, step, _ = rep._packed_letter(name, sgn, p, w8)
+            want_lo, dense = _dense_step(name, sgn, p, w8)
+            assert lo == want_lo
+            zero = ((0, 0, 0),) * 3
+            assert step(zero) == dense(zero) == zero
+            for _ in range(20):
+                A = _random_packed_rows(rng, p, w8)
+                assert step(A) == dense(A)
+
+
+# Python 3.10 has one opcode per binary operator; from 3.11 on they are
+# all BINARY_OP, with the operator as argrepr
+_BINARY = {"BINARY_ADD": "+", "BINARY_MULTIPLY": "*", "BINARY_LSHIFT": "<<"}
+
+
+def _binary_op(i):
+    return i.argrepr if i.opname == "BINARY_OP" else _BINARY.get(i.opname)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, None])
+def test_compiled_letter_steps_hold_one_term_per_nonzero_entry(p):
+    # the generated code reads a_k once per nonzero entry (k, j) and row,
+    # multiplies only by constants other than 1 and shifts only by nonzero
+    # counts
+    from buraubuilding import rep
+    for name, sgn in _word_letters(p):
+        m = letter_matrix(name, p)
+        t = (m if sgn > 0 else m.inverse())._laurent_terms()
+        lo = min(e for row in t for e, c in row if c)
+        nonzero = [(e, c) for row in t for e, c in row if c]
+        step = rep._packed_letter(name, sgn, p, 8)[1]
+        code = list(dis.get_instructions(step))
+        # Python 3.13 loads two locals in one LOAD_FAST_LOAD_FAST
+        reads = [x for i in code if i.opname.startswith("LOAD_FAST")
+                 for x in (i.argval if isinstance(i.argval, tuple) else (i.argval,))
+                 if x in ("a0", "a1", "a2")]
+        ops = [_binary_op(i) for i in code if i.opname.startswith("BINARY_")]
+        assert len(reads) == 3 * len(nonzero)
+        assert ops.count("+") == 3 * (len(nonzero) - 3)
+        assert ops.count("*") == 3 * sum(c != (1,) for e, c in nonzero)
+        assert ops.count("<<") == 3 * sum(e != lo for e, c in nonzero)
+        assert len(ops) == ops.count("+") + ops.count("*") + ops.count("<<")
+        for prev, i in zip(code, code[1:]):
+            if _binary_op(i) == "*":
+                assert prev.opname == "LOAD_GLOBAL"
+                assert step.__globals__[prev.argval] not in (0, 1)
+            if _binary_op(i) == "<<":
+                assert prev.opname == "LOAD_CONST" and prev.argval > 0
 
 
 def test_packed_words_past_a_64_bit_prime(monkeypatch):
@@ -735,6 +840,34 @@ def test_random_words_unitary():
         m = word_evaluate(GroupWord(word), 3)
         assert is_unitary(m)
         assert m.det().valuation() % 1 == 0
+
+
+def _unitary_in_the_s_ring(A):
+    """A* J A = J over F_p[s, 1/s], with t = s^2 substituted entrywise."""
+    J = squier_form(A.p)
+    As = MatrixRF(A.p, tuple(tuple(e.to_laurent().to_s_ring().to_ratfunc()
+                                   for e in row) for row in A.rows), "s")
+    return As.star() * J * As == J
+
+
+def test_unitarity_over_t_matches_the_s_ring():
+    # A* H A = H with H = J / s gives the verdict of A* J A = J, on word
+    # products and on products with one entry perturbed by t
+    rng = random.Random(20261023)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        letters = [name for name, _ in _word_letters(p)]
+        for _ in range(12):
+            word = GroupWord((rng.choice(letters), rng.choice((1, -1)))
+                             for _ in range(rng.randint(0, 8)))
+            m = word_evaluate(word, p)
+            rows = [list(r) for r in m.rows]
+            rows[rng.randrange(3)][rng.randrange(3)] += RatFunc(p, (0, 1), (1,))
+            for A in (m, MatrixRF(p, rows)):
+                verdict = is_unitary(A)
+                assert verdict == _unitary_in_the_s_ring(A)
+                seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_integral_generators_match_modular():
