@@ -8,13 +8,13 @@ Polynomials over F_p are represented as trimmed tuples of ints in [0, p),
 index = exponent.  All values are immutable; every operation is a pure
 function, so everything here is safe to share between workers.
 
-Every matrix entry in the Burau setting is a Laurent polynomial, i.e. a
-RatFunc whose denominator is a power of t.  The matrix code reads each entry
-once as its Laurent terms (minexp, coeffs) and computes on those with
-``laurent_dot``, ``laurent_valuation`` and ``laurent_pi_digits``; a RatFunc
-mod p is only the box that holds an entry.  The field arithmetic of
-``RatFunc`` and its gcd path (``pgcd``, ``pdivmod``, ``pmonic``) serve only
-the test oracles, as the reference field F_p(t).
+Every matrix entry in the Burau setting is a Laurent polynomial.  A matrix
+holds its entries' Laurent terms (minexp, coeffs) and computes on those
+with ``laurent_dot``, ``laurent_valuation`` and ``laurent_pi_digits``; an
+entry read is a ``LaurentPoly`` view of them, for every p.  ``RatFunc`` is
+the test oracles' reference field F_p(t), with its field arithmetic and its
+gcd path (``pgcd``, ``pdivmod``, ``pmonic``), and the box of the entries of
+a vertex key (``building.VertexClass``).
 """
 
 from __future__ import annotations
@@ -537,9 +537,6 @@ class RatFunc:
         while z < len(num) and not num[z]:
             z += 1
         return z - k, num[z:]
-
-    def is_laurent(self):
-        return self.laurent_terms() is not None
 
     def shift_pi(self, k):
         """Multiply by pi^k = t^(-k)."""

@@ -28,12 +28,14 @@ pi^-m (A B) straight from the digit rows of two factors, which each matrix
 builds once, the digit at pi^k being the coefficient of t^-k.
 ``g * v.canon`` is a product not yet formed (``rep``), so it gives g and
 v.canon, and ``apply`` and ``link`` never form the product's nine entries;
-any other matrix gives itself and the identity.  A matrix with a
-non-Laurent entry is refused.  Only the three entries below the diagonal
-are built from digits: the diagonal is three monomials and the rest is
-zero.  The canonical matrix keeps its terms, so the next product does not
-read them again, and a vertex is keyed on p, its exponents and its three
-entries below the diagonal.
+any other matrix gives itself and the identity.  A matrix holds Laurent
+terms only (``MatrixRF`` refuses a non-Laurent entry when it is built), so
+none is met here.  Only the three entries below the diagonal are built from
+digits: the diagonal is three monomials and the rest is zero.  The
+canonical matrix keeps its terms, so the next product does not read them
+again, and a vertex is keyed on p, its exponents and its three entries
+below the diagonal, each boxed as a normalized rational function (the
+one use of ``arith.RatFunc`` outside the tests).
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -159,8 +161,7 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
 
     ``det_valuation`` is nu(det M) when the caller knows it (``apply`` and
     ``link`` do); without it the determinant is computed.  An infinite
-    valuation, that is a singular M, and a non-Laurent entry raise
-    ValueError.
+    valuation, that is a singular M, raises ValueError.
     """
     p = M.p
     if det_valuation is None:
@@ -387,21 +388,26 @@ def link(v: VertexClass):
     """All 2(p^2+p+1) vertices adjacent to v, ordered reproducibly.
 
     One per dimension-1 and dimension-2 subspace of L/pi*L = F_p^3 in the
-    basis given by the canonical form of v.  The lifted basis G of a line
-    has columns pt, pi*e_j, pi*e_k, and that of a plane two residue
-    vectors with distinct pivots and one pi*e_j, so nu(det(v.canon * G)) is
-    sum(exps) + 2 for a line and sum(exps) + 1 for a plane.
+    basis given by the canonical form of v: the class of v.canon * G for
+    each lifted basis G of ``_link_bases``.
     """
-    p = v.p
     D = sum(v.exps)
-    out = []
-    for pt in projective_points(p):
-        G = MatrixRF.from_terms(p, _lift_basis([pt]))
-        out.append(LinkVertex(1, pt, canonicalize(v.canon * G, D + 2)))
-    for phi in projective_points(p):
-        G = MatrixRF.from_terms(p, _lift_basis(plane_basis(phi, p)))
-        out.append(LinkVertex(2, phi, canonicalize(v.canon * G, D + 1)))
-    return out
+    return [LinkVertex(dim, sub, canonicalize(v.canon * G, D + d))
+            for dim, sub, G, d in _link_bases(v.p)]
+
+
+@lru_cache(maxsize=None)
+def _link_bases(p):
+    """(dim, subspace, G, nu(det G)) for each link vertex in link order, built
+    once per p, so each G builds its digit rows once.  The lifted basis G of
+    a line has columns pt, pi*e_j, pi*e_k, and that of a plane two residue
+    vectors with distinct pivots and one pi*e_j, so nu(det G) is 2 for a
+    line and 1 for a plane."""
+    pts = projective_points(p)
+    lines = [(1, pt, _lift_basis([pt]), 2) for pt in pts]
+    planes = [(2, phi, _lift_basis(plane_basis(phi, p)), 1) for phi in pts]
+    return tuple((dim, sub, MatrixRF.from_terms(p, terms), d)
+                 for dim, sub, terms, d in lines + planes)
 
 
 class LinkPermutation(NamedTuple):

@@ -110,10 +110,15 @@ def build_config(args) -> RunConfig:
         v = getattr(args, attr, None)
         if v is not None:
             base[key] = v
-    if getattr(args, "json", False):
-        base["outputFormat"] = "json"
-    if getattr(args, "dot", False):
-        base["outputFormat"] = "dot"
+    flags = [f for f in ("json", "dot") if getattr(args, f, False)]
+    if len(flags) > 1:
+        raise ValueError("--dot and --json exclude each other")
+    if flags:
+        base["outputFormat"] = flags[0]
+    formats = ("text", "json") + (("dot",) if args.command == "link" else ())
+    if base["outputFormat"] not in formats:
+        raise ValueError("outputFormat %r is not one of %s for %s" % (
+            base["outputFormat"], ", ".join(formats), args.command))
     cache = base["cacheDir"] or os.environ.get(CACHE_ENV) \
         or os.path.join(os.path.expanduser("~"), ".cache", "buraubuilding")
     for k in ("radius", "wordDepth", "digitBound", "budgetNodes"):
@@ -320,7 +325,7 @@ def cmd_presentation_export(config: RunConfig) -> ClaimResult:
     for name in ("x", "y", "u", "h"):
         m = letter_matrix(name, 3)
         gens[name] = {
-            "matrix": [[str(m[i, j].to_laurent()) for j in range(3)]
+            "matrix": [[str(m[i, j]) for j in range(3)]
                        for i in range(3)],
             "orderModHomothety": order_mod_homothety(m),
         }
@@ -352,9 +357,11 @@ def _render_text(result: ClaimResult):
 
 
 def emit_result(config: RunConfig, result: ClaimResult):
+    """The report as JSON or text; with the dot format the command has
+    written its graph, which is then all of stdout."""
     if config.output_format == "json":
         sys.stdout.write(dumps(result.to_json_dict()))
-    else:
+    elif config.output_format == "text":
         sys.stdout.write(_render_text(result))
 
 
@@ -411,8 +418,9 @@ def make_parser():
 
     sp = sub.add_parser("witness", help="kernel witness word")
     _add_common(sp)
-    sp.add_argument("--mod-only", action="store_true")
-    sp.add_argument("--integral-only", action="store_true")
+    only = sp.add_mutually_exclusive_group()
+    only.add_argument("--mod-only", action="store_true")
+    only.add_argument("--integral-only", action="store_true")
 
     sp = sub.add_parser("tube", help="stabilizer image pattern along the tube")
     _add_common(sp, "depth")

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .arith import (RatFunc, check_prime, inv_mod, laurent_from_pi_digits,
-                    laurent_valuation)
+from .arith import (LaurentPoly, check_prime, inv_mod, laurent_from_pi_digits,
+                    laurent_valuation, render_laurent_data)
 from .rep import (
     GroupWord,
     MatrixRF,
@@ -54,7 +54,7 @@ def normalize_mod_homothety(A: MatrixRF) -> MatrixRF:
     terms = [(e, c) for row in A._laurent_terms() for e, c in row if c]
     m = min(e for e, _ in terms)
     lead = inv_mod(terms[0][1][0], A.p)
-    return A.scale(RatFunc.from_laurent_terms(A.p, (lead,), -m, A.var))
+    return A.scale(LaurentPoly.term(lead, -m, A.p, A.var))
 
 
 def perm_group_order(perms):
@@ -318,20 +318,20 @@ def _profile_solutions(p, F0pi, ns, qmax, targets):
     return [np.concatenate(hs) for hs in hits]
 
 
-def _column_candidates(p, F0, D, budget):
+def _column_candidates(p, F0pi, D, budget):
     """Digit arrays, one per column b, of the columns with B(c, c) = F0[b][b].
 
-    D[a][b] is the pi-degree bound of entry (a, b); negative means the entry
-    is identically zero.  Returns [(digit matrix, per-entry digit counts)]
-    for b = 0, 1, 2.  Row n of the p^total candidates holds the base-p
-    digits of n, lowest first; the int16 rows of the solutions are kept in
-    ascending n.  Every column's budget is checked before anything is
-    allocated.  Columns with equal digit counts share one
-    ``_profile_solutions`` pass, which compares the coefficients at q >= 1
-    with each distinct target F0[b][b] and returns only the solutions'
-    indices, so only their digit rows are built.
+    F0pi holds the entries of F0 as {pi-exponent: coefficient}
+    (``_laurent_pi_coeffs``).  D[a][b] is the pi-degree bound of entry
+    (a, b); negative means the entry is identically zero.  Returns
+    [(digit matrix, per-entry digit counts)] for b = 0, 1, 2.  Row n of the
+    p^total candidates holds the base-p digits of n, lowest first; the int16
+    rows of the solutions are kept in ascending n.  Every column's budget is
+    checked before anything is allocated.  Columns with equal digit counts
+    share one ``_profile_solutions`` pass, which compares the coefficients
+    at q >= 1 with each distinct target F0[b][b] and returns only the
+    solutions' indices, so only their digit rows are built.
     """
-    F0pi = [[_laurent_pi_coeffs(x) for x in row] for row in F0._laurent_terms()]
     exps = [q for row in F0pi for d in row for q in d]
     dmax = max(max(row) for row in D)
     lo = min(exps) - dmax
@@ -423,7 +423,8 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     (F0 the pulled-back form of v); each class of the stabilizer modulo
     homothety has exactly the representatives +-alpha, since the canonical
     basis of v has monomial determinant.  Every reported element is
-    re-checked independently: unitary, Laurent, and fixes v.
+    re-checked independently: unitary, and fixes v.  It is Laurent by
+    construction, a product of matrices held as Laurent terms.
 
     Each column c_b is first enumerated against B(c_b, c_b) = F0[b][b] by
     ``_column_candidates``.  Columns with the same digit counts share one
@@ -458,14 +459,14 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
 
     p = v.p
     F0 = form_pullback(v)
-    if F0.star() != F0.scale(RatFunc.from_laurent_terms(p, (1,), 1)):
+    if F0.star() != F0.scale(LaurentPoly.term(1, 1, p)):
         raise AssertionError("pulled-back form fails F0* = t F0")
     D = entry_degree_bounds(F0)
     if max(max(row) for row in D) > digit_bound:
         raise ValueError("entry degree bound %d exceeds digit bound %d"
                          % (max(max(row) for row in D), digit_bound))
-    digsets = _column_candidates(p, F0, D, column_budget)
     F0pi = [[_laurent_pi_coeffs(x) for x in row] for row in F0._laurent_terms()]
+    digsets = _column_candidates(p, F0pi, D, column_budget)
 
     # chain the cross constraints B(c_b, c_e) = F0[b][e], smallest column
     # first; the reversed constraint is implied since F0* = t F0
@@ -505,10 +506,6 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 if alpha.star() * F0 * alpha != F0:
                     continue
                 g = M * alpha * Minv
-                if not all(g[a, b].is_laurent()
-                           for a in range(3) for b in range(3)):
-                    raise AssertionError(
-                        "conjugated stabilizer element is not Laurent")
                 if not is_unitary(g) or apply(g, v) != v:
                     raise AssertionError(
                         "enumerated matrix fails the independent re-check")
@@ -536,7 +533,10 @@ def stab_identity_exact(p: int) -> StabReport:
 
 
 def _matrix_sort_key(g: MatrixRF):
-    return tuple(str(g[i, j]) for i in range(3) for j in range(3))
+    """The rendered entries, row by row, of g normalized modulo homothety
+    (so every exponent is >= 0)."""
+    return tuple(render_laurent_data(c, e, g.var)
+                 for row in g._laurent_terms() for e, c in row)
 
 
 # ---------------------------------------------------------------------------

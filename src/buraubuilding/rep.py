@@ -3,17 +3,17 @@ form J, unitarity testing, word evaluation, homothety detection, element
 orders, and the named constant matrices u, h, u1, alpha_k, beta2, M19 and
 the kernel witness word.
 
-``MatrixRF`` is the one 3x3 matrix type: RatFunc entries mod p, or
-LaurentPoly entries over Z[t, 1/t] when ``p`` is None.  Every entry must be
-a Laurent polynomial.  Each matrix is read once as its Laurent terms
-(minexp, coeffs) per entry, and every operation works on those: the
+``MatrixRF`` is the one 3x3 matrix type, over F_p[t, 1/t], or over
+Z[t, 1/t] when ``p`` is None.  Its only state is the Laurent terms
+(minexp, coeffs) of its entries, and every operation works on those: the
 product, the cofactors behind ``det``, ``adjugate`` and ``inverse``,
-``scale`` and ``star``.  Each output entry is one integer
-convolution (``laurent_dot``), reduced mod p once and trimmed.
-``from_terms`` keeps only those terms, for the next operation; the entries
-are built from them, in normal form for both rings alike, on the first read
-of ``rows``, so a word evaluation builds no entry object until something
-reads one.  No RatFunc field arithmetic runs.
+``scale``, ``star``, ``transpose`` and ``reduce_mod``.  Each output entry
+is one integer convolution (``laurent_dot``), reduced mod p once and
+trimmed.  An entry read (``rows``, ``[i, j]``, ``det``) is a
+``LaurentPoly`` view built from the terms on each read and not kept, so a
+word evaluation builds no entry object.  A matrix built from entries reads
+each one's terms at once and refuses an entry that is not a Laurent
+polynomial.
 
 A product is formed on first read too: ``A * B`` checks p and var and reads
 both factors' terms, so every error is raised at ``*``, and keeps the two
@@ -51,7 +51,6 @@ from typing import NamedTuple, Optional
 
 from .arith import (
     LaurentPoly,
-    RatFunc,
     check_prime,
     laurent_dot,
     laurent_valuation,
@@ -63,25 +62,28 @@ from .arith import (
 # 3x3 matrices
 
 class MatrixRF:
-    """3x3 matrix of entries sharing modulus and variable tag: RatFunc mod p,
-    or LaurentPoly over Z when ``p`` is None."""
+    """3x3 matrix over F_p[t, 1/t], or over Z[t, 1/t] when ``p`` is None,
+    held as the Laurent terms (minexp, coeffs) of its entries; every entry
+    read is a ``LaurentPoly`` built from them."""
 
-    __slots__ = ("p", "var", "_rows", "_det_valuation", "_terms", "_inverse",
+    __slots__ = ("p", "var", "_det_valuation", "_terms", "_inverse",
                  "_factors", "_digits")
 
     def __init__(self, p, rows, var="t"):
-        self.p = p
-        self.var = var
-        self._rows = tuple(tuple(row) for row in rows)
-        self._det_valuation = None
-        self._terms = None
-        self._inverse = None
-        self._factors = None
-        self._digits = None
-        for row in self._rows:
+        """The matrix of the given entries, each read once as its Laurent
+        terms (``laurent_terms()``): ValueError for an entry of another
+        ring, or one that is not a Laurent polynomial (terms None)."""
+        flat = []
+        for row in rows:
             for e in row:
                 if e.p != p or e.var != var:
                     raise ValueError("entry modulus/variable mismatch")
+                flat.append(e.laurent_terms())
+        if None in flat:
+            raise ValueError("matrix entry is not a Laurent polynomial")
+        self.p, self.var = p, var
+        self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
+        self._det_valuation = self._inverse = self._factors = self._digits = None
 
     @classmethod
     def identity(cls, p, var="t"):
@@ -91,34 +93,29 @@ class MatrixRF:
     def from_terms(cls, p, terms, var="t"):
         """The matrix whose entries have the given Laurent terms: a tuple of
         three rows of (minexp, coeffs), reduced mod p and trimmed at both
-        ends as ``laurent_dot`` returns them.  Only the terms are stored;
-        the entries are built from them on the first read of ``rows``."""
+        ends as ``laurent_dot`` returns them."""
         out = cls.__new__(cls)
         out.p, out.var, out._terms = p, var, terms
-        out._rows = out._det_valuation = out._inverse = out._factors = None
-        out._digits = None
+        out._det_valuation = out._inverse = out._factors = out._digits = None
         return out
 
     @property
     def rows(self):
-        """The entries, three rows of three; a matrix made by ``from_terms``
-        or ``*`` builds them in normal form on the first read."""
-        if self._rows is None:
-            entry, p, var = _entry_type(self.p), self.p, self.var
-            self._rows = tuple(tuple(entry(p, c, e, var) for e, c in row)
-                               for row in self._laurent_terms())
-        return self._rows
+        """The entries, three rows of three ``LaurentPoly``, built on each
+        read."""
+        p, var = self.p, self.var
+        return tuple(tuple(LaurentPoly(p, c, e, var) for e, c in row)
+                     for row in self._laurent_terms())
 
     @classmethod
     def from_strings(cls, rows, p, var="t"):
-        def entry(text):
-            e = parse_laurent(text, p, var)
-            return e if p is None else e.to_ratfunc()
-
-        return cls(p, tuple(tuple(entry(e) for e in row) for row in rows), var)
+        return cls.from_terms(
+            p, tuple(tuple(parse_laurent(e, p, var).laurent_terms() for e in row)
+                     for row in rows), var)
 
     def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+        e, c = self._laurent_terms()[ij[0]][ij[1]]
+        return LaurentPoly(self.p, c, e, self.var)
 
     def __mul__(self, other):
         """The product, formed on the first read of its terms.
@@ -139,22 +136,15 @@ class MatrixRF:
         return out
 
     def _laurent_terms(self):
-        """Every entry as (minexp, coeffs), trimmed at both ends, read once
-        per matrix; ValueError when some entry mod p is not a RatFunc over a
-        power of t.  A product forms its terms here, from its factors'."""
+        """Every entry as (minexp, coeffs), trimmed at both ends.  A product
+        forms its terms on the first read, from its factors'."""
         if self._terms is None:
-            if self._factors is not None:
-                a, b = self._factor_terms()
-                p = self.p
-                cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
-                self._terms = tuple(tuple(laurent_dot(r, col, p) for col in cols)
-                                    for r in a)
-                self._factors = None
-            else:
-                flat = [e.laurent_terms() for row in self.rows for e in row]
-                if None in flat:
-                    raise ValueError("matrix entry is not a Laurent polynomial")
-                self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
+            a, b = (f._laurent_terms() for f in self._factors)
+            p = self.p
+            cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
+            self._terms = tuple(tuple(laurent_dot(r, col, p) for col in cols)
+                                for r in a)
+            self._factors = None
         return self._terms
 
     def _factor_matrices(self):
@@ -164,11 +154,6 @@ class MatrixRF:
         if self._factors is not None:
             return self._factors
         return self, _identity(self.p, self.var)
-
-    def _factor_terms(self):
-        """The Laurent terms of the two ``_factor_matrices``."""
-        a, b = self._factor_matrices()
-        return a._laurent_terms(), b._laurent_terms()
 
     def _digit_rows(self):
         """(rows, least): rows[i] lists the nonzero entries of row i as
@@ -200,7 +185,7 @@ class MatrixRF:
 
     def det(self):
         e, c = self._det_terms()
-        return _entry_type(self.p)(self.p, c, e, self.var)
+        return LaurentPoly(self.p, c, e, self.var)
 
     def det_valuation(self):
         """nu(det), computed once per matrix; +inf for a singular matrix."""
@@ -235,13 +220,17 @@ class MatrixRF:
                      for row in self._laurent_terms()), self.var)
 
     def reduce_mod(self, p):
-        """The image mod p of a matrix over Z[t, 1/t]."""
-        return MatrixRF(p, tuple(tuple(e.reduce_mod(p).to_ratfunc() for e in row)
-                                 for row in self.rows), self.var)
+        """The image mod the prime p of a matrix over Z[t, 1/t]."""
+        if self.p is not None:
+            raise ValueError("reduce_mod needs a matrix over Z[t, 1/t]")
+        check_prime(p)
+        return MatrixRF.from_terms(
+            p, tuple(tuple(_trimmed([a % p for a in c], e) for e, c in row)
+                     for row in self._laurent_terms()), self.var)
 
     def transpose(self):
-        return MatrixRF(self.p, tuple(tuple(self.rows[j][i] for j in range(3))
-                                      for i in range(3)), self.var)
+        return MatrixRF.from_terms(self.p, tuple(zip(*self._laurent_terms())),
+                                   self.var)
 
     def star(self):
         """Bar involution entrywise, then transpose: (a_ij)* = bar(a_ji).
@@ -282,13 +271,6 @@ class MatrixRF:
 
 _IDENTITY_TERMS = tuple(tuple((0, (1,)) if i == j else (0, ()) for j in range(3))
                         for i in range(3))
-
-
-def _entry_type(p):
-    """The constructor (p, coeffs, minexp, var) of an entry with those Laurent
-    terms in normal form: LaurentPoly over Z (p None), a RatFunc over a
-    power of t mod p."""
-    return LaurentPoly if p is None else RatFunc.from_laurent_terms
 
 
 def _neg(x, p):

@@ -1,6 +1,7 @@
 """The pi-adic expansion at pi = 1/t one digit at a time: the definition
 that ``arith.laurent_pi_digits`` and the canonical forms are tested
-against."""
+against; and ``as_field``, which hands matrix entries to the oracles as
+RatFunc mod p."""
 
 from buraubuilding.arith import INF, RatFunc
 
@@ -31,3 +32,14 @@ def pi_digits_window(x: RatFunc, lo: int, n: int):
         return [0] * n
     digits = pi_adic_expand(x.shift_pi(-v), lo + n - v)
     return [digits[lo + j - v] if lo + j >= v else 0 for j in range(n)]
+
+
+def as_field(x):
+    """A matrix entry as the oracles compute with it: mod p, the LaurentPoly
+    as a RatFunc in the reference field F_p(t); over Z (p None), itself."""
+    return x if x.p is None else x.to_ratfunc()
+
+
+def field_rows(m):
+    """The entries of a matrix, three rows of three, each ``as_field``."""
+    return tuple(tuple(as_field(x) for x in row) for row in m.rows)

@@ -15,6 +15,7 @@ from buraubuilding.cli import (
     make_parser,
     parse_vertex_spec,
 )
+from buraubuilding.building import identity_vertex, link_dot
 from buraubuilding.groupcalc import kernel_witness_check
 
 
@@ -266,6 +267,46 @@ def test_link_text_and_dot(capsys):
     assert "graph link {" in out
 
 
+def test_link_dot_prints_only_the_graph(capsys, monkeypatch, tmp_path):
+    # the DOT graph is all of stdout, from the flag or from the config file,
+    # and the exit code still follows the claim: a short link fails it
+    want = link_dot(identity_vertex(2))
+    assert run(["link", "--p", "2", "--vertex", "I", "--dot"], capsys) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("outputFormat=dot\n")
+    assert run(["link", "--p", "2", "--config", str(cfg)], capsys) == want
+    full = cli.link
+    monkeypatch.setattr(cli, "link", lambda v: full(v)[:-1])
+    assert run(["link", "--p", "2", "--dot"], capsys, expect=1) == want
+
+
+def test_link_dot_and_json_exclude_each_other(capsys):
+    assert main(["link", "--p", "2", "--dot", "--json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --dot and --json exclude each other\n"
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("verify", "xml"), ("link", "xml"), ("verify", "dot"), ("witness", "DOT"),
+])
+def test_config_output_format_is_checked(command, fmt, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("outputFormat=%s\n" % fmt)
+    assert main([command, "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: outputFormat %r" % fmt)
+
+
+def test_witness_flags_exclude_each_other():
+    # together they would run neither check and report a pass
+    proc = _main_subprocess("witness", "--mod-only", "--integral-only")
+    assert proc.returncode == 2
+    assert "argument --integral-only: not allowed with argument --mod-only" \
+        in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_stab_n_point(capsys):
     d = json.loads(run(["stab", "--p", "3", "--vertex", "M19", "--json"], capsys))
     assert d["status"] == "pass"
@@ -332,10 +373,12 @@ def test_json_output_golden(argv, digest, capsys, tmp_path):
     assert hashlib.sha256(dumps(d).encode()).hexdigest()[:16] == digest
 
 
-# RatFunc field arithmetic and the gcd it normalizes with; no claim needs
-# them, since every matrix operation works on Laurent terms
+# RatFunc field arithmetic, the gcd it normalizes with, and every read of a
+# RatFunc as a Laurent polynomial or a pi-adic number; no claim needs them,
+# since a matrix holds Laurent terms only and its entries are LaurentPoly
 RATFUNC_ARITHMETIC = ("__add__", "__sub__", "__mul__", "__neg__", "inverse",
-                      "__truediv__", "__pow__", "involution", "shift_pi")
+                      "__truediv__", "__pow__", "involution", "shift_pi",
+                      "laurent_terms", "to_laurent", "residue", "valuation")
 
 
 def test_claims_run_without_ratfunc_arithmetic(monkeypatch, capsys, tmp_path):
@@ -345,6 +388,7 @@ def test_claims_run_without_ratfunc_arithmetic(monkeypatch, capsys, tmp_path):
     for name in RATFUNC_ARITHMETIC:
         monkeypatch.setattr(arith.RatFunc, name, refuse)
     monkeypatch.setattr(arith, "pgcd", refuse)
+    monkeypatch.setattr(arith.LaurentPoly, "to_ratfunc", refuse)
     # the letter matrices, their inverses and their packed forms are built
     # again under the patch
     for cached in (rep.burau_generator, rep.letter_matrix, rep._packed_letter,

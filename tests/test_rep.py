@@ -22,6 +22,7 @@ from buraubuilding.rep import (
     word_evaluate,
     word_evaluate_integral,
 )
+from pi_adic import as_field, field_rows
 
 
 # -- convention ---------------------------------------------------------------
@@ -153,6 +154,10 @@ def test_integral_reduction_consistency():
             w = GroupWord((rng.choice(letters), rng.choice((1, -1)))
                           for _ in range(rng.randint(1, 24)))
             assert word_evaluate_integral(w).reduce_mod(p) == word_evaluate(w, p)
+    # only a matrix over Z reduces, and only mod a prime
+    for m, p in ((burau_generator(1, 3), 5), (burau_generator(1, None), 4)):
+        with pytest.raises(ValueError):
+            m.reduce_mod(p)
 
 
 def test_word_evaluate_over_z_is_the_integral_evaluator():
@@ -257,7 +262,7 @@ def _laurent_matrix(rng, p, var, big):
 
 
 def _as_laurent(e):
-    return e if e.p is None else e.to_laurent()
+    return e.to_laurent() if isinstance(e, RatFunc) else e
 
 
 def _monomial(e, k):
@@ -305,17 +310,20 @@ def test_laurent_product_kernel_matches_entrywise_product():
                           _laurent_matrix(rng, p, var, big)) for _ in range(25)]
                 for a, b in pairs + [(a, b) for a, b, _ in cancel]:
                     got = a * b
-                    want = tuple(tuple(r[0] * b[0, j] + r[1] * b[1, j] + r[2] * b[2, j]
-                                       for j in range(3)) for r in a.rows)
-                    # entry equality compares type and every field
-                    assert got.rows == want
+                    # entry equality compares type and every field, in the
+                    # Laurent ring and, mod p, in the field F_p(t)
+                    for entries in (lambda m: m.rows, field_rows):
+                        ra, rb = entries(a), entries(b)
+                        want = tuple(tuple(r[0] * rb[0][j] + r[1] * rb[1][j]
+                                           + r[2] * rb[2][j] for j in range(3))
+                                     for r in ra)
+                        assert entries(got) == want
                     for e in (e for row in got.rows for e in row):
-                        if p is None:
-                            assert type(e) is LaurentPoly
-                        else:
-                            assert type(e) is RatFunc
-                            rebuilt = RatFunc(p, e.num, e.den, var)
-                            assert (rebuilt.num, rebuilt.den) == (e.num, e.den)
+                        assert type(e) is LaurentPoly
+                        if p is not None:
+                            f = as_field(e)
+                            rebuilt = RatFunc(p, f.num, f.den, var)
+                            assert (rebuilt.num, rebuilt.den) == (f.num, f.den)
                 for a, b, hk in cancel:
                     got = a * b
                     assert got[0, 0].is_zero()
@@ -330,7 +338,8 @@ def test_laurent_product_kernel_matches_entrywise_product():
 
 
 def _eager(p, terms, var):
-    """The matrix with the given Laurent terms, its entries built up front."""
+    """The matrix with the given Laurent terms, built from its entries:
+    RatFunc mod p, LaurentPoly over Z."""
     def entry(e, c):
         if p is None:
             return LaurentPoly(p, c, e, var)
@@ -340,20 +349,38 @@ def _eager(p, terms, var):
                     var)
 
 
-def test_product_entries_built_on_first_read_match_eager_entries():
-    # a product holds Laurent terms only; the entries its first read builds,
-    # its equality and its hash must be those of the same matrix built
-    # eagerly, whichever reader comes first
+def _count_entries_built(monkeypatch):
+    """The list to which every LaurentPoly and RatFunc built from now on
+    appends its class."""
+    built = []
+    for cls in (LaurentPoly, RatFunc):
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built.append(_cls)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_product_entries_built_on_first_read_match_eager_entries(monkeypatch):
+    # a product holds Laurent terms only; the LaurentPoly entries each read
+    # builds, and keeps none of, its equality and its hash must be those of
+    # the same matrix built from entries, whichever reader comes first
     rng = random.Random(20261119)
+    built = _count_entries_built(monkeypatch)
     for p in (None, 2, 3, 5, 7):
         for var in ("t", "s"):
             for _ in range(20):
                 a, b = (_laurent_matrix(rng, p, var, False) for _ in range(2))
                 eager = _eager(p, (a * b)._laurent_terms(), var)
+                built.clear()
                 got = a * b
-                assert got._rows is None
                 assert hash(got) == hash(eager)
+                assert not built
                 assert got.rows == eager.rows
+                assert built == [LaurentPoly] * 18
+                assert got.rows == eager.rows
+                assert built == [LaurentPoly] * 36
                 got = a * b
                 assert got == eager and eager == got
                 got = a * b
@@ -371,16 +398,18 @@ def _eager_product(a, b):
     return tuple(tuple(laurent_dot(r, col, a.p) for col in cols) for r in ta)
 
 
-def test_lazy_product_forms_the_eager_terms():
+def test_lazy_product_forms_the_eager_terms(monkeypatch):
     # a product keeps its factors' terms until its own are read; once
     # formed they are the laurent_dot product's, for single products,
     # chains both ways round and powers
     rng = random.Random(20261201)
+    built = _count_entries_built(monkeypatch)
     for p in (None, 2, 3, 5, 7):
         for _ in range(20):
             a, b, c = (_laurent_matrix(rng, p, "t", False) for _ in range(3))
+            built.clear()
             got = a * b
-            assert got._terms is None and got._rows is None
+            assert got._terms is None and not built
             assert got._laurent_terms() == _eager_product(a, b)
             ab = _eager(p, _eager_product(a, b), "t")
             bc = _eager(p, _eager_product(b, c), "t")
@@ -400,12 +429,11 @@ def test_lazy_product_raises_at_the_product():
         for op in (lambda: s1 * other, lambda: other * s1):
             with pytest.raises(ValueError, match="mismatch"):
                 op()
-    rows = [list(r) for r in s1.rows]
+    # a matrix with a non-Laurent entry is refused before any product
+    rows = [list(r) for r in field_rows(s1)]
     rows[1][2] = RatFunc(3, (1,), (1, 1))       # 1 / (1 + t)
-    bad = MatrixRF(3, rows)
-    for op in (lambda: bad * s1, lambda: s1 * bad, lambda: s1 * s1 * bad):
-        with pytest.raises(ValueError, match="not a Laurent polynomial"):
-            op()
+    with pytest.raises(ValueError, match="not a Laurent polynomial"):
+        MatrixRF(3, rows)
 
 
 def test_a_product_read_twice_forms_its_terms_once(monkeypatch):
@@ -428,7 +456,8 @@ def test_a_product_read_twice_forms_its_terms_once(monkeypatch):
     for read in (lambda: m.rows, lambda: hash(m), lambda: str(m),
                  lambda: is_homothety(m), lambda: m == m):
         read()
-    assert m._factor_terms() == (first, MatrixRF.identity(3)._laurent_terms())
+    assert [f._laurent_terms() for f in m._factor_matrices()] == \
+        [first, MatrixRF.identity(3)._laurent_terms()]
     assert len(calls) == 9
 
 
@@ -440,21 +469,15 @@ def test_word_evaluation_builds_no_entries_until_read(monkeypatch):
     word = GroupWord(letters)
     assert len(word) == 24
     word_evaluate(word, 3)      # the letter matrices and their inverses
-    built = []
-    init = RatFunc.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    built = _count_entries_built(monkeypatch)
     m = word_evaluate(word, 3)
     # is_homothety reads terms, not entries
     is_homothety(m)
     assert is_homothety(word_evaluate(parse_word("x^4"), 3)) is not None
     assert not built
+    # each read builds the LaurentPoly entries it returns, and no RatFunc
     assert m[1, 1] == m.rows[1][1]
-    assert len(built) == 9
+    assert built == [LaurentPoly] * 10
 
 
 def test_matrix_equality_and_hash_read_terms_not_entries(monkeypatch):
@@ -476,14 +499,7 @@ def test_matrix_equality_and_hash_read_terms_not_entries(monkeypatch):
                 verdicts.add(x == y)
     assert verdicts == {True, False}
     s1, s2 = burau_generator(1, 3), burau_generator(2, 3)
-    built = []
-    init = RatFunc.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    built = _count_entries_built(monkeypatch)
     left, right = s1 * s2 * s1, s2 * s1 * s2
     assert left == right and hash(left) == hash(right)
     assert left != s1 * s2
@@ -491,8 +507,8 @@ def test_matrix_equality_and_hash_read_terms_not_entries(monkeypatch):
 
 
 def _expanded_det(m):
-    """The row-0 expansion in entrywise arithmetic."""
-    r = m.rows
+    """The row-0 expansion in entrywise arithmetic, in the field mod p."""
+    r = field_rows(m)
     return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
@@ -501,8 +517,8 @@ def _expanded_det(m):
 def _entrywise_adjugate(m):
     """adj[j][i] = (-1)^(i+j) times the minor of entry (i, j), the 2x2
     submatrix left when row i and column j are deleted, in entrywise
-    arithmetic."""
-    r = m.rows
+    arithmetic, in the field mod p."""
+    r = field_rows(m)
 
     def cof(i, j):
         sub = [[r[a][b] for b in range(3) if b != j] for a in range(3) if a != i]
@@ -530,7 +546,7 @@ def test_det_on_laurent_terms_matches_entrywise_expansion():
             for _ in range(30):
                 m = _laurent_matrix(rng, p, "t", big)
                 f, g = (_laurent_entry(rng, p, "t", big) for _ in range(2))
-                rows = m.rows
+                rows = field_rows(m)
                 # row 2 a combination of rows 0 and 1, and two equal rows
                 dependent = (rows[0], rows[1],
                              tuple(f * a + g * b for a, b in zip(rows[0], rows[1])))
@@ -541,19 +557,19 @@ def test_det_on_laurent_terms_matches_entrywise_expansion():
                             word_evaluate(word, p)):
                     assert mat._laurent_terms()
                     got = mat.det()
-                    assert got == _expanded_det(mat)
-                    assert type(got) is (LaurentPoly if p is None else RatFunc)
+                    assert as_field(got) == _expanded_det(mat)
+                    assert type(got) is LaurentPoly
                     zeros += got.is_zero()
                     adj = mat.adjugate()
-                    assert adj.rows == _entrywise_adjugate(mat)
+                    assert field_rows(adj) == _entrywise_adjugate(mat)
                     star = mat.star()
-                    assert star.rows == tuple(tuple(mat[j, i].involution()
-                                                    for j in range(3))
-                                              for i in range(3))
+                    assert field_rows(star) == tuple(
+                        tuple(as_field(mat[j, i]).involution() for j in range(3))
+                        for i in range(3))
                     c = _laurent_entry(rng, p, "t", big)
                     scaled = mat.scale(c)
-                    assert scaled.rows == tuple(tuple(e * c for e in row)
-                                                for row in mat.rows)
+                    assert field_rows(scaled) == tuple(
+                        tuple(e * c for e in row) for row in field_rows(mat))
                     for out in (adj, star, scaled):
                         _assert_own_terms(out)
                     terms = got.laurent_terms()
@@ -563,9 +579,9 @@ def test_det_on_laurent_terms_matches_entrywise_expansion():
                             want = tuple(tuple(e * got.inverse() for e in row)
                                          for row in _entrywise_adjugate(mat))
                         else:
-                            want = tuple(tuple(e / got for e in row)
+                            want = tuple(tuple(e / as_field(got) for e in row)
                                          for row in _entrywise_adjugate(mat))
-                        assert inv.rows == want
+                        assert field_rows(inv) == want
                         _assert_own_terms(inv)
                         inverted += 1
                     else:
@@ -581,7 +597,7 @@ def test_det_valuation_matches_det():
     for p in (2, 3, 5):
         for _ in range(20):
             m = _sparse_matrix(rng, p)
-            want = m.det().valuation()
+            want = as_field(m.det()).valuation()
             assert m.det_valuation() == want
             assert m.det_valuation() == want
     z = RatFunc.zero(3)
@@ -839,14 +855,14 @@ def test_random_words_unitary():
                 for _ in range(rng.randint(1, 10))]
         m = word_evaluate(GroupWord(word), 3)
         assert is_unitary(m)
-        assert m.det().valuation() % 1 == 0
+        assert as_field(m.det()).valuation() % 1 == 0
 
 
 def _unitary_in_the_s_ring(A):
     """A* J A = J over F_p[s, 1/s], with t = s^2 substituted entrywise."""
     J = squier_form(A.p)
-    As = MatrixRF(A.p, tuple(tuple(e.to_laurent().to_s_ring().to_ratfunc()
-                                   for e in row) for row in A.rows), "s")
+    As = MatrixRF(A.p, tuple(tuple(e.to_s_ring() for e in row)
+                             for row in A.rows), "s")
     return As.star() * J * As == J
 
 
@@ -861,7 +877,7 @@ def test_unitarity_over_t_matches_the_s_ring():
             word = GroupWord((rng.choice(letters), rng.choice((1, -1)))
                              for _ in range(rng.randint(0, 8)))
             m = word_evaluate(word, p)
-            rows = [list(r) for r in m.rows]
+            rows = [list(r) for r in field_rows(m)]
             rows[rng.randrange(3)][rng.randrange(3)] += RatFunc(p, (0, 1), (1,))
             for A in (m, MatrixRF(p, rows)):
                 verdict = is_unitary(A)
