@@ -150,15 +150,21 @@ def laurent_dot(xs, ys, p):
                     acc[j] += x * y
     if p is not None:
         acc = [c % p for c in acc]
-    hi = len(acc)
-    while hi and not acc[hi - 1]:
+    return laurent_trim(acc, lo)
+
+
+def laurent_trim(coeffs, minexp):
+    """Laurent terms (minexp, coeffs) of sum coeffs[s] * t^(minexp + s),
+    trimmed at both ends; (0, ()) for zero."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
         hi -= 1
     if not hi:
         return 0, ()
-    z = 0
-    while not acc[z]:
-        z += 1
-    return lo + z, tuple(acc[z:hi])
+    lo = 0
+    while not coeffs[lo]:
+        lo += 1
+    return minexp + lo, tuple(coeffs[lo:hi])
 
 
 def pscale(a, c, p):
@@ -369,10 +375,10 @@ class LaurentPoly:
 
     # -- text ----------------------------------------------------------------
     def __repr__(self):
-        return "LaurentPoly(%s)" % render_laurent(self)
+        return "LaurentPoly(%s)" % self
 
     def __str__(self):
-        return render_laurent(self)
+        return render_laurent_data(self.coeffs, self.minexp, self.var)
 
 
 class RatFunc:
@@ -522,7 +528,7 @@ class RatFunc:
         terms = self.laurent_terms()
         if terms is None:
             raise ValueError("not a Laurent polynomial: denominator %s"
-                             % (render_poly(self.den, self.var),))
+                             % (render_laurent_data(self.den, 0, self.var),))
         return LaurentPoly(self.p, terms[1], terms[0], self.var)
 
     def laurent_terms(self):
@@ -561,10 +567,10 @@ class RatFunc:
         return "RatFunc(%s)" % (self,)
 
     def __str__(self):
+        num = render_laurent_data(self.num, 0, self.var)
         if self.den == (1,):
-            return render_poly(self.num, self.var)
-        return "(%s)/(%s)" % (render_poly(self.num, self.var),
-                              render_poly(self.den, self.var))
+            return num
+        return "(%s)/(%s)" % (num, render_laurent_data(self.den, 0, self.var))
 
 
 # ---------------------------------------------------------------------------
@@ -595,28 +601,14 @@ def laurent_pi_digits(terms, lo, n):
 
 def laurent_from_pi_digits(digits, lo):
     """(minexp, coeffs) of sum digits[j] * pi^(lo+j), for digits in [0, p),
-    trimmed at both ends as in ``LaurentPoly``; (0, ()) for zero."""
-    hi = len(digits)
-    while hi and not digits[hi - 1]:
-        hi -= 1
-    if not hi:
-        return 0, ()
-    z = 0
-    while not digits[z]:
-        z += 1
-    return 1 - lo - hi, tuple(digits[hi - 1:z - 1 if z else None:-1])
+    trimmed at both ends as in ``LaurentPoly``; (0, ()) for zero.  The
+    digit at pi^k is the coefficient of t^-k, so the coefficients are the
+    digits reversed."""
+    return laurent_trim(digits[::-1], 1 - lo - len(digits))
 
 
 # ---------------------------------------------------------------------------
 # text rendering / parsing in the grammar  c*t^k  joined by +
-
-def render_poly(coeffs, var="t"):
-    return render_laurent_data(coeffs, 0, var)
-
-
-def render_laurent(f: LaurentPoly):
-    return render_laurent_data(f.coeffs, f.minexp, f.var)
-
 
 def render_laurent_data(coeffs, minexp, var):
     terms = []

@@ -1,7 +1,7 @@
 """The Euclidean building Delta(p) for GL3(F_p(t)): lattice classes as
 canonical forms over the valuation ring O, relative position and adjacency,
-link enumeration via the flag geometry of F_p^3, the matrix action, and
-induced link permutations.
+link enumeration via the flag geometry of F_p^3, the matrix action,
+induced link permutations, and the link graph.
 
 Lattice classes are represented by a Hermite-style canonical form: a lower
 triangular matrix with diagonal pi^(a_i), min a_i = 0, and each entry below
@@ -45,12 +45,17 @@ u-bar in GL3(F_p) of v.canon^-1 * g * v.canon (scaled by a power of pi into
 GL3(O)), so ``residue_link_permutation`` reads the permutation from u-bar
 without enumerating the link: lines move by u-bar and plane annihilators by
 adj(u-bar)^T, and each image vector is scaled by a per-p table of inverses
-mod p and read as its base-p code, which is its link index.  The module is
-pure Python; it imports no numpy.  ``conjugated_link_permutation`` is the one
-read of u-bar, from the Laurent terms of v.canon^-1 * g * v.canon (the
-digit at pi^k being the coefficient of t^-k): ``induced_link_permutation``
-forms that conjugate from g, ``stab_words`` forms it with one inverse of
-v.canon per call, and ``stab_exact`` has it already as alpha.
+mod p and read as its base-p code, which is its link index.  A permutation
+is the plain tuple of those indices, perm[i] the image of link vertex i;
+lines go to lines, so perm[i] < n for i < n.  The module is pure Python; it
+imports no numpy.  ``conjugated_link_permutation`` is the one read of u-bar,
+from the Laurent terms of v.canon^-1 * g * v.canon (the digit at pi^k being
+the coefficient of t^-k): ``induced_link_permutation`` forms that conjugate
+from g, ``stab_words`` forms it with one inverse of v.canon per call, and
+``stab_exact`` has it already as alpha.
+
+The link graph of one enumerated link is ``link_edges``, each unordered
+pair tested once for adjacency, and ``link_dot`` renders it.
 """
 
 from __future__ import annotations
@@ -410,27 +415,6 @@ def _link_bases(p):
                  for dim, sub, terms, d in lines + planes)
 
 
-class LinkPermutation(NamedTuple):
-    perm: tuple              # perm[i] = index of the image of link vertex i
-    cycle_type: tuple        # sorted multiset of cycle lengths
-    type_preserving: bool    # dim-1 / dim-2 bipartition preserved
-
-
-def cycle_type_of(perm):
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        n, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            n += 1
-        out.append(n)
-    return tuple(sorted(out))
-
-
 @lru_cache(maxsize=None)
 def _inverses(p):
     """inv[c] = c^-1 mod p for c = 1..p-1 (inv[0] unused)."""
@@ -469,8 +453,9 @@ def _line_images(m, p):
     return out
 
 
-def residue_link_permutation(u, p) -> LinkPermutation:
-    """The permutation of link(v) induced by the residue matrix u in GL3(F_p).
+def residue_link_permutation(u, p):
+    """The permutation of link(v) induced by the residue matrix u in GL3(F_p),
+    as the tuple of the link index of the image of each link vertex.
 
     u (rows of ints) is u-bar of pi^-k v.canon^-1 g v.canon for a stabilizer
     g of v, or any nonzero scalar multiple of it: the action is projective.
@@ -478,17 +463,15 @@ def residue_link_permutation(u, p) -> LinkPermutation:
     the line through u times it, and the plane ker phi_i (link index n + i,
     phi_i = ``projective_points(p)[i]``) to ker(phi_i u^-1).  phi u^-1 is a
     multiple of phi adj(u), so the annihilators move by adj(u)^T, whose
-    rows are the cross products of the rows of u.  Lines go to lines, so
-    the result is always type preserving.
+    rows are the cross products of the rows of u.  Lines go to lines.
     """
     r0, r1, r2 = u
     cof = (_cross(r1, r2), _cross(r2, r0), _cross(r0, r1))
     n = p * p + p + 1
-    perm = _line_images(u, p) + [n + j for j in _line_images(cof, p)]
-    return LinkPermutation(tuple(perm), cycle_type_of(perm), True)
+    return tuple(_line_images(u, p) + [n + j for j in _line_images(cof, p)])
 
 
-def conjugated_link_permutation(h: MatrixRF) -> LinkPermutation:
+def conjugated_link_permutation(h: MatrixRF):
     """The permutation of link(v) induced by a stabilizer g of v, given as
     h = v.canon^-1 * g * v.canon.
 
@@ -507,7 +490,7 @@ def conjugated_link_permutation(h: MatrixRF) -> LinkPermutation:
     return residue_link_permutation(u, h.p)
 
 
-def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
+def induced_link_permutation(g: MatrixRF, v: VertexClass):
     """The permutation g induces on link(v); g must stabilize v."""
     if apply(g, v) != v:
         raise ValueError("matrix does not stabilize the vertex")
@@ -515,18 +498,21 @@ def induced_link_permutation(g: MatrixRF, v: VertexClass) -> LinkPermutation:
 
 
 # ---------------------------------------------------------------------------
-# DOT export
+# the link graph and its DOT export
 
-def link_dot(v: VertexClass) -> str:
-    """Graphviz DOT of the link graph of v (vertices adjacent within the link)."""
-    lk = link(v)
+def link_edges(lk):
+    """The pairs i < j of link vertices lk[i], lk[j] adjacent to each other:
+    adjacency is symmetric, so each unordered pair is tested once."""
+    return [(i, j) for i in range(len(lk)) for j in range(i + 1, len(lk))
+            if is_adjacent(lk[i].vclass, lk[j].vclass)]
+
+
+def link_dot(lk, edges) -> str:
+    """Graphviz DOT of the link graph: the link lk and its ``link_edges``."""
     lines = ["graph link {"]
     for i, lv in enumerate(lk):
         shape = "circle" if lv.dim == 1 else "box"
         lines.append('  n%d [shape=%s, label="%d"];' % (i, shape, i))
-    for i in range(len(lk)):
-        for j in range(i + 1, len(lk)):
-            if is_adjacent(lk[i].vclass, lk[j].vclass):
-                lines.append("  n%d -- n%d;" % (i, j))
+    lines += ["  n%d -- n%d;" % e for e in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,8 +21,8 @@ from . import __version__
 from .arith import check_prime
 from .rep import (MatrixRF, letter_matrix, order_mod_homothety, parse_word,
                   word_evaluate)
-from .building import (VertexClass, canonicalize, identity_vertex,
-                       is_adjacent, link, link_dot)
+from .building import (VertexClass, canonicalize, identity_vertex, link,
+                       link_dot, link_edges)
 from .groupcalc import (RELATION_FAMILIES, kernel_witness_check,
                         orbit_classify, stab_exact, stab_identity_exact,
                         stab_words, tube_pattern_check, verify_relations)
@@ -220,11 +220,10 @@ def cmd_link(config: RunConfig, spec: str) -> ClaimResult:
     t0 = time.time()
     lk = link(v)
     expected = 2 * (p * p + p + 1)
-    degrees = []
-    if p == 3:
-        for i in range(len(lk)):
-            degrees.append(sum(1 for j in range(len(lk)) if i != j
-                               and is_adjacent(lk[i].vclass, lk[j].vclass)))
+    dot = config.output_format == "dot"
+    edges = link_edges(lk) if p == 3 or dot else ()
+    degrees = [sum(i in e for e in edges) for i in range(len(lk))] \
+        if p == 3 else []
     ok = len(lk) == expected and len(set(lv.vclass for lv in lk)) == expected \
         and (p != 3 or all(d == 4 for d in degrees))
     data = {
@@ -235,16 +234,20 @@ def cmd_link(config: RunConfig, spec: str) -> ClaimResult:
     }
     result = ClaimResult("link-count-p%d" % p, "pass" if ok else "fail",
                          data, time.time() - t0)
-    if config.output_format == "dot":
-        sys.stdout.write(link_dot(v))
+    if dot:
+        sys.stdout.write(link_dot(lk, edges))
     return result
 
 
 def cmd_explore(config: RunConfig, gens) -> ClaimResult:
     p = check_prime(config.prime)
-    if p != 3:
+    if gens is None:
         # u and the distinguished vertices are defined at p = 3 only
-        gens = [g for g in gens if g != "u"]
+        gens = ["x", "y", "u"] if p == 3 else ["x", "y"]
+    if not gens:
+        raise ValueError("--gens names no generator")
+    for g in gens:
+        letter_matrix(g, p)     # a letter with no matrix at p exits 2 here
     t0 = time.time()
     key = ["explore", __version__, ALGORITHM_VERSION, str(p), ".".join(gens),
            str(config.radius), str(config.budget_nodes)]
@@ -258,17 +261,16 @@ def cmd_explore(config: RunConfig, gens) -> ClaimResult:
         data = table.to_json_dict()
         cache_put(config, key, data)
     status = "pass"
-    if p == 3:
-        # the radius-1 ball is [I] plus its link; 18 of the 26 link
-        # vertices must be group points
-        groups = [o for o in data["orbits"] if o["label"] == "group-point"]
-        if not groups or (config.radius == 1
-                          and groups[0]["sizeWithinRadius"] != 19):
-            status = "fail"
-        elif groups[0]["sizeWithinRadius"] < 19:
+    if p == 3 and set(gens) == {"x", "y", "u"}:
+        # the paper's count, stated for <x, y, u>: the radius-1 ball is [I]
+        # plus its link, and 18 of the 26 link vertices are group points
+        groups = [o["sizeWithinRadius"] for o in data["orbits"]
+                  if o["label"] == "group-point"]
+        n = groups[0] if groups else 0
+        if n < 19 or (config.radius == 1 and n != 19):
             status = "fail"
         if config.radius == 1 and groups:
-            data["groupPointsInLink"] = groups[0]["sizeWithinRadius"] - 1
+            data["groupPointsInLink"] = n - 1
     if not data["complete"]:
         status = "partial"
     return ClaimResult("explore-p%d-r%d" % (p, config.radius), status, data,
@@ -401,8 +403,9 @@ def make_parser():
     sp.add_argument("--vertex", required=True,
                     help="word over named generators, I, or a 3x3 matrix literal")
     sp.add_argument("--method", choices=("exact", "words"), default="exact")
-    sp.add_argument("--gens", default="u,u1,h",
-                    help="comma-separated generators for word search")
+    sp.add_argument("--gens", default=None,
+                    help="comma-separated generators for word search "
+                         "(default u,u1,h)")
 
     sp = sub.add_parser("link", help="link of a vertex")
     _add_common(sp)
@@ -411,7 +414,9 @@ def make_parser():
 
     sp = sub.add_parser("explore", help="orbit classification of a ball around I")
     _add_common(sp, "cache-dir", "radius", "budget")
-    sp.add_argument("--gens", default="x,y,u")
+    sp.add_argument("--gens", default=None,
+                    help="comma-separated generators (default x,y,u at "
+                         "p = 3, x,y elsewhere)")
 
     sp = sub.add_parser("verify", help="relation families mod 3")
     _add_common(sp)
@@ -431,6 +436,10 @@ def make_parser():
     return ap
 
 
+# the flags that each stab --method does not read
+_STAB_UNREAD = {"exact": ("depth", "gens"), "words": ("digit-bound", "budget")}
+
+
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
@@ -439,12 +448,19 @@ def main(argv=None) -> int:
         if args.command == "stab-identity":
             result = cmd_stab_identity(config)
         elif args.command == "stab":
+            unread = [f for f in _STAB_UNREAD[args.method]
+                      if getattr(args, f.replace("-", "_")) is not None]
+            if unread:
+                raise ValueError("--method %s does not read --%s"
+                                 % (args.method, " and --".join(unread)))
+            gens = "u,u1,h" if args.gens is None else args.gens
             result = cmd_stab(config, args.vertex, args.method,
-                              [g for g in args.gens.split(",") if g])
+                              [g for g in gens.split(",") if g])
         elif args.command == "link":
             result = cmd_link(config, args.vertex)
         elif args.command == "explore":
-            result = cmd_explore(config, [g for g in args.gens.split(",") if g])
+            result = cmd_explore(config, None if args.gens is None else
+                                 [g for g in args.gens.split(",") if g])
         elif args.command == "verify":
             result = cmd_verify(config)
         elif args.command == "witness":

@@ -502,7 +502,7 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
                 alpha = MatrixRF.from_terms(p, tuple(zip(bycol[0], bycol[1],
                                                          bycol[2])))
                 # alpha is in GL3(O): the read checks nu(det alpha) = 0
-                perm = conjugated_link_permutation(alpha).perm
+                perm = conjugated_link_permutation(alpha)
                 if alpha.star() * F0 * alpha != F0:
                     continue
                 g = M * alpha * Minv
@@ -543,6 +543,8 @@ def _matrix_sort_key(g: MatrixRF):
 # word search
 
 def _gen_matrices(gens, p):
+    """The matrices of gens (matrices, letter names or words), followed by
+    their inverses in the same order."""
     out = []
     for g in gens:
         if isinstance(g, MatrixRF):
@@ -551,7 +553,7 @@ def _gen_matrices(gens, p):
             out.append(letter_matrix(g, p))
         else:
             out.append(word_evaluate(g, p))
-    return out
+    return out + [m.inverse() for m in out]
 
 
 def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
@@ -565,7 +567,6 @@ def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
         raise ValueError("depth must be >= 1")
     p = v.p
     mats = _gen_matrices(gens, p)
-    mats = mats + [m.inverse() for m in mats]
     ident = MatrixRF.identity(p)
     # each class mod homothety -> the first word product that reached it
     seen = {normalize_mod_homothety(ident): ident}
@@ -590,7 +591,7 @@ def stab_words(v: VertexClass, gens, depth: int) -> StabReport:
             raise AssertionError("word-search element fails the unitarity re-check")
         # the conjugate has g's order mod homothety, on shorter entries
         conj = Minv * g * M
-        found.append((key, conj, conjugated_link_permutation(conj).perm))
+        found.append((key, conj, conjugated_link_permutation(conj)))
     found.sort(key=lambda gcp: _matrix_sort_key(gcp[0]))
     return _report(v, "word-search", [g for g, _, _ in found],
                    [pm for _, _, pm in found],
@@ -641,17 +642,18 @@ def seven_star(p: int = 3) -> VertexClass:
 def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
     """Vertices reachable from start by generator applications up to depth.
 
-    Each edge is computed once: mats[i] and mats[(i + k) % 2k] are inverse,
-    so w = mats[i].v with w != v records that mats[(i + k) % 2k].w = v, and
-    expanding w later pops that record instead of calling ``apply``.  The
-    skipped apply could only find v, which is already seen, so the result,
-    the frontier order and the point where the budget trips are those of the
-    plain BFS.  Loops (w = v) are not recorded.
+    Each edge is computed once: mats holds the k generators, then their
+    inverses (``_gen_matrices``), so mats[i] and mats[(i + k) % 2k] are
+    inverse, and w = mats[i].v with w != v records that
+    mats[(i + k) % 2k].w = v, and expanding w later pops that record
+    instead of calling ``apply``.  The skipped apply could only find v,
+    which is already seen, so the result, the frontier order and the point
+    where the budget trips are those of the plain BFS.  Loops (w = v) are
+    not recorded.
     """
     p = start.p
     mats = _gen_matrices(gens, p)
-    k = len(mats)
-    mats = mats + [m.inverse() for m in mats]
+    k = len(mats) // 2
     seen = {start}
     frontier = [start]
     known = set()       # (w, j) with mats[j].w already in seen
@@ -740,33 +742,25 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
             return {rep}
 
     orbit_entries = []
-    assigned = {}
-    for label, rep in anchors:
-        if rep not in B:
-            continue
+    assigned = set()
+
+    def reps():
+        """The anchors in the ball, then, in sort_key order (unique per
+        class), each vertex that no earlier orbit has taken."""
+        for label, rep in anchors:
+            if rep in B:
+                yield label, rep
+        for w in sorted((w for w in B if w not in assigned),
+                        key=VertexClass.sort_key):
+            if w not in assigned:
+                yield "unknown", w
+
+    for label, rep in reps():
         orb = orbit(rep)
         members = [w for w in B if w in orb and w not in assigned]
-        for w in members:
-            assigned[w] = label
-        entry = {
-            "label": label,
-            "representative": rep.to_text(),
-            "sizeWithinRadius": len(members),
-        }
-        orbit_entries.append((entry, rep))
-    # sort_key is unique per class: each round takes the least leftover
-    leftovers = sorted((w for w in B if w not in assigned),
-                       key=VertexClass.sort_key)
-    while leftovers:
-        rep = leftovers[0]
-        orb = orbit(rep)
-        members = [w for w in leftovers if w in orb]
-        for w in members:
-            assigned[w] = "unknown"
-        orbit_entries.append((
-            {"label": "unknown", "representative": rep.to_text(),
-             "sizeWithinRadius": len(members)}, rep))
-        leftovers = [w for w in leftovers if w not in orb]
+        assigned.update(members)
+        orbit_entries.append(({"label": label, "representative": rep.to_text(),
+                               "sizeWithinRadius": len(members)}, rep))
     if stab_reports:
         for entry, rep in orbit_entries:
             label = entry["label"]

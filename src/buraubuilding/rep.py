@@ -53,6 +53,7 @@ from .arith import (
     LaurentPoly,
     check_prime,
     laurent_dot,
+    laurent_trim,
     laurent_valuation,
     parse_laurent,
 )
@@ -86,7 +87,10 @@ class MatrixRF:
         self._det_valuation = self._inverse = self._factors = self._digits = None
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, p, var="t"):
+        """The identity; cached, so repeated calls share one matrix and
+        build its digit rows (``_digit_rows``) once."""
         return cls.from_terms(p, _IDENTITY_TERMS, var)
 
     @classmethod
@@ -153,7 +157,7 @@ class MatrixRF:
         identity."""
         if self._factors is not None:
             return self._factors
-        return self, _identity(self.p, self.var)
+        return self, MatrixRF.identity(self.p, self.var)
 
     def _digit_rows(self):
         """(rows, least): rows[i] lists the nonzero entries of row i as
@@ -225,7 +229,7 @@ class MatrixRF:
             raise ValueError("reduce_mod needs a matrix over Z[t, 1/t]")
         check_prime(p)
         return MatrixRF.from_terms(
-            p, tuple(tuple(_trimmed([a % p for a in c], e) for e, c in row)
+            p, tuple(tuple(laurent_trim([a % p for a in c], e) for e, c in row)
                      for row in self._laurent_terms()), self.var)
 
     def transpose(self):
@@ -276,12 +280,6 @@ _IDENTITY_TERMS = tuple(tuple((0, (1,)) if i == j else (0, ()) for j in range(3)
 def _neg(x, p):
     """-x on Laurent terms."""
     return x[0], tuple(-a if p is None else -a % p for a in x[1])
-
-
-@lru_cache(maxsize=None)
-def _identity(p, var):
-    """One identity matrix per ring, so its cached digits are shared."""
-    return MatrixRF.identity(p, var)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +581,7 @@ def word_evaluate(w: GroupWord, p: Optional[int]) -> MatrixRF:
         E += lo
         bound *= g
     z, slots = _unpack_matrix(A, w8, p)
-    terms = [_trimmed(s, E + z) for s in slots]
+    terms = [laurent_trim(s, E + z) for s in slots]
     return MatrixRF.from_terms(p, (tuple(terms[:3]), tuple(terms[3:6]),
                                    tuple(terms[6:])))
 
@@ -698,20 +696,6 @@ def _unpack_matrix(A, w8, p):
     slots = [_unpack(x, w8, p) for row in A for x in row]
     z = min([next(i for i, c in enumerate(s) if c) for s in slots if any(s)])
     return z, [s[z:] for s in slots]
-
-
-def _trimmed(coeffs, e):
-    """Laurent terms (minexp, coeffs) of sum c_s t^(e+s), trimmed at both
-    ends; (0, ()) for zero."""
-    hi = len(coeffs)
-    while hi and not coeffs[hi - 1]:
-        hi -= 1
-    if not hi:
-        return 0, ()
-    lo = 0
-    while not coeffs[lo]:
-        lo += 1
-    return e + lo, tuple(coeffs[lo:hi])
 
 
 def word_evaluate_integral(w: GroupWord) -> MatrixRF:

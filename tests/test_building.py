@@ -18,6 +18,7 @@ from buraubuilding.building import (
     is_adjacent,
     link,
     link_dot,
+    link_edges,
     relative_position,
 )
 from buraubuilding.rep import MatrixRF, letter_matrix, named_matrix, word_evaluate, parse_word
@@ -665,19 +666,40 @@ def test_homothety_acts_trivially():
 
 # -- induced link permutations ---------------------------------------------------
 
+def maps_lines_to_lines(perm, p):
+    """The link indices below p^2 + p + 1 are the lines: a permutation that
+    preserves the dim-1 / dim-2 bipartition maps them among themselves."""
+    n = p * p + p + 1
+    return len(perm) == 2 * n and all(perm[i] < n for i in range(n))
+
+
+def cycle_type(perm):
+    """The sorted cycle lengths of a permutation."""
+    seen, out = set(), []
+    for i in range(len(perm)):
+        n, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            n += 1
+        if n:
+            out.append(n)
+    return tuple(sorted(out))
+
+
 def test_identity_induces_identity():
     I = identity_vertex(3)
-    lp = induced_link_permutation(MatrixRF.identity(3), I)
-    assert lp.perm == tuple(range(26))
-    assert lp.type_preserving
+    perm = induced_link_permutation(MatrixRF.identity(3), I)
+    assert perm == tuple(range(26))
+    assert maps_lines_to_lines(perm, 3)
 
 
 def test_u_cycle_type_on_link_of_fixed_vertex():
     u = named_matrix("u", 3)
     v = canonicalize(named_matrix("M19", 3))
-    lp = induced_link_permutation(u, v)
-    assert lp.cycle_type == (1, 1, 1, 1, 2, 2, 3, 3, 6, 6)
-    assert lp.type_preserving
+    perm = induced_link_permutation(u, v)
+    assert cycle_type(perm) == (1, 1, 1, 1, 2, 2, 3, 3, 6, 6)
+    assert maps_lines_to_lines(perm, 3)
 
 
 def test_non_stabilizer_raises():
@@ -704,15 +726,15 @@ def seven_star_stab():
 def test_link_permutation_matches_oracle_identity_stabilizer(p):
     rpt = stab_identity_exact(p)
     for g in rpt.elements:
-        lp = induced_link_permutation(g, rpt.vertex)
-        assert lp.perm == link_permutation_oracle(g, rpt.vertex)
-        assert lp.type_preserving
+        perm = induced_link_permutation(g, rpt.vertex)
+        assert perm == link_permutation_oracle(g, rpt.vertex)
+        assert maps_lines_to_lines(perm, p)
 
 
 def test_link_permutation_matches_oracle_seven_star(seven_star_stab):
     v = seven_star_stab.vertex
     for g in seven_star_stab.elements:
-        assert induced_link_permutation(g, v).perm == link_permutation_oracle(g, v)
+        assert induced_link_permutation(g, v) == link_permutation_oracle(g, v)
 
 
 @pytest.mark.parametrize("i", (0, 5, 13, 20))
@@ -720,17 +742,17 @@ def test_link_permutation_matches_oracle_link_of_identity(i):
     v = link(identity_vertex(3))[i].vclass
     rpt = stab_exact(v)
     for g in rpt.elements:
-        assert induced_link_permutation(g, v).perm == link_permutation_oracle(g, v)
+        assert induced_link_permutation(g, v) == link_permutation_oracle(g, v)
 
 
 def test_link_permutation_is_a_homomorphism(seven_star_stab):
     # (g h).w = g.(h.w): the permutation of a product is the composite
     v = seven_star_stab.vertex
     els = seven_star_stab.elements
-    perms = [induced_link_permutation(g, v).perm for g in els]
+    perms = [induced_link_permutation(g, v) for g in els]
     for g, pg in zip(els, perms):
         for h, ph in zip(els, perms):
-            assert induced_link_permutation(g * h, v).perm == \
+            assert induced_link_permutation(g * h, v) == \
                 tuple(pg[j] for j in ph)
 
 
@@ -743,7 +765,7 @@ def test_link_permutation_raises_exactly_off_the_stabilizer(p):
         for g in gens:
             if apply(g, v) == v:
                 fixed += 1
-                assert induced_link_permutation(g, v).perm == \
+                assert induced_link_permutation(g, v) == \
                     link_permutation_oracle(g, v)
             else:
                 moved += 1
@@ -810,27 +832,28 @@ def test_residue_link_permutation_matches_cross_product_read(p, count):
     if count is None:
         assert len(mats) == 168
     for u in mats:
-        lp = building.residue_link_permutation(u, p)
-        assert lp.perm == residue_permutation_oracle(u, p), u
-        assert sorted(lp.perm) == list(range(2 * (p * p + p + 1)))
-        assert lp.type_preserving
+        perm = building.residue_link_permutation(u, p)
+        assert perm == residue_permutation_oracle(u, p), u
+        assert sorted(perm) == list(range(2 * (p * p + p + 1)))
+        assert maps_lines_to_lines(perm, p)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_residue_link_permutation_is_a_projective_homomorphism(p):
     # perm(u w) = perm(u) o perm(w), and a scalar c u acts as u does
     mats = _gl3(p, 30, seed=100 + p)
-    perms = [building.residue_link_permutation(u, p).perm for u in mats]
+    perms = [building.residue_link_permutation(u, p) for u in mats]
     for u, pu in zip(mats, perms):
         for w, pw in zip(mats[:10], perms[:10]):
             assert building.residue_link_permutation(
-                _mat_mul(u, w, p), p).perm == tuple(pu[j] for j in pw)
+                _mat_mul(u, w, p), p) == tuple(pu[j] for j in pw)
         for c in range(2, p):
             cu = tuple(tuple(c * a for a in row) for row in u)
-            assert building.residue_link_permutation(cu, p).perm == pu
+            assert building.residue_link_permutation(cu, p) == pu
 
 
 def test_link_dot_shape():
-    out = link_dot(identity_vertex(2))
+    lk = link(identity_vertex(2))
+    out = link_dot(lk, link_edges(lk))
     assert out.startswith("graph link {")
     assert out.count("n0 ") >= 1

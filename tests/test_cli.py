@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from buraubuilding import arith, cli, rep
+from buraubuilding import arith, building, cli, groupcalc, rep
 from buraubuilding.cli import (
     build_config,
     dumps,
@@ -15,7 +15,7 @@ from buraubuilding.cli import (
     make_parser,
     parse_vertex_spec,
 )
-from buraubuilding.building import identity_vertex, link_dot
+from buraubuilding.building import identity_vertex, link, link_dot, link_edges
 from buraubuilding.groupcalc import kernel_witness_check
 
 
@@ -76,6 +76,21 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     assert proc.returncode == 2
     assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (("--depth", "5"), "--method exact does not read --depth"),
+    (("--gens", "u"), "--method exact does not read --gens"),
+    (("--method", "words", "--digit-bound", "1"),
+     "--method words does not read --digit-bound"),
+    (("--method", "words", "--budget", "1"),
+     "--method words does not read --budget"),
+], ids=["exact-depth", "exact-gens", "words-digit-bound", "words-budget"])
+def test_stab_flags_its_method_does_not_read_are_rejected(argv, unread):
+    proc = _main_subprocess("stab", "--vertex", "I", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: " + unread]
     assert proc.stdout == ""
 
 
@@ -269,15 +284,47 @@ def test_link_text_and_dot(capsys):
 
 def test_link_dot_prints_only_the_graph(capsys, monkeypatch, tmp_path):
     # the DOT graph is all of stdout, from the flag or from the config file,
-    # and the exit code still follows the claim: a short link fails it
-    want = link_dot(identity_vertex(2))
+    # and the exit code still follows the claim: a short link fails it, and
+    # the graph is that of the one link the run enumerated
+    lk = link(identity_vertex(2))
+    want = link_dot(lk, link_edges(lk))
     assert run(["link", "--p", "2", "--vertex", "I", "--dot"], capsys) == want
     cfg = tmp_path / "run.cfg"
     cfg.write_text("outputFormat=dot\n")
     assert run(["link", "--p", "2", "--config", str(cfg)], capsys) == want
-    full = cli.link
-    monkeypatch.setattr(cli, "link", lambda v: full(v)[:-1])
-    assert run(["link", "--p", "2", "--dot"], capsys, expect=1) == want
+    monkeypatch.setattr(cli, "link", lambda v: link(v)[:-1])
+    short = lk[:-1]
+    assert run(["link", "--p", "2", "--dot"], capsys, expect=1) == \
+        link_dot(short, link_edges(short))
+
+
+@pytest.mark.parametrize("p, digest", [
+    (2, "dbeb8f27c2ab9569"), (3, "a6c4363ac8830076"),
+])
+def test_link_dot_golden(p, digest, capsys):
+    out = run(["link", "--p", str(p), "--vertex", "I", "--dot"], capsys)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("dot", [False, True])
+def test_link_enumerates_one_link_and_tests_each_pair_once(
+        dot, capsys, monkeypatch):
+    # the degrees and the DOT graph read one link, and adjacency is
+    # symmetric: 26 * 25 / 2 = 325 pairs at p = 3
+    calls = []
+    for module in (building, cli):
+        for name in ("link", "is_adjacent"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def counted(*args, name=name, original=original):
+                    calls.append(name)
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    run(["link", "--p", "3", "--vertex", "I"] + (["--dot"] if dot else []),
+        capsys)
+    assert (calls.count("link"), calls.count("is_adjacent")) == (1, 325)
 
 
 def test_link_dot_and_json_exclude_each_other(capsys):
@@ -441,6 +488,43 @@ def test_explore_cache_unreadable_entry_is_a_miss(tmp_path, capsys):
     assert again == cold
     assert os.listdir(tmp_path) == [entry]
     assert path.read_text() == good                 # the miss rewrote it
+
+
+def test_explore_keeps_the_generators_given(tmp_path, capsys):
+    # u is dropped from the default list only, which is x,y at p != 3; a
+    # letter the user gives with no matrix at p is refused
+    d = json.loads(run(["explore", "--p", "2", "--json"], capsys,
+                       cache_dir=tmp_path))
+    assert d["data"]["generators"] == ["x", "y"]
+    for gens, err in (("u", "u is defined at p = 3, not p = 2"),
+                      ("x,y,u", "u is defined at p = 3, not p = 2"),
+                      ("", "--gens names no generator")):
+        argv = ["explore", "--p", "2", "--gens", gens, "--cache-dir",
+                str(tmp_path)]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: %s\n" % err
+
+
+def test_explore_checks_the_group_point_count_for_x_y_u_only(
+        tmp_path, capsys, monkeypatch):
+    # the paper counts 19 group points in the radius-1 ball for <x, y, u>;
+    # <x, y> has 13 there, which fails no claim
+    d = json.loads(run(["explore", "--p", "3", "--gens", "x,y", "--json"],
+                       capsys, cache_dir=tmp_path / "xy"))
+    assert d["data"]["orbits"][0]["sizeWithinRadius"] == 13
+    assert d["status"] == "pass" and "groupPointsInLink" not in d["data"]
+
+    # x, y and u in any order are checked: 13 group points fail the claim
+    def table(p, gens, radius, budget, stab_reports):
+        group = {"label": "group-point", "representative": "(0,0,0 | 0;0;0)",
+                 "sizeWithinRadius": 13}
+        return groupcalc.OrbitTable(p, radius, gens, (group,), True)
+
+    monkeypatch.setattr(cli, "orbit_classify", table)
+    d = json.loads(run(["explore", "--p", "3", "--gens", "u,y,x", "--json"],
+                       capsys, cache_dir=tmp_path / "uyx", expect=1))
+    assert d["status"] == "fail" and d["data"]["groupPointsInLink"] == 12
 
 
 def test_internal_error_exits_2_without_traceback(capsys, monkeypatch):
