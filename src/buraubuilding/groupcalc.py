@@ -639,35 +639,91 @@ def seven_star(p: int = 3) -> VertexClass:
 # ---------------------------------------------------------------------------
 # orbits
 
+# orders modulo homothety above this are not looked for: a walk of c - 1
+# recorded steps is worth trying only for a short cycle
+_ORDER_CAP = 12
+
+
+class _Moves(NamedTuple):
+    """What an orbit BFS knows before it starts: mats, the generators then
+    their inverses (``_gen_matrices``); orders[i], the order of mats[i]
+    modulo homothety, or None above ``_ORDER_CAP``; and seed[i], a dict of
+    images mats[i].v known for free (``_link_seed``)."""
+    mats: list
+    orders: tuple
+    seed: tuple
+
+
+def _moves(gens, p) -> _Moves:
+    """The ``_Moves`` of gens at p, with an empty seed."""
+    mats = _gen_matrices(gens, p)
+    k = len(mats) // 2
+    orders = tuple(order_mod_homothety(m, maxn=_ORDER_CAP) for m in mats[:k])
+    return _Moves(mats, orders + orders, tuple({} for _ in mats))
+
+
+def _link_seed(I, lk, mats):
+    """seed[i] maps lk[j] to lk[perm[j]], fixed points included, for each
+    generator mats[i] that fixes I (one ``apply`` each), with perm its
+    ``conjugated_link_permutation`` (I.canon is the identity, so the
+    conjugate is mats[i] itself), and seed[i + k] is the inverse map.  A
+    generator that moves I seeds nothing."""
+    k = len(mats) // 2
+    seed = [{} for _ in mats]
+    for i, g in enumerate(mats[:k]):
+        if apply(g, I) == I:
+            images = [lk[j] for j in conjugated_link_permutation(g)]
+            seed[i] = dict(zip(lk, images))
+            seed[i + k] = dict(zip(images, lk))
+    return tuple(seed)
+
+
 def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
     """Vertices reachable from start by generator applications up to depth.
 
-    Each edge is computed once: mats holds the k generators, then their
-    inverses (``_gen_matrices``), so mats[i] and mats[(i + k) % 2k] are
-    inverse, and w = mats[i].v with w != v records that
-    mats[(i + k) % 2k].w = v, and expanding w later pops that record
-    instead of calling ``apply``.  The skipped apply could only find v,
-    which is already seen, so the result, the frontier order and the point
-    where the budget trips are those of the plain BFS.  Loops (w = v) are
-    not recorded.
+    gens are matrices, letter names or words, or the ``_Moves`` that
+    ``orbit_classify`` builds once for all its BFS runs.  mats holds the k
+    generators, then their inverses, so mats[i] and mats[(i + k) % 2k] are
+    inverse.  The BFS looks an edge mats[i].v up in its own table (edges[i]
+    maps v to mats[i].v) before it calls ``apply``; three exact sources
+    fill the table:
+
+    - inverse: w = mats[i].v records mats[(i + k) % 2k].w = v;
+    - order: if mats[i] has order c modulo homothety (a homothety fixes
+      every vertex), mats[i].v = mats[(i + k) % 2k]^(c-1).v, so c - 1
+      recorded inverse steps from v give the edge; a derived edge is
+      recorded like an applied one;
+    - link seed: ``orbit_classify`` starts every table with the edges
+      that the generators fixing [I] induce on link([I]) (``_link_seed``).
+
+    A loop that ``apply`` finds (w = v) is not recorded, so a matrix and
+    its inverse each cost an apply at a vertex they fix: a one-level BFS
+    from [I] by x and y makes the 4 applies that ``perfbench`` pins.  The
+    link seed does hold the fixed points of its permutations.  Every edge
+    equals the ``apply`` it replaces, so the set, the frontier order and
+    the point where the budget trips are those of the plain BFS.
     """
-    p = start.p
-    mats = _gen_matrices(gens, p)
-    k = len(mats) // 2
+    moves = gens if isinstance(gens, _Moves) else _moves(gens, start.p)
+    mats = moves.mats
+    n = len(mats)
+    edges = [dict(images) for images in moves.seed]
+    steps = [(m, edges[i], edges[(i + n // 2) % n], moves.orders[i])
+             for i, m in enumerate(mats)]
     seen = {start}
     frontier = [start]
-    known = set()       # (w, j) with mats[j].w already in seen
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            for i, m in enumerate(mats):
-                if (v, i) in known:
-                    known.remove((v, i))
-                    continue
-                w = apply(m, v)
-                if w == v:
-                    continue
-                known.add((w, (i + k) % (2 * k)))
+            for m, forward, back, c in steps:
+                w = forward.get(v)
+                if w is None:
+                    w = _order_walk(back, v, c)
+                    if w is None:
+                        w = apply(m, v)
+                        if w == v:
+                            continue
+                    forward[v] = w
+                    back[w] = v
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -677,18 +733,36 @@ def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
     return seen
 
 
+def _order_walk(back, v, c):
+    """back applied c - 1 times to v, None when c is None or a step is not
+    in back."""
+    if c is None:
+        return None
+    for _ in range(c - 1):
+        v = back.get(v)
+        if v is None:
+            return None
+    return v
+
+
 def ball(p: int, radius: int):
     """All vertices within the given link-distance of the identity vertex."""
     I = identity_vertex(p)
+    return _ball(I, [lv.vclass for lv in link(I)] if radius > 0 else [],
+                 radius)
+
+
+def _ball(I, lk, radius):
+    """``ball``, given the vertices lk of link(I)."""
     seen = {I: 0}
     frontier = [I]
     for d in range(1, radius + 1):
         nxt = []
         for v in frontier:
-            for lv in link(v):
-                if lv.vclass not in seen:
-                    seen[lv.vclass] = d
-                    nxt.append(lv.vclass)
+            for w in lk if v is I else (lv.vclass for lv in link(v)):
+                if w not in seen:
+                    seen[w] = d
+                    nxt.append(w)
         frontier = nxt
     return seen
 
@@ -721,12 +795,23 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
     the identity vertex (group points), the u-fixed neighbor of [I]
     (n-points), and the tube chain vertices.  Labels never rely on any
     external numbering of vertices.
+
+    link([I]) is enumerated once: the ball is built from it, and every
+    ``orbit_bfs`` starts with a table of its own holding the edges that the
+    generators fixing [I] induce on it (``_link_seed``).  The generator
+    matrices, their orders and that seed are built before any BFS runs,
+    so a letter with no matrix at p raises its ValueError here; a ValueError
+    from a BFS is then only a tripped budget.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    B = ball(p, radius)
+    I = identity_vertex(p)
+    lk = [lv.vclass for lv in link(I)]
+    B = _ball(I, lk, radius)
+    moves = _moves(gens, p)
+    moves = moves._replace(seed=_link_seed(I, lk, moves.mats))
     complete = True
-    anchors = [("group-point", identity_vertex(p))]
+    anchors = [("group-point", I)]
     if p == 3 and any(str(g) == "u" for g in gens):
         anchors.append(("n-point", n_point_base(p)))
         anchors += [("tube(%d)" % k, v) for k, v, _ in
@@ -736,7 +821,7 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
         """The BFS orbit of rep, or {rep} and an incomplete table."""
         nonlocal complete
         try:
-            return orbit_bfs(rep, gens, orbit_depth, budget)
+            return orbit_bfs(rep, moves, orbit_depth, budget)
         except ValueError:
             complete = False
             return {rep}

@@ -37,6 +37,7 @@ from buraubuilding.groupcalc import (
 )
 from buraubuilding.rep import (
     MatrixRF,
+    is_homothety,
     is_unitary,
     letter_matrix,
     named_matrix,
@@ -764,10 +765,23 @@ def test_h_stabilizes_seven_star():
 
 # -- orbits ------------------------------------------------------------------------
 
-def test_orbit_bfs_identity_small_depth():
+def counting_apply(calls):
+    """``apply``, appending to calls each time it runs."""
+    def counting(m, v):
+        calls.append(1)
+        return apply(m, v)
+    return counting
+
+
+def test_orbit_bfs_identity_small_depth(monkeypatch):
+    calls = []
+    monkeypatch.setattr(groupcalc, "apply", counting_apply(calls))
     orb = orbit_bfs(identity_vertex(3), ("x", "y"), depth=1)
     assert identity_vertex(3) in orb
     assert len(orb) > 1
+    # x fixes [I] and y moves it: a loop that apply finds is not recorded,
+    # so x^-1 is applied too, one apply per matrix
+    assert len(calls) == 4
 
 
 def test_orbit_budget():
@@ -775,26 +789,62 @@ def test_orbit_budget():
         orbit_bfs(identity_vertex(3), ("x", "y", "u"), depth=6, budget=10)
 
 
-def plain_orbit_bfs(start, mats, depth, budget):
+def order_below_13(m):
+    """The least c <= 12 with m^c a homothety, else None."""
+    power = m
+    for c in range(1, 13):
+        if is_homothety(power):
+            return c
+        power = power * m
+    return None
+
+
+def plain_orbit_bfs(start, mats, depth, budget, seed=()):
     """The BFS that applies every generator to every vertex it expands.
 
     Returns the vertex set, whether the budget tripped (the walk stops
     there), and the number of applies ``orbit_bfs`` should make up to that
-    point: an edge w = m.v with w != v is computed once, so the apply from w
-    back to v is saved when w was expanded first.
+    point.  mats are the generators, then their inverses.  The edges
+    ``orbit_bfs`` knows are kept in ``known``, keyed (v, i) for mats[i].v,
+    starting from the (v, i, w) triples of seed: an edge w = mats[i].v is
+    known when recorded, or when the c - 1 inverse steps from v that the
+    order c of mats[i] modulo homothety asks for are all recorded; else it
+    costs an apply.  An edge is recorded both ways, unless an apply found
+    w = v.
     """
+    n = len(mats)
+    inv = [(i + n // 2) % n for i in range(n)]
+    orders = [order_below_13(m) for m in mats]
+    known = {}
+    for v, i, w in seed:
+        known[v, i] = w
+        known[w, inv[i]] = v
+
+    def walk(v, i):
+        if orders[i] is None:
+            return None
+        for _ in range(orders[i] - 1):
+            v = known.get((v, inv[i]))
+            if v is None:
+                return None
+        return v
+
     seen = {start}
     frontier = [start]
-    expanded = set()
     applies = 0
     for _ in range(depth):
         nxt = []
         for v in frontier:
-            expanded.add(v)
-            for m in mats:
+            for i, m in enumerate(mats):
                 w = apply(m, v)
-                if w == v or w not in expanded:
+                got = known.get((v, i), walk(v, i))
+                if got is None:
                     applies += 1
+                else:
+                    assert got == w
+                if got is not None or w != v:
+                    known[v, i] = w
+                    known[w, inv[i]] = v
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -817,31 +867,90 @@ def _orbit_cases():
                     yield p, gens, start, depth
 
 
+def _link_seeded(p, gens, mats):
+    """The orbit_bfs generators that orbit_classify builds, with their link
+    seed, and the seed's edges read by apply: mats[i].v for every v in
+    link([I]) and every generator mats[i] that fixes [I]."""
+    I = identity_vertex(p)
+    lk = [lv.vclass for lv in link(I)]
+    k = len(gens)
+    fixing = [i for i in range(k) if apply(mats[i], I) == I]
+    seed = [(v, i, apply(mats[i], v)) for i in fixing for v in lk]
+    moves = groupcalc._moves(gens, p)
+    return moves._replace(seed=groupcalc._link_seed(I, lk, moves.mats)), seed
+
+
 def test_orbit_bfs_matches_plain_bfs(monkeypatch):
     calls = []
-
-    def counting(m, v):
-        calls.append(1)
-        return apply(m, v)
-
-    monkeypatch.setattr(groupcalc, "apply", counting)
+    counting = counting_apply(calls)
     for p, gens, start, depth in _orbit_cases():
         mats = [letter_matrix(g, p) for g in gens]
         mats += [m.inverse() for m in mats]
-        size = len(plain_orbit_bfs(start, mats, depth, 10 ** 9)[0])
-        # the same set, the same applies, and the budget trips at the same
-        # vertex, after the same applies
-        for budget in {1, size // 2, size - 1, size}:
-            want, trips, applies = plain_orbit_bfs(start, mats, depth, budget)
-            calls.clear()
-            try:
-                got = orbit_bfs(start, gens, depth, budget)
-            except ValueError:
-                got = None
-            case = (p, gens, start, depth, budget)
-            assert (got is None) == trips == (size > budget), case
-            assert got is None or got == want, case
-            assert len(calls) == applies, case
+        variants = [(gens, ())]
+        if "x" in gens:
+            variants.append(_link_seeded(p, gens, mats))
+        for arg, seed in variants:
+            size = len(plain_orbit_bfs(start, mats, depth, 10 ** 9, seed)[0])
+            # the same set, the same applies, and the budget trips at the
+            # same vertex, after the same applies
+            for budget in {1, size // 2, size - 1, size}:
+                want, trips, applies = plain_orbit_bfs(start, mats, depth,
+                                                       budget, seed)
+                calls.clear()
+                monkeypatch.setattr(groupcalc, "apply", counting)
+                try:
+                    got = orbit_bfs(start, arg, depth, budget)
+                except ValueError:
+                    got = None
+                monkeypatch.undo()
+                case = (p, gens, start, depth, budget, bool(seed))
+                assert (got is None) == trips == (size > budget), case
+                assert got is None or got == want, case
+                assert len(calls) == applies, case
+
+
+def test_orbit_bfs_closes_a_generator_cycle_with_one_apply_fewer(monkeypatch):
+    # y has order 3 modulo homothety and x order 4; their cycles through
+    # [I] and through a link vertex x moves have all their k vertices, and
+    # the last edge of each is read off the order, not applied
+    calls = []
+    counting = counting_apply(calls)
+    cases = [(p, "y", identity_vertex(p)) for p in (2, 3, 5, 7)]
+    cases += [(p, "x", link(identity_vertex(p))[p + 1].vclass)
+              for p in (2, 3, 5, 7)]
+    for p, letter, start in cases:
+        m = letter_matrix(letter, p)
+        k = order_mod_homothety(m)
+        want, _, _ = plain_orbit_bfs(start, [m, m.inverse()], k, 10 ** 9)
+        assert len(want) == k, (p, letter)
+        calls.clear()
+        monkeypatch.setattr(groupcalc, "apply", counting)
+        got = orbit_bfs(start, (letter,), k)
+        monkeypatch.undo()
+        assert got == want, (p, letter)
+        assert len(calls) == k - 1, (p, letter)
+
+
+def test_link_seed_edges_equal_apply():
+    letters = ("x", "y", "s1", "s2", "s3")
+    for p in (2, 3, 5, 7):
+        gens = letters + (("u", "u1", "h", "w") if p == 3 else ())
+        I = identity_vertex(p)
+        lk = [lv.vclass for lv in link(I)]
+        mats = groupcalc._gen_matrices(gens, p)
+        seed = groupcalc._link_seed(I, lk, mats)
+        k = len(gens)
+        for i, g in enumerate(gens):
+            fixes = apply(mats[i], I) == I
+            for j in (i, i + k):
+                want = [apply(mats[j], v) if fixes else None for v in lk]
+                assert [seed[j].get(v) for v in lk] == want, (p, g)
+        assert any(seed), p
+
+
+def test_orbit_classify_refuses_a_letter_undefined_at_p():
+    with pytest.raises(ValueError, match="u is defined at p = 3, not p = 2"):
+        orbit_classify(2, gens=("x", "u"), radius=1, stab_reports=False)
 
 
 # sha256 prefixes of the orbit table JSON of orbit_classify(3, radius=1,
