@@ -371,7 +371,7 @@ class LaurentPoly:
     def to_ratfunc(self):
         if self.p is None:
             raise ValueError("a RatFunc needs a modulus; reduce_mod(p) first")
-        return RatFunc.from_laurent_terms(self.p, self.coeffs, self.minexp, self.var)
+        return RatFunc.from_terms(self.p, self.coeffs, self.minexp, self.var)
 
     # -- text ----------------------------------------------------------------
     def __repr__(self):
@@ -427,7 +427,7 @@ class RatFunc:
         return cls(p, (c,) if c else (), (1,), var, normalize=False)
 
     @classmethod
-    def from_laurent_terms(cls, p, coeffs, minexp, var="t"):
+    def from_terms(cls, p, coeffs, minexp, var="t"):
         """sum coeffs[i] * t^(minexp+i) in normal form, built directly from
         a tuple of coeffs in [0, p) with nonzero ends (empty for zero):
         num / t^k with t not dividing num when k > 0.  The arguments are
@@ -441,7 +441,7 @@ class RatFunc:
         """sum digits[j] * pi^(lo+j) for digits in [0, p); see
         ``laurent_pi_digits``."""
         minexp, coeffs = laurent_from_pi_digits(digits, lo)
-        return cls.from_laurent_terms(p, coeffs, minexp)
+        return cls.from_terms(p, coeffs, minexp)
 
     # -- structure ----------------------------------------------------------
     def is_zero(self):

@@ -22,20 +22,19 @@ rows, a lattice with nu(det) lowered by a, so those rows are kept modulo
 pi^(D+1-a), and the last row needs only a_3 + 1 digits.  Each step updates
 only the rows after its pivot row, whose pivot (pi^a) and cleared entries
 (0) are known and not stored.
-``apply`` hands it nu(det) = nu(det g) + sum(v.exps) instead of a determinant.
-The digits have one source, ``_window_digits``: it reads the window of
-pi^-m (A B) straight from the digit rows of two factors, which each matrix
-builds once, the digit at pi^k being the coefficient of t^-k.
-``g * v.canon`` is a product not yet formed (``rep``), so it gives g and
-v.canon, and ``apply`` and ``link`` never form the product's nine entries;
-any other matrix gives itself and the identity.  A matrix holds Laurent
-terms only (``MatrixRF`` refuses a non-Laurent entry when it is built), so
-none is met here.  Only the three entries below the diagonal are built from
-digits: the diagonal is three monomials and the rest is zero.  The
-canonical matrix keeps its terms, so the next product does not read them
-again, and a vertex is keyed on p, its exponents and its three entries
-below the diagonal, each boxed as a normalized rational function (the
-one use of ``arith.RatFunc`` outside the tests).
+``canonicalize(M, D, B)`` gives the class of the column span of M B, and
+``apply`` and ``link`` pass their two factors (g and v.canon, v.canon and a
+lifted basis) with D = nu(det) known, so neither forms the product.  The
+digits have one source, ``_window_digits``: it reads the window of
+pi^-m (M B) straight from the digit rows of the two factors, which each
+matrix builds once, the digit at pi^k being the coefficient of t^-k.  A
+matrix holds Laurent terms only (``MatrixRF`` refuses a non-Laurent entry
+when it is built), so none is met here.  Only the three entries below the
+diagonal are built from digits: the diagonal is three monomials and the
+rest is zero.  The canonical matrix keeps its terms, so the next product
+does not read them again, and a vertex is keyed on p, its exponents and
+its three entries below the diagonal, each boxed as a normalized rational
+function (the one use of ``arith.RatFunc`` outside the tests).
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -91,8 +90,7 @@ class VertexClass:
         self.p = p
         self.canon = canon
         self.exps = tuple(exps)
-        below = [RatFunc.from_laurent_terms(p, c, e)
-                 for e, c in _below(canon._laurent_terms())]
+        below = [RatFunc.from_terms(p, c, e) for e, c in _below(canon._terms)]
         self._key = (p, self.exps) + tuple((x.num, x.den) for x in below)
         self._hash = hash(self._key)
 
@@ -108,7 +106,7 @@ class VertexClass:
 
     def to_text(self):
         """Serialize as `(a1,a2,a3 | e21;e31;e32)` with Laurent entries."""
-        below = _below(self.canon._laurent_terms())
+        below = _below(self.canon._terms)
         return "(%s | %s)" % (",".join(str(a) for a in self.exps),
                               ";".join(render_laurent_data(c, e, "t")
                                        for e, c in below))
@@ -129,14 +127,15 @@ def identity_vertex(p) -> VertexClass:
     return canonicalize(MatrixRF.identity(p))
 
 
-def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
-    """Canonical lattice-class representative of the column span of M.
+def canonicalize(M: MatrixRF, det_valuation=None, B=None) -> VertexClass:
+    """Canonical lattice-class representative of the column span of M B,
+    B the identity when omitted.
 
     Column operations over GL3(O) and global scaling do not change the
     output; the result is lower triangular with diagonal pi^(a_i) and
     min a_i = 0.
 
-    The elimination runs on pi-adic digits of pi^-m * M modulo pi^n,
+    The elimination runs on pi-adic digits of pi^-m * M B modulo pi^n,
     n = D+1, D = nu(det) - 3m, for m at most the least entry valuation, so
     that the entries lie in O: the lattice L contains pi^D * O^3, so a column
     changed by an element of pi^(D+1) * O^3 keeps nu(det) = D and still
@@ -153,28 +152,32 @@ def canonicalize(M: MatrixRF, det_valuation=None) -> VertexClass:
     then each entry below the diagonal is its first a_row digits.
 
     The digits have one source, ``_window_digits``, which reads them
-    straight from two factors' digit rows (``MatrixRF._factor_matrices``):
-    those of a product not yet formed, so ``apply`` and ``link`` form no
-    product, or M itself and the identity.  There m is the least
-    val(A_il) + val(B_lj) over the nonzero pairs of factor entries, a lower
-    bound on the product's least valuation.  When leading terms cancel, m
-    is below the true valuation m', the window grows by 3(m' - m) and every
-    pivot by m' - m, and the homothety takes the class to the same
-    canonical form.  Only the three entries below the diagonal are built
-    from digits; the diagonal entries are monomials and the others zero.
-    The terms are cached on ``canon`` for the next product.
+    straight from the digit rows of M and B, so the product M B is never
+    formed: ``apply`` passes g and v.canon, ``link`` v.canon and a lifted
+    basis.  There m is the least val(M_il) + val(B_lj) over the nonzero
+    pairs of factor entries, a lower bound on the product's least
+    valuation.  When leading terms cancel, m is below the true valuation
+    m', the window grows by 3(m' - m) and every pivot by m' - m, and the
+    homothety takes the class to the same canonical form.  Only the three
+    entries below the diagonal are built from digits; the diagonal entries
+    are monomials and the others zero.  The terms are cached on ``canon``
+    for the next product.
 
-    ``det_valuation`` is nu(det M) when the caller knows it (``apply`` and
-    ``link`` do); without it the determinant is computed.  An infinite
-    valuation, that is a singular M, raises ValueError.
+    B of another p or var raises ValueError, as ``M * B`` does.
+    ``det_valuation`` is nu(det M B) when the caller knows it (``apply`` and
+    ``link`` do); without it nu(det M) + nu(det B) is computed.  An infinite
+    valuation, that is a singular M or B, raises ValueError.
     """
     p = M.p
+    if B is None:
+        B = MatrixRF.identity(p, M.var)
+    elif B.p != p or B.var != M.var:
+        raise ValueError("matrix modulus/variable mismatch")
     if det_valuation is None:
-        det_valuation = M.det_valuation()
+        det_valuation = M.det_valuation() + B.det_valuation()
     if det_valuation == INF:
         raise ValueError("singular matrix does not define a lattice")
-    A, B = M._factor_matrices()
-    n, cols = _window_digits(A, B, p, det_valuation)
+    n, cols = _window_digits(M, B, p, det_valuation)
     exps = [0, 0, 0]
 
     # rows above r are zero in every column >= r, and after step r the pivot
@@ -307,9 +310,10 @@ def apply(g: MatrixRF, v: VertexClass) -> VertexClass:
 
     v.canon is lower triangular with diagonal pi^exps, so
     nu(det(g * v.canon)) = nu(det g) + sum(exps), with nu(det g) computed
-    once per matrix object.
+    once per matrix object; ``canonicalize`` takes g and v.canon as two
+    factors and forms no product.
     """
-    return canonicalize(g * v.canon, g.det_valuation() + sum(v.exps))
+    return canonicalize(g, g.det_valuation() + sum(v.exps), v.canon)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +328,8 @@ def relative_position(v1: VertexClass, v2: VertexClass):
     entries of adj(N).
     """
     N = v1.canon.inverse() * v2.canon
-    d1 = min(laurent_valuation(x) for row in N._laurent_terms() for x in row)
-    d12 = min(laurent_valuation(x) for row in N.adjugate()._laurent_terms()
-              for x in row)
+    d1 = min(laurent_valuation(x) for row in N._terms for x in row)
+    d12 = min(laurent_valuation(x) for row in N.adjugate()._terms for x in row)
     d123 = N.det_valuation()
     e = sorted((d1, d12 - d1, d123 - d12))
     # orient so that one step down an index-p sublattice reads (0,1,1)
@@ -397,7 +400,7 @@ def link(v: VertexClass):
     each lifted basis G of ``_link_bases``.
     """
     D = sum(v.exps)
-    return [LinkVertex(dim, sub, canonicalize(v.canon * G, D + d))
+    return [LinkVertex(dim, sub, canonicalize(v.canon, D + d, G))
             for dim, sub, G, d in _link_bases(v.p)]
 
 
@@ -481,7 +484,7 @@ def conjugated_link_permutation(h: MatrixRF):
     ``residue_link_permutation``.  Both are read from the Laurent terms of
     h: the digit of an entry at pi^k is its coefficient of t^-k.
     """
-    t = h._laurent_terms()
+    t = h._terms
     k = min(laurent_valuation(x) for row in t for x in row)
     if h.det_valuation() != 3 * k:
         raise AssertionError("conjugated stabilizer element is not in "

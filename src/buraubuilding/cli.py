@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import __version__
@@ -174,11 +175,13 @@ def parse_vertex_spec(text: str, p: int) -> VertexClass:
 
 
 def _matrix_literal(text):
-    body = text.strip()
+    """The 3x3 entry strings of a literal [[a,b,c],[d,e,f],[g,h,i]]; every
+    space is dropped first, so "[[1, 0, 0], [2, t^-2, 0], ...]" reads too."""
+    body = "".join(text.split())
     if not (body.startswith("[[") and body.endswith("]]")):
         raise ValueError("matrix literal must look like [[a,b,c],[d,e,f],[g,h,i]]")
     rows = body[2:-2].split("],[")
-    out = [[e.strip() for e in r.split(",")] for r in rows]
+    out = [r.split(",") for r in rows]
     if len(out) != 3 or any(len(r) != 3 for r in out):
         raise ValueError("matrix literal must be 3x3")
     return out
@@ -388,7 +391,10 @@ def _add_common(sp, *flags):
     sp.add_argument("--json", action="store_true", help="JSON output")
 
 
+@lru_cache(maxsize=None)
 def make_parser():
+    """The argparse tree, built once per process: parse_args keeps no
+    state on it, so every ``main`` call shares one."""
     ap = argparse.ArgumentParser(
         prog="buraubuilding",
         description="Exact workbench for the mod-p Burau action on the "

@@ -51,7 +51,7 @@ def normalize_mod_homothety(A: MatrixRF) -> MatrixRF:
     shifted to 0 and the first nonzero coefficient (row-major, lowest
     exponent first) is scaled to 1, by one scalar c*t^-m.
     """
-    terms = [(e, c) for row in A._laurent_terms() for e, c in row if c]
+    terms = [(e, c) for row in A._terms for e, c in row if c]
     m = min(e for e, _ in terms)
     lead = inv_mod(terms[0][1][0], A.p)
     return A.scale(LaurentPoly.term(lead, -m, A.p, A.var))
@@ -137,8 +137,8 @@ def entry_degree_bounds(F0: MatrixRF):
     need not be a unit, so F0^-1 is not formed: only its valuations are
     read, nu(F0^-1[l][j]) = nu(adj(F0)[l][j]) - nu(det F0).
     """
-    adj, d = F0.adjugate()._laurent_terms(), F0.det_valuation()
-    r = [min(laurent_valuation(x) for x in row) for row in F0._laurent_terms()]
+    adj, d = F0.adjugate()._terms, F0.det_valuation()
+    r = [min(laurent_valuation(x) for x in row) for row in F0._terms]
     c = [min(laurent_valuation(adj[l][j]) for l in range(3)) - d for j in range(3)]
     return [[-(r[b] + c[a]) for b in range(3)] for a in range(3)]
 
@@ -465,7 +465,7 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     if max(max(row) for row in D) > digit_bound:
         raise ValueError("entry degree bound %d exceeds digit bound %d"
                          % (max(max(row) for row in D), digit_bound))
-    F0pi = [[_laurent_pi_coeffs(x) for x in row] for row in F0._laurent_terms()]
+    F0pi = [[_laurent_pi_coeffs(x) for x in row] for row in F0._terms]
     digsets = _column_candidates(p, F0pi, D, column_budget)
 
     # chain the cross constraints B(c_b, c_e) = F0[b][e], smallest column
@@ -536,7 +536,7 @@ def _matrix_sort_key(g: MatrixRF):
     """The rendered entries, row by row, of g normalized modulo homothety
     (so every exponent is >= 0)."""
     return tuple(render_laurent_data(c, e, g.var)
-                 for row in g._laurent_terms() for e, c in row)
+                 for row in g._terms for e, c in row)
 
 
 # ---------------------------------------------------------------------------

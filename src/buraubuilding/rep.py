@@ -15,13 +15,12 @@ word evaluation builds no entry object.  A matrix built from entries reads
 each one's terms at once and refuses an entry that is not a Laurent
 polynomial.
 
-A product is formed on first read too: ``A * B`` checks p and var and reads
-both factors' terms, so every error is raised at ``*``, and keeps the two
-factors; its own terms are formed on the first ``_laurent_terms`` read,
-which ``rows``, ``==``, ``hash``, ``det`` and every other reader go
-through.  ``building.canonicalize`` reads the digits it needs straight from
-the factors (``_factor_matrices``), each factor's digit rows built once per
-matrix (``_digit_rows``), so ``building.apply`` forms no product.
+A product is formed when it is written: ``A * B`` checks p and var and
+forms one ``laurent_dot`` per entry, so every error is raised at ``*`` and
+no reader forms anything later.  ``building.canonicalize`` takes two
+factors instead of their product when it needs only its class, and reads
+the digits straight from their digit rows (``_digit_rows``), built once per
+matrix, so ``building.apply`` forms no product.
 
 ``word_evaluate`` does not call the product: it keeps the running product of
 a word as nine integers, each entry's coefficients packed into W-bit slots
@@ -67,8 +66,7 @@ class MatrixRF:
     held as the Laurent terms (minexp, coeffs) of its entries; every entry
     read is a ``LaurentPoly`` built from them."""
 
-    __slots__ = ("p", "var", "_det_valuation", "_terms", "_inverse",
-                 "_factors", "_digits")
+    __slots__ = ("p", "var", "_det_valuation", "_terms", "_inverse", "_digits")
 
     def __init__(self, p, rows, var="t"):
         """The matrix of the given entries, each read once as its Laurent
@@ -84,7 +82,7 @@ class MatrixRF:
             raise ValueError("matrix entry is not a Laurent polynomial")
         self.p, self.var = p, var
         self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
-        self._det_valuation = self._inverse = self._factors = self._digits = None
+        self._det_valuation = self._inverse = self._digits = None
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -100,7 +98,7 @@ class MatrixRF:
         ends as ``laurent_dot`` returns them."""
         out = cls.__new__(cls)
         out.p, out.var, out._terms = p, var, terms
-        out._det_valuation = out._inverse = out._factors = out._digits = None
+        out._det_valuation = out._inverse = out._digits = None
         return out
 
     @property
@@ -109,7 +107,7 @@ class MatrixRF:
         read."""
         p, var = self.p, self.var
         return tuple(tuple(LaurentPoly(p, c, e, var) for e, c in row)
-                     for row in self._laurent_terms())
+                     for row in self._terms)
 
     @classmethod
     def from_strings(cls, rows, p, var="t"):
@@ -118,46 +116,19 @@ class MatrixRF:
                      for row in rows), var)
 
     def __getitem__(self, ij):
-        e, c = self._laurent_terms()[ij[0]][ij[1]]
+        e, c = self._terms[ij[0]][ij[1]]
         return LaurentPoly(self.p, c, e, self.var)
 
     def __mul__(self, other):
-        """The product, formed on the first read of its terms.
-
-        p and var are checked and both factors' terms read here, so every
-        error is raised at ``*``; the product keeps the two factors
-        (``_factor_matrices``) until ``_laurent_terms`` forms their terms
-        into one ``laurent_dot`` per entry: a row and a column, their at
-        most three nonzero term products added into one integer list,
-        reduced mod p once and trimmed at both ends.
-        """
+        """The product, one ``laurent_dot`` per entry: a row and a column,
+        their at most three nonzero term products added into one integer
+        list, reduced mod p once and trimmed at both ends."""
         if self.p != other.p or self.var != other.var:
             raise ValueError("matrix modulus/variable mismatch")
-        self._laurent_terms()
-        other._laurent_terms()
-        out = MatrixRF.from_terms(self.p, None, self.var)
-        out._factors = self, other
-        return out
-
-    def _laurent_terms(self):
-        """Every entry as (minexp, coeffs), trimmed at both ends.  A product
-        forms its terms on the first read, from its factors'."""
-        if self._terms is None:
-            a, b = (f._laurent_terms() for f in self._factors)
-            p = self.p
-            cols = [(b[0][j], b[1][j], b[2][j]) for j in range(3)]
-            self._terms = tuple(tuple(laurent_dot(r, col, p) for col in cols)
-                                for r in a)
-            self._factors = None
-        return self._terms
-
-    def _factor_matrices(self):
-        """(A, B), matrices whose product is this one: a product not yet
-        formed gives its two factors, any other matrix itself and the
-        identity."""
-        if self._factors is not None:
-            return self._factors
-        return self, MatrixRF.identity(self.p, self.var)
+        p, cols = self.p, tuple(zip(*other._terms))
+        return MatrixRF.from_terms(
+            p, tuple(tuple(laurent_dot(r, col, p) for col in cols)
+                     for r in self._terms), self.var)
 
     def _digit_rows(self):
         """(rows, least): rows[i] lists the nonzero entries of row i as
@@ -168,7 +139,7 @@ class MatrixRF:
         if self._digits is None:
             rows = tuple(tuple((j, 1 - e - len(c), c[::-1])
                                for j, (e, c) in enumerate(row) if c)
-                         for row in self._laurent_terms())
+                         for row in self._terms)
             self._digits = rows, tuple(min([x[1] for x in r]) if r else None
                                        for r in rows)
         return self._digits
@@ -177,7 +148,7 @@ class MatrixRF:
         """The cofactors of row i as Laurent terms, each one ``laurent_dot``:
         with indices mod 3, cof(i, j) = a[i+1][j+1] a[i+2][j+2] -
         a[i+1][j+2] a[i+2][j+1], the subtracted term negated."""
-        t, p = self._laurent_terms(), self.p
+        t, p = self._terms, self.p
         b, c = t[(i + 1) % 3], t[(i + 2) % 3]
         return tuple(laurent_dot((b[(j + 1) % 3], _neg(b[(j + 2) % 3], p)),
                                  (c[(j + 2) % 3], c[(j + 1) % 3]), p)
@@ -185,7 +156,7 @@ class MatrixRF:
 
     def _det_terms(self):
         """det as Laurent terms: row 0 dotted with its cofactors."""
-        return laurent_dot(self._laurent_terms()[0], self._cofactors(0), self.p)
+        return laurent_dot(self._terms[0], self._cofactors(0), self.p)
 
     def det(self):
         e, c = self._det_terms()
@@ -221,7 +192,7 @@ class MatrixRF:
             raise ValueError("scalar is not a Laurent polynomial")
         return MatrixRF.from_terms(
             p, tuple(tuple(laurent_dot((a,), (x,), p) for a in row)
-                     for row in self._laurent_terms()), self.var)
+                     for row in self._terms), self.var)
 
     def reduce_mod(self, p):
         """The image mod the prime p of a matrix over Z[t, 1/t]."""
@@ -230,21 +201,23 @@ class MatrixRF:
         check_prime(p)
         return MatrixRF.from_terms(
             p, tuple(tuple(laurent_trim([a % p for a in c], e) for e, c in row)
-                     for row in self._laurent_terms()), self.var)
+                     for row in self._terms), self.var)
 
     def transpose(self):
-        return MatrixRF.from_terms(self.p, tuple(zip(*self._laurent_terms())),
+        return MatrixRF.from_terms(self.p, tuple(zip(*self._terms)),
                                    self.var)
 
     def star(self):
         """Bar involution entrywise, then transpose: (a_ij)* = bar(a_ji).
         bar sends t^k to t^-k, so it reverses each coefficient tuple."""
-        t = self._laurent_terms()
+        t = self._terms
         return MatrixRF.from_terms(
             self.p, tuple(tuple((1 - e - len(c), c[::-1]) if c else (0, ())
                                 for e, c in col) for col in zip(*t)), self.var)
 
     def __pow__(self, n):
+        """Square and multiply; a square is formed only while bits of n are
+        left to read."""
         if n < 0:
             return self.inverse() ** (-n)
         out = MatrixRF.identity(self.p, self.var)
@@ -252,18 +225,19 @@ class MatrixRF:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
         """Equal p, var and Laurent terms, as equal entries: none is built."""
         return (isinstance(other, MatrixRF) and self.p == other.p
                 and self.var == other.var
-                and self._laurent_terms() == other._laurent_terms())
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.p, self.var, self._laurent_terms()))
+        return hash((self.p, self.var, self._terms))
 
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -371,7 +345,7 @@ class HomothetyWitness(NamedTuple):
 def is_homothety(A: MatrixRF) -> Optional[HomothetyWitness]:
     """The scalar c*t^k iff A = c*t^k*I, else None; read off the Laurent
     terms, so no entry is built."""
-    r = A._laurent_terms()
+    r = A._terms
     for i in range(3):
         for j in range(3):
             if i != j and r[i][j][1]:
@@ -383,14 +357,16 @@ def is_homothety(A: MatrixRF) -> Optional[HomothetyWitness]:
 
 
 def order_mod_homothety(A: MatrixRF, maxn: int = 100):
-    """Least n <= maxn with A^n a homothety, else None (order exceeds maxn)."""
+    """Least n <= maxn with A^n a homothety, else None (order exceeds maxn);
+    A^n is formed only while n <= maxn, one product per step."""
     if maxn < 1:
         raise ValueError("maxn must be >= 1")
     B = A
     for n in range(1, maxn + 1):
         if is_homothety(B):
             return n
-        B = B * A
+        if n < maxn:
+            B = B * A
     return None
 
 
@@ -599,7 +575,7 @@ def _packed_letter(name: str, sgn: int, p: Optional[int], w8: int):
     |coefficient|, taken as at least 2 so that a chain unpacks, and moves
     its shared zero low slots into E, at least once every W steps."""
     m = letter_matrix(name, p)
-    t = (m if sgn > 0 else m.inverse())._laurent_terms()
+    t = (m if sgn > 0 else m.inverse())._terms
     lo = min([e for row in t for e, c in row if c])
     cols = [[(k, _pack(c, w8, p is None), 8 * w8 * (e - lo))
              for k, (e, c) in enumerate(col) if c] for col in zip(*t)]

@@ -21,7 +21,8 @@ from buraubuilding.building import (
     link_edges,
     relative_position,
 )
-from buraubuilding.rep import MatrixRF, letter_matrix, named_matrix, word_evaluate, parse_word
+from buraubuilding.rep import (MatrixRF, letter_matrix, named_matrix, parse_word,
+                               squier_form, word_evaluate)
 from buraubuilding.groupcalc import (ball, seven_star, stab_exact, stab_identity_exact,
                                      tube_chain)
 from pi_adic import field_rows, pi_adic_expand, pi_digits_window
@@ -259,13 +260,11 @@ def test_canonicalize_matches_exact_elimination_on_deep_inputs(deep_inputs):
     assert len(deep_inputs) >= 150 and shrunk >= 0.9 * len(deep_inputs)
 
 
-def _assert_window_read_from_factors(A, B):
-    """canonicalize of the unformed product A * B, which reads its digits
-    from the factors, against the formed product's terms and the oracle."""
-    M = A * B
-    assert M._factors is not None
-    got = canonicalize(M)
-    formed = MatrixRF.from_terms(A.p, (A * B)._laurent_terms())
+def _assert_canonical_from_factor_pair(A, B):
+    """canonicalize of the two factors A and B, which reads its digits from
+    them, against the formed product A * B and the oracle."""
+    got = canonicalize(A, None, B)
+    formed = A * B
     for want in (canonicalize(formed), canonicalize_oracle(formed)):
         assert (got.exps, got.to_text()) == (want.exps, want.to_text())
         assert got == want and hash(got) == hash(want)
@@ -273,19 +272,19 @@ def _assert_window_read_from_factors(A, B):
 
 def _pair_bound(A, B):
     """The least val(A_il) + val(B_lj), the m of ``_window_digits``."""
-    a, b = A._laurent_terms(), B._laurent_terms()
+    a, b = A._terms, B._terms
     return min(laurent_valuation(a[i][l]) + laurent_valuation(b[l][j])
                for i, l, j in itertools.product(range(3), repeat=3))
 
 
-def test_window_digits_from_factors_match_the_formed_product(oracle_inputs):
+def test_window_digits_of_a_factor_pair_match_the_formed_product(oracle_inputs):
     # letters and their inverses on both sides of the seeded inputs, the
     # random column operations on classes among them, at p = 2, 3, 5, 7
     rng = random.Random(20261202)
     for M in oracle_inputs[::3]:
         g = rng.choice(_letters_and_inverses(M.p))
-        _assert_window_read_from_factors(g, M)
-        _assert_window_read_from_factors(M, g)
+        _assert_canonical_from_factor_pair(g, M)
+        _assert_canonical_from_factor_pair(M, g)
 
 
 def test_window_digits_when_leading_terms_cancel():
@@ -307,13 +306,11 @@ def test_window_digits_when_leading_terms_cancel():
                  for r in range(3)]
             E[i][j] = (k, (c,))
             E = MatrixRF.from_terms(p, tuple(map(tuple, E)))
-            A = MatrixRF.from_terms(p, (v.canon * E)._laurent_terms())
-            B = MatrixRF.from_terms(p, (E.inverse() * rng.choice(gens))
-                                    ._laurent_terms())
-            true = min(laurent_valuation(x) for row in (A * B)._laurent_terms()
+            A, B = v.canon * E, E.inverse() * rng.choice(gens)
+            true = min(laurent_valuation(x) for row in (A * B)._terms
                        for x in row)
             below += _pair_bound(A, B) < true
-            _assert_window_read_from_factors(A, B)
+            _assert_canonical_from_factor_pair(A, B)
     assert below == 32
 
 
@@ -327,10 +324,21 @@ def test_canonicalize_refuses_a_singular_product():
         lam = RatFunc(p, (1, 1), (1,))
         m = MatrixRF(p, tuple((r[0], r[1], r[0] + lam * r[1])
                               for r in field_rows(g)))
-        for M in (g * m, m * g):
-            assert M._factors is not None
-            with pytest.raises(ValueError, match="singular"):
-                canonicalize(M)
+        for A, B in ((g, m), (m, g)):
+            for args in ((A * B,), (A, None, B)):
+                with pytest.raises(ValueError, match="singular"):
+                    canonicalize(*args)
+
+
+def test_canonicalize_refuses_a_factor_of_another_ring():
+    # a second factor of another p or var raises as their product does
+    M = letter_matrix("x", 3)
+    for B in (letter_matrix("x", 5), letter_matrix("x", 2), squier_form(3)):
+        with pytest.raises(ValueError, match="mismatch"):
+            M * B
+        for D in (None, 0):
+            with pytest.raises(ValueError, match="mismatch"):
+                canonicalize(M, D, B)
 
 
 def test_apply_forms_no_product_and_keys_on_three_entries(monkeypatch):
@@ -597,9 +605,9 @@ def test_apply_passes_the_determinant_valuation(oracle_inputs, monkeypatch):
     # each seeded matrix acts on [I] and on the class of the matrix before it
     passed = []
 
-    def recording(M, det_valuation=None):
-        passed.append(det_valuation)
-        return canonicalize(M, det_valuation)
+    def recording(M, det_valuation=None, B=None):
+        passed.append((M, det_valuation, B))
+        return canonicalize(M, det_valuation, B)
 
     monkeypatch.setattr(building, "canonicalize", recording)
     prev = None
@@ -609,7 +617,8 @@ def test_apply_passes_the_determinant_valuation(oracle_inputs, monkeypatch):
                 continue
             passed.clear()
             w = apply(g, v)
-            assert passed == [(g * v.canon).det().to_ratfunc().valuation()]
+            assert passed == [(g, (g * v.canon).det().to_ratfunc().valuation(),
+                               v.canon)]
             assert w == canonicalize(g * v.canon)
         prev = canonicalize(g)
 
@@ -626,18 +635,19 @@ def test_link_passes_the_determinant_valuation(p, monkeypatch):
         verts.append(seven_star(p))
     passed = []
 
-    def recording(M, det_valuation=None):
-        passed.append((M, det_valuation))
-        return canonicalize(M, det_valuation)
+    def recording(M, det_valuation=None, B=None):
+        passed.append((M, det_valuation, B))
+        return canonicalize(M, det_valuation, B)
 
     monkeypatch.setattr(building, "canonicalize", recording)
     for v in verts:
         passed.clear()
         lk = link(v)
         assert len(passed) == 2 * (p * p + p + 1)
-        for (M, D), lv in zip(passed, lk):
-            assert D == M.det().to_ratfunc().valuation()
-            assert lv.vclass == canonicalize(M)
+        for (M, D, B), lv in zip(passed, lk):
+            assert M is v.canon
+            assert D == (M * B).det().to_ratfunc().valuation()
+            assert lv.vclass == canonicalize(M * B)
 
 
 def test_apply_refuses_a_singular_matrix():

@@ -142,6 +142,49 @@ def test_vertex_spec_rejects_bad_literal():
         parse_vertex_spec("[[1,0],[0,1]]", 3)
 
 
+def test_matrix_literal_with_spaces_between_rows(capsys):
+    # spaces anywhere in a literal are dropped before it is split
+    tight = "[[1,0,0],[2,t^-2,0],[0,0,t^-2]]"
+    docs = []
+    for spec in (tight, "[[1, 0, 0], [2, t^-2, 0], [0, 0, t^-2]]",
+                 " [ [1,0, 0] ,[2 ,t^-2,0],  [0,0,t^-2 ] ] "):
+        d = json.loads(run(["stab", "--vertex", spec, "--json"], capsys))
+        d.pop("elapsed")
+        docs.append(dumps(d))
+    assert docs[1] == docs[0] and docs[2] == docs[0]
+    assert main(["stab", "--vertex", "[[1, 0], [0, 1], [0, 0]]"]) == 2
+    assert capsys.readouterr().err == "error: matrix literal must be 3x3\n"
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys, tmp_path):
+    # two in-process runs of two claims share one argparse tree and print
+    # what the first runs printed
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    make_parser.cache_clear()
+    outs = []
+    for k in range(2):
+        d = json.loads(run(["explore", "--p", "2", "--radius", "1", "--json"],
+                           capsys, cache_dir=tmp_path / str(k)))
+        d.pop("elapsed")
+        outs.append(dumps(d))
+        outs.append(run(["link", "--p", "3", "--dot"], capsys))
+        if k == 0:
+            first = len(built)
+    assert outs[2:] == outs[:2]
+    assert len(built) == first
+    make_parser.cache_clear()
+    make_parser()
+    assert len(built) == 2 * first
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def test_stab_identity_pass(capsys):

@@ -319,7 +319,7 @@ def test_column_enumeration_does_not_depend_on_the_block_size(entries,
     verts = [seven_star(3), n_point_base(3), identity_vertex(5)]
     forms = [(v.p, form_pullback(v)) for v in verts]
     args = [(p, [[groupcalc._laurent_pi_coeffs(x) for x in row]
-                 for row in F0._laurent_terms()], entry_degree_bounds(F0))
+                 for row in F0._terms], entry_degree_bounds(F0))
             for p, F0 in forms]
     budget = groupcalc.DEFAULT_COLUMN_BUDGET
     want = [groupcalc._column_candidates(*a, budget) for a in args]
@@ -443,7 +443,7 @@ def test_integer_pair_filter_matches_ratfunc_oracle(monkeypatch):
         form, fixed_ns, ns, target = form
         got = integer_filter(p, form, fixed_row, digs)
         want = linear_pair_filter_oracle(
-            p, F0, [RatFunc.from_laurent_terms(p, c, e) for e, c in
+            p, F0, [RatFunc.from_terms(p, c, e) for e, c in
                     groupcalc._digits_to_terms(fixed_row, fixed_ns)],
             digs, ns, _from_pi_coeffs(target, p))
         assert np.array_equal(got, want), (v.to_text(), fixed_row, target)
@@ -477,7 +477,7 @@ def test_form_tensor_matches_ratfunc_form():
     for v in verts:
         p = v.p
         F0 = form_pullback(v)
-        F0pi = [[lpc(x) for x in row] for row in F0._laurent_terms()]
+        F0pi = [[lpc(x) for x in row] for row in F0._terms]
         F = field_rows(F0)
         for _ in range(3):
             ns_u = ns_w = ()
@@ -489,7 +489,7 @@ def test_form_tensor_matches_ratfunc_form():
             assert T.shape == (hi - lo + 1, sum(ns_u), sum(ns_w))
             xu, xw = (np.array([rng.randrange(p) for _ in range(sum(ns))],
                                dtype=np.int16) for ns in (ns_u, ns_w))
-            u, w = ([RatFunc.from_laurent_terms(p, c, e) for e, c in
+            u, w = ([RatFunc.from_terms(p, c, e) for e, c in
                      groupcalc._digits_to_terms(x, ns)]
                     for x, ns in ((xu, ns_u), (xw, ns_w)))
             B = RatFunc.zero(p)

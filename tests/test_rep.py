@@ -343,7 +343,7 @@ def _eager(p, terms, var):
     def entry(e, c):
         if p is None:
             return LaurentPoly(p, c, e, var)
-        return RatFunc.from_laurent_terms(p, c, e, var)
+        return RatFunc.from_terms(p, c, e, var)
 
     return MatrixRF(p, tuple(tuple(entry(e, c) for e, c in row) for row in terms),
                     var)
@@ -372,7 +372,7 @@ def test_product_entries_built_on_first_read_match_eager_entries(monkeypatch):
         for var in ("t", "s"):
             for _ in range(20):
                 a, b = (_laurent_matrix(rng, p, var, False) for _ in range(2))
-                eager = _eager(p, (a * b)._laurent_terms(), var)
+                eager = _eager(p, (a * b)._terms, var)
                 built.clear()
                 got = a * b
                 assert hash(got) == hash(eager)
@@ -393,15 +393,15 @@ def test_product_entries_built_on_first_read_match_eager_entries(monkeypatch):
 
 def _eager_product(a, b):
     """The terms of a * b formed at once, one ``laurent_dot`` per entry."""
-    ta, tb = a._laurent_terms(), b._laurent_terms()
+    ta, tb = a._terms, b._terms
     cols = [(tb[0][j], tb[1][j], tb[2][j]) for j in range(3)]
     return tuple(tuple(laurent_dot(r, col, a.p) for col in cols) for r in ta)
 
 
-def test_lazy_product_forms_the_eager_terms(monkeypatch):
-    # a product keeps its factors' terms until its own are read; once
-    # formed they are the laurent_dot product's, for single products,
-    # chains both ways round and powers
+def test_product_forms_the_laurent_dot_terms(monkeypatch):
+    # a product forms its terms at *, without building an entry: those of
+    # the laurent_dot product, for single products, chains both ways round
+    # and powers
     rng = random.Random(20261201)
     built = _count_entries_built(monkeypatch)
     for p in (None, 2, 3, 5, 7):
@@ -409,21 +409,21 @@ def test_lazy_product_forms_the_eager_terms(monkeypatch):
             a, b, c = (_laurent_matrix(rng, p, "t", False) for _ in range(3))
             built.clear()
             got = a * b
-            assert got._terms is None and not built
-            assert got._laurent_terms() == _eager_product(a, b)
+            assert not built
+            assert got._terms == _eager_product(a, b)
             ab = _eager(p, _eager_product(a, b), "t")
             bc = _eager(p, _eager_product(b, c), "t")
-            assert (a * b * c)._laurent_terms() == _eager_product(ab, c)
-            assert (a * (b * c))._laurent_terms() == _eager_product(a, bc)
+            assert (a * b * c)._terms == _eager_product(ab, c)
+            assert (a * (b * c))._terms == _eager_product(a, bc)
         for g in (burau_generator(1, p), word_evaluate(parse_word("x.y^-1"), p)):
             want = MatrixRF.identity(p)
             for n in range(7):
-                assert (g ** n)._laurent_terms() == want._laurent_terms()
+                assert (g ** n)._terms == want._terms
                 want = _eager(p, _eager_product(want, g), "t")
 
 
-def test_lazy_product_raises_at_the_product():
-    # the factors are checked and read at *, not when the product is read
+def test_product_raises_at_the_product():
+    # the factors are checked at *
     s1 = burau_generator(1, 3)
     for other in (burau_generator(1, 5), burau_generator(1, None), squier_form(3)):
         for op in (lambda: s1 * other, lambda: other * s1):
@@ -448,17 +448,43 @@ def test_a_product_read_twice_forms_its_terms_once(monkeypatch):
     monkeypatch.setattr(rep, "laurent_dot", counting)
     a, b = burau_generator(1, 3), burau_generator(2, 3)
     m = a * b
-    assert not calls
-    first = m._laurent_terms()
     assert len(calls) == 9
-    assert m._laurent_terms() is first
+    first = m._terms
     # every later reader goes through the formed terms
     for read in (lambda: m.rows, lambda: hash(m), lambda: str(m),
                  lambda: is_homothety(m), lambda: m == m):
         read()
-    assert [f._laurent_terms() for f in m._factor_matrices()] == \
-        [first, MatrixRF.identity(3)._laurent_terms()]
+    assert m._terms is first
     assert len(calls) == 9
+
+
+def test_orders_and_powers_form_no_product_past_their_last_read(monkeypatch):
+    # order c takes c - 1 products, and a search that gives up at maxn
+    # takes maxn - 1; a power squares only while bits are left to read
+    calls = []
+    mul = MatrixRF.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MatrixRF, "__mul__", counting)
+    for name, p, c in (("x", 3, 4), ("y", 3, 3), ("u", 3, 6), ("h", 3, 3),
+                       ("beta2", 5, 4), ("x", 7, 4)):
+        m = letter_matrix(name, p)
+        for maxn in (c, c + 5):
+            calls.clear()
+            assert order_mod_homothety(m, maxn) == c
+            assert len(calls) == c - 1
+        for maxn in range(1, c):
+            calls.clear()
+            assert order_mod_homothety(m, maxn) is None
+            assert len(calls) == maxn - 1
+    g = letter_matrix("x", 3)
+    for n in range(1, 40):
+        calls.clear()
+        g ** n
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
 
 
 def test_word_evaluation_builds_no_entries_until_read(monkeypatch):
@@ -530,11 +556,11 @@ def _entrywise_adjugate(m):
 
 def _assert_own_terms(m):
     # the terms a kernel caches on its output are those of the entries
-    assert m._laurent_terms() == tuple(tuple(e.laurent_terms() for e in row)
-                                       for row in m.rows)
+    assert m._terms == tuple(tuple(e.laurent_terms() for e in row)
+                             for row in m.rows)
 
 
-def test_det_on_laurent_terms_matches_entrywise_expansion():
+def test_det_on_terms_matches_entrywise_expansion():
     # all-Laurent matrices take the laurent_dot cofactors; the determinant,
     # the adjugate, the inverse, scale and star must equal entrywise
     # arithmetic field for field, singular matrices and zero entries included
@@ -555,7 +581,7 @@ def test_det_on_laurent_terms_matches_entrywise_expansion():
                 for mat in (m, MatrixRF(p, dependent),
                             MatrixRF(p, (rows[0], rows[1], rows[0])),
                             word_evaluate(word, p)):
-                    assert mat._laurent_terms()
+                    assert mat._terms
                     got = mat.det()
                     assert as_field(got) == _expanded_det(mat)
                     assert type(got) is LaurentPoly
@@ -617,8 +643,8 @@ def word_evaluate_oracle(w, p):
 
 
 def assert_same_as_oracle(w, p):
-    got = word_evaluate(w, p)._laurent_terms()
-    assert got == word_evaluate_oracle(w, p)._laurent_terms()
+    got = word_evaluate(w, p)._terms
+    assert got == word_evaluate_oracle(w, p)._terms
     # normal form: trimmed at both ends, coefficients in [0, p) mod p
     for row in got:
         for e, c in row:
@@ -690,7 +716,7 @@ def _dense_step(name, sgn, p, w8):
     steps."""
     from buraubuilding import rep
     m = letter_matrix(name, p)
-    t = (m if sgn > 0 else m.inverse())._laurent_terms()
+    t = (m if sgn > 0 else m.inverse())._terms
     lo = min(e for row in t for e, c in row if c)
     cols = []
     for j in range(3):
@@ -759,7 +785,7 @@ def test_compiled_letter_steps_hold_one_term_per_nonzero_entry(p):
     from buraubuilding import rep
     for name, sgn in _word_letters(p):
         m = letter_matrix(name, p)
-        t = (m if sgn > 0 else m.inverse())._laurent_terms()
+        t = (m if sgn > 0 else m.inverse())._terms
         lo = min(e for row in t for e, c in row if c)
         nonzero = [(e, c) for row in t for e, c in row if c]
         step = rep._packed_letter(name, sgn, p, 8)[1]
