@@ -1,16 +1,17 @@
-"""Stabilizer computation for the J-isometry action on the building:
-exact bounded pi-adic digit enumeration against the pulled-back form (at
-every vertex, the identity vertex included), word search, orbit
-classification outward from the identity vertex, relation verification for
-the presentation of the isometry group at p = 3, the kernel-witness check,
-and the tube pattern walk.
+"""Stabilizer computation for the J-isometry action on the building: exact
+stabilizers from the pulled-back form, by bounded pi-adic digits solved
+column by column mod p (at every vertex, the identity vertex included), word
+search, orbit classification outward from the identity vertex, relation
+verification for the presentation of the isometry group at p = 3, the
+kernel-witness check, and the tube pattern walk.
 
-numpy is imported only by the column enumeration of ``stab_exact`` and its
-helpers, so the claims that never call it do not load numpy.
+numpy (integer arrays only) is imported only by the search of ``stab_exact``
+and its helpers, so the claims that never call it do not load numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple, Optional
 
@@ -32,7 +33,6 @@ from .rep import (
 )
 from .building import (
     VertexClass,
-    _cross,
     apply,
     canonicalize,
     conjugated_link_permutation,
@@ -209,10 +209,11 @@ def _report(v: VertexClass, method: str, elements, perms, orders,
 
 
 # ---------------------------------------------------------------------------
-# exact stabilizer at any vertex: bounded pi-adic digit enumeration
+# exact stabilizer at any vertex: one column enumerated, two solved mod p
 
 DEFAULT_DIGIT_BOUND = 8
 DEFAULT_COLUMN_BUDGET = 4_000_000
+_PAIR_ENTRIES = 1 << 20     # pairs (c1, c2) per block: bounds its int64 tables
 
 
 def _laurent_pi_coeffs(terms):
@@ -222,17 +223,16 @@ def _laurent_pi_coeffs(terms):
     return {-(e + i): a for i, a in enumerate(c) if a}
 
 
-_BLOCK_ENTRIES = 1 << 20    # entries of one block of the split form
-
-
-def _digit_rows(n, p, width):
-    """The base-p digits, lowest first, of each index in n: int16 rows."""
+@functools.lru_cache(maxsize=None)
+def _grid(p, n):
+    """Every vector of F_p^n, read-only: row m the base-p digits of m, lowest
+    first, in the smallest unsigned dtype holding p - 1 (a byte if p < 257)."""
     import numpy as np
 
-    digs = np.empty((len(n), width), dtype=np.int16)
-    for k in range(width):
-        digs[:, k] = (n // p ** k) % p
-    return digs
+    digits = np.arange(p ** n)[:, None] // p ** np.arange(n) % p
+    grid = digits.astype(np.min_scalar_type(p - 1))
+    grid.flags.writeable = False
+    return grid
 
 
 def _form_tensor(p, F0pi, ns_u, ns_w, lo, hi):
@@ -246,7 +246,7 @@ def _form_tensor(p, F0pi, ns_u, ns_w, lo, hi):
     """
     import numpy as np
 
-    su, sw = np.cumsum((0,) + ns_u), np.cumsum((0,) + ns_w)
+    su, sw = (list(itertools.accumulate(n, initial=0)) for n in (ns_u, ns_w))
     T = np.zeros((hi - lo + 1, sum(ns_u), sum(ns_w)), dtype=np.int64)
     for a in range(3):
         for e in range(3):
@@ -258,148 +258,85 @@ def _form_tensor(p, F0pi, ns_u, ns_w, lo, hi):
     return T % p
 
 
-def _profile_solutions(p, F0pi, ns, qmax, targets):
-    """Indices n < p^total, ascending, of the digit vectors x with
-    x^T W[q - 1] x = t[q - 1] mod p at q = 1..qmax, one array per target t,
-    where W is ``_form_tensor`` of the column with itself over [1, qmax].
-
-    Row n holds the base-p digits of n, lowest first, so n = nl + p^l nh
-    splits x into its low half xl (l digits) and its high half xh, and
-    x^T W x = xl^T W_ll xl + xh^T W_hh xh + xl^T K xh with
-    K = W_lh + W_hl^T.  The two squares are tables over the p^l low and
-    the p^h high halves; the cross term is a matrix product, formed for a
-    block of high halves at a time, about ``_BLOCK_ENTRIES`` entries, and
-    compared with every target before the next block.  A q with W[q - 1] = 0
-    is not formed: there B(c, c) is 0 at pi^q.
-    """
+def _constraint(p, F0pi, ns_u, ns_w, target, lo=None):
+    """B(u, w) = target on columns of ns_u, ns_w digits, at the pi-exponents
+    that B(u, w) or the target reach (those >= lo if lo is given): the
+    ``_form_tensor`` slices and the target's coefficients, or None when the
+    constraint cannot hold.  A coefficient whose slice is 0 holds for every
+    column or for none, so it is dropped or refuses the constraint."""
     import numpy as np
 
-    W = _form_tensor(p, F0pi, ns, ns, 1, qmax)
-    live = [q for q in range(qmax) if W[q].any()]
-    total = sum(ns)
-    l = total // 2
-    h = total - l
-    Nl, Nh = p ** l, p ** h
-    Xl = _digit_rows(np.arange(Nl), p, l).astype(np.int64)
-    Xh = _digit_rows(np.arange(Nh), p, h).astype(np.int64)
-    low = np.einsum("ni,qij,nj->qn", Xl, W[:, :l, :l], Xl) % p
-    high = np.einsum("ni,qij,nj->qn", Xh, W[:, l:, l:], Xh) % p
-    cross = np.einsum("ni,qij->qjn", Xl,
-                      W[:, :l, l:] + W[:, l:, :l].transpose(0, 2, 1)) % p
-    # the block sums are integers of at most `bound`, so the float64 product
-    # and sums are exact, and floor(S / p) is exact while bound + p <= 2^53
-    bound = 2 * (p - 1) + h * (p - 1) ** 2
-    if bound + p > 2 ** 53:
-        raise AssertionError("split form exceeds the float64 integer range")
-    Xh, low, high, cross = (a.astype(np.float64) for a in (Xh, low, high, cross))
-    # a target nonzero where B(c, c) vanishes has no solution
-    feasible = [not any(t[q] for q in range(qmax) if q not in live)
-                for t in targets]
-    rows = max(1, _BLOCK_ENTRIES // Nl)
-    hits = [[] for _ in targets]
-    for h0 in range(0, Nh, rows):
-        Xb = Xh[h0:h0 + rows]
-        masks = [np.full((len(Xb), Nl), ok) for ok in feasible]
-        S = np.empty((len(Xb), Nl))
-        Q = np.empty_like(S)
-        for q in live:
-            np.matmul(Xb, cross[q], out=S)
-            S += high[q, h0:h0 + rows, None]
-            S += low[q]
-            # S mod p as S - p floor(S / p), in place: no third block array
-            np.divide(S, p, out=Q)
-            np.floor(Q, out=Q)
-            Q *= p
-            S -= Q
-            for m, t in zip(masks, targets):
-                m &= S == t[q]
-        for hs, m in zip(hits, masks):
-            hs.append(np.flatnonzero(m) + h0 * Nl)
-    return [np.concatenate(hs) for hs in hits]
+    exps = [q for row in F0pi for d in row for q in d] + list(target)
+    first = min(exps) - (max(ns_u) - 1)
+    first = first if lo is None else max(first, lo)
+    last = max(max(exps) + (max(ns_w) - 1), first - 1)
+    T = _form_tensor(p, F0pi, ns_u, ns_w, first, last)
+    tvec = np.array([target.get(q, 0) for q in range(first, last + 1)],
+                    dtype=np.int64)
+    live = T.any(axis=(1, 2))
+    return None if tvec[~live].any() else (T[live], tvec[live])
 
 
-def _column_candidates(p, F0pi, D, budget):
-    """Digit arrays, one per column b, of the columns with B(c, c) = F0[b][b].
+def _quadratic_mask(p, con, X):
+    """Mask of the rows x of X with B(x, x) = target, con a ``_constraint``."""
+    import numpy as np
 
-    F0pi holds the entries of F0 as {pi-exponent: coefficient}
-    (``_laurent_pi_coeffs``).  D[a][b] is the pi-degree bound of entry
-    (a, b); negative means the entry is identically zero.  Returns
-    [(digit matrix, per-entry digit counts)] for b = 0, 1, 2.  Row n of the
-    p^total candidates holds the base-p digits of n, lowest first; the int16
-    rows of the solutions are kept in ascending n.  Every column's budget is
-    checked before anything is allocated.  Columns with equal digit counts
-    share one ``_profile_solutions`` pass, which compares the coefficients
-    at q >= 1 with each distinct target F0[b][b] and returns only the
-    solutions' indices, so only their digit rows are built.
-    """
-    exps = [q for row in F0pi for d in row for q in d]
-    dmax = max(max(row) for row in D)
-    lo = min(exps) - dmax
-    hi = max(exps) + dmax
-    qmax = max(hi, 1 - lo)
-    profiles = {}
-    for b in range(3):
-        ns = tuple(max(D[a][b] + 1, 0) for a in range(3))
-        N = p ** sum(ns)
-        if N > budget:
-            raise ValueError("column candidate space %d exceeds budget %d"
-                             % (N, budget))
-        target = tuple(F0pi[b][b].get(q, 0) for q in range(1, qmax + 1))
-        profiles.setdefault(ns, {}).setdefault(target, []).append(b)
-    out = [None] * 3
-    for ns, targets in profiles.items():
-        sols = _profile_solutions(p, F0pi, ns, qmax, list(targets))
-        for cols, n in zip(targets.values(), sols):
-            digs = _digit_rows(n, p, sum(ns))
-            for b in cols:
-                out[b] = (digs, ns)
-    return out
+    T, tvec = con
+    return np.all(np.einsum("ni,qij,nj->nq", X, T, X) % p == tvec, axis=1)
+
+
+def _pair_mask(p, con, X, Y):
+    """Mask of the pairs (row x of X, row y of Y) with B(x, y) = target, con
+    a ``_constraint``: one int64 product (X T[q]) Y^T per coefficient q, so
+    that one table of pairs is held at a time."""
+    import numpy as np
+
+    T, tvec = con
+    keep = np.ones((len(X), len(Y)), dtype=bool)
+    for L, t in zip(X @ T % p, tvec):
+        keep &= L @ Y.T % p == t
+    return keep
+
+
+def _solve_mod_p(A, y, p):
+    """Every solution of A x = y mod p (A, y reduced), one row each.
+    Gauss-Jordan elimination on the rows of [A | y], as lists since the
+    systems are small, gives a point x0 and a basis of the kernel; the rows
+    are x0 + sum c_i basis[i] over the grid of the c_i."""
+    import numpy as np
+
+    n = A.shape[1]
+    rows = [r + [t] for r, t in zip(A.tolist(), y.tolist())]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = inv_mod(rows[r][c], p)
+        pivot = rows[r] = [a * inv % p for a in rows[r]]
+        for i, row in enumerate(rows):
+            if row[c] and i != r:
+                rows[i] = [(a - row[c] * b) % p for a, b in zip(row, pivot)]
+        pivots.append(c)
+    if any(row[n] for row in rows[len(pivots):]):
+        return np.zeros((0, n), dtype=np.int64)
+    free = [c for c in range(n) if c not in pivots]
+    point, basis = [0] * n, [[int(c == f) for c in range(n)] for f in free]
+    for row, c in zip(rows, pivots):
+        point[c] = row[n]
+        for b, f in zip(basis, free):
+            b[c] = -row[f] % p
+    basis = np.array(basis, dtype=np.int64).reshape(-1, n)
+    return (np.array(point) + _grid(p, len(free)) @ basis) % p
 
 
 def _digits_to_terms(row, ns):
     """One digit row back to a column of three entries' Laurent terms."""
-    out = []
-    pos = 0
-    for n in ns:
-        out.append(laurent_from_pi_digits([int(d) for d in row[pos:pos + n]], 0))
-        pos += n
-    return tuple(out)
-
-
-def _pair_form(p, F0pi, ns_u, ns_w, target):
-    """The constraint B(u, w) = target on columns u, w with digit counts
-    ns_u, ns_w: ``_form_tensor`` over the window of pi-exponents that
-    B(u, w) can reach and the target's coefficient vector on that window,
-    or None when the target has a coefficient outside it."""
-    import numpy as np
-
-    exps = [q for row in F0pi for d in row for q in d]
-    lo = min(exps) - (max(ns_u) - 1)
-    hi = max(exps) + (max(ns_w) - 1)
-    if any(q < lo or q > hi for q in target):
-        return None
-    tvec = np.zeros(hi - lo + 1, dtype=np.int64)
-    for q, f in target.items():
-        tvec[q - lo] = f
-    return _form_tensor(p, F0pi, ns_u, ns_w, lo, hi), tvec
-
-
-def _linear_pair_filter(p, form, fixed_row, digs):
-    """Mask of the candidate columns w, rows of digs, with B(u, w) = target
-    for the fixed column u, given by its digit row, and form = (T, target
-    vector) of ``_pair_form``; a form of None refuses every w.
-
-    For a fixed u the constraint is linear in the digits of w: L = x_u^T T
-    mod p, and one int64 product digs L^T gives every coefficient of the
-    window.  Each sum has one term below p^2 per digit of a column.
-    """
-    import numpy as np
-
-    if form is None:
-        return np.zeros(len(digs), dtype=bool)
-    T, tvec = form
-    L = (fixed_row @ T) % p
-    return np.all((digs @ L.T) % p == tvec, axis=1)
+    starts = itertools.accumulate(ns, initial=0)
+    return tuple(laurent_from_pi_digits([int(d) for d in row[s:s + n]], 0)
+                 for s, n in zip(starts, ns))
 
 
 def _residues(digs, ns):
@@ -407,12 +344,75 @@ def _residues(digs, ns):
     import numpy as np
 
     out = np.zeros((len(digs), 3), dtype=np.int64)
-    pos = 0
-    for a, n in enumerate(ns):
+    for a, (n, s) in enumerate(zip(ns, itertools.accumulate(ns, initial=0))):
         if n:
-            out[:, a] = digs[:, pos]
-        pos += n
+            out[:, a] = digs[:, s]
     return out
+
+
+def _solution_points(p, con, x, diag):
+    """The columns w with B(x, w) = target under con, a system linear in
+    w's digits for the fixed digit row x, and B(w, w) = target under diag:
+    the solution space, point by point, cut by the quadratic."""
+    T, tvec = con
+    W = _solve_mod_p(x @ T % p, tvec, p)
+    return W[_quadratic_mask(p, diag, W)]
+
+
+def _first_column(p, n, diag):
+    """The nonzero rows x of n digits with B(x, x) = target under diag, one
+    of each pair +-x: the first nonzero digit lies in 1..(p-1)/2."""
+    import numpy as np
+
+    X = _grid(p, n)
+    first = X[np.arange(len(X)), (X != 0).argmax(axis=1)]
+    X = X[(0 < first) & (first <= max((p - 1) // 2, 1))]
+    return X[_quadratic_mask(p, diag, X)]
+
+
+def _digit_triples(p, F0pi, ns):
+    """{column: digit row} of every alpha in GL3(O) with alpha* F0 alpha =
+    F0, one of each pair +-alpha; column b has ns[b] digits, and F0pi holds
+    F0 (``_laurent_pi_coeffs``).
+
+    Column b0 has the fewest digits (ties: the lowest index).  Only c0 is
+    enumerated (``_first_column``); for each c0, B(c0, c_b) = F0[b0][b] is
+    linear in the digits of c_b, b = b1, b2 (``_solution_points``), and
+    B(c1, c2) = F0[b1][b2] and the residue determinant, (r0 x r1) . r2 with
+    r_b the pi^0 digits of c_b, nonzero mod p iff nu(det alpha) = 0, are
+    tested on all pairs, a block at a time.  F0* = t F0 makes B(c, c)
+    equal at pi^q and pi^(1-q), and B(c_e, c_b) = F0[e][b] follow from
+    B(c_b, c_e) = F0[b][e]: so every coefficient of alpha* F0 alpha = F0 is
+    imposed.
+    """
+    import numpy as np
+
+    b0, b1, b2 = sorted(range(3), key=lambda b: (sum(ns[b]), b))
+
+    def con(b, e, lo=None):
+        return _constraint(p, F0pi, ns[b], ns[e], F0pi[b][e], lo)
+
+    cons = (con(b0, b0, 1), con(b1, b1, 1), con(b2, b2, 1),
+            con(b0, b1), con(b0, b2), con(b1, b2))
+    # a column of no digits is zero, never a column of alpha
+    if not sum(ns[b0]) or any(c is None for c in cons):
+        return
+    diag0, diag1, diag2, pair01, pair02, pair12 = cons
+    X0 = _first_column(p, sum(ns[b0]), diag0)
+    for x0, r0 in zip(X0, _residues(X0, ns[b0]).tolist()):
+        X1 = _solution_points(p, pair01, x0, diag1)
+        if not len(X1):
+            continue
+        X2 = _solution_points(p, pair02, x0, diag2)
+        a0, a1, a2 = r0          # r0 x r = K r
+        K = np.array([[0, -a2, a1], [a2, 0, -a0], [-a1, a0, 0]])
+        R1, R2 = _residues(X1, ns[b1]) @ K.T, _residues(X2, ns[b2]).T
+        step = max(1, _PAIR_ENTRIES // max(len(X2), 1))
+        for s in range(0, len(X1), step):
+            keep = _pair_mask(p, pair12, X1[s:s + step], X2)
+            keep &= R1[s:s + step] @ R2 % p != 0
+            for i, j in zip(*np.nonzero(keep)):
+                yield {b0: x0, b1: X1[s + i], b2: X2[j]}
 
 
 def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
@@ -422,41 +422,16 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     Enumerates alpha in GL3(O) with Laurent entries and alpha* F0 alpha = F0
     (F0 the pulled-back form of v); each class of the stabilizer modulo
     homothety has exactly the representatives +-alpha, since the canonical
-    basis of v has monomial determinant.  Every reported element is
-    re-checked independently: unitary, and fixes v.  It is Laurent by
-    construction, a product of matrices held as Laurent terms.
-
-    Each column c_b is first enumerated against B(c_b, c_b) = F0[b][b] by
-    ``_column_candidates``.  Columns with the same digit counts share one
-    pass, and only the coefficients at pi^q, q >= 1, are formed and
-    compared: F0* = t F0 (checked here) makes the coefficients at pi^q and
-    pi^(1-q) of B(c, c) equal.  Each coefficient is a quadratic form in the
-    digits, a slice of ``_form_tensor``, the one encoding of B on digit
-    vectors.  It is split into low-half and high-half tables and a cross
-    term that is a matrix product, formed in blocks of high halves of
-    bounded size, so the pass needs memory for a block and for the
-    solutions, not for all p^total candidates; ``column_budget`` caps
-    p^total per column, that is the time of the pass.  The same identity
-    F0* = t F0 makes B(c_e, c_b) = F0[e][b] follow from B(c_b, c_e) =
-    F0[b][e], so each cross constraint is imposed once.
-
-    Candidates are chosen on integer digits before any matrix is built,
-    from the survivors' Laurent terms:
-    - one sign per class: for odd p only first-column digit rows whose first
-      nonzero digit lies in 1..(p-1)/2 are kept, so exactly one of +-alpha
-      (at p = 2 they are equal); the zero column is never in GL3(O);
-    - the residue determinant: alpha has entries in O, so nu(det alpha) = 0
-      iff the determinant of its pi^0 digits is nonzero mod p;
-    - the cross constraints on digits, by ``_linear_pair_filter``, against
-      the forms of the pairs (b0, b1), (b0, b2) and (b1, b2), each a
-      ``_form_tensor`` over the window B can reach, built once per call.
-    Each element's link permutation is read from alpha, which is
-    v.canon^-1 g v.canon up to a scalar, by ``conjugated_link_permutation``,
-    and so is its order modulo homothety: conjugation maps homotheties to
-    homotheties, and alpha has about half the coefficients of g.
+    basis of v has monomial determinant.  The search (``_digit_triples``,
+    which relies on F0* = t F0, checked here) enumerates the column with
+    the fewest digits and solves the other two by elimination mod p;
+    ``column_budget`` caps p^digits per column, so the enumerated column
+    and each solution space.  Every alpha found is re-checked, a failure
+    raising AssertionError: alpha* F0 alpha = F0, then g = v.canon alpha
+    v.canon^-1 (Laurent by construction) is unitary and fixes v.  The link
+    permutation and the order modulo homothety are read from alpha,
+    conjugate to g: it has about half the coefficients.
     """
-    import numpy as np
-
     p = v.p
     F0 = form_pullback(v)
     if F0.star() != F0.scale(LaurentPoly.term(1, 1, p)):
@@ -465,51 +440,26 @@ def stab_exact(v: VertexClass, digit_bound: int = DEFAULT_DIGIT_BOUND,
     if max(max(row) for row in D) > digit_bound:
         raise ValueError("entry degree bound %d exceeds digit bound %d"
                          % (max(max(row) for row in D), digit_bound))
+    ns = [tuple(max(D[a][b] + 1, 0) for a in range(3)) for b in range(3)]
+    for n in ns:
+        if p ** sum(n) > column_budget:
+            raise ValueError("column candidate space %d exceeds budget %d"
+                             % (p ** sum(n), column_budget))
     F0pi = [[_laurent_pi_coeffs(x) for x in row] for row in F0._terms]
-    digsets = _column_candidates(p, F0pi, D, column_budget)
-
-    # chain the cross constraints B(c_b, c_e) = F0[b][e], smallest column
-    # first; the reversed constraint is implied since F0* = t F0
-    b0, b1, b2 = sorted(range(3), key=lambda b: len(digsets[b][0]))
-    (digs0, ns0), (digs1, ns1), (digs2, ns2) = (digsets[b] for b in (b0, b1, b2))
-    # one sign per +-pair: the first nonzero digit of column b0 in 1..(p-1)/2
-    nonzero = digs0 != 0
-    first = digs0[np.arange(len(digs0)), nonzero.argmax(axis=1)]
-    digs0 = digs0[nonzero.any(axis=1) & (first <= max((p - 1) // 2, 1))]
-    res0, res1, res2 = (_residues(d, n) for d, n in
-                        ((digs0, ns0), (digs1, ns1), (digs2, ns2)))
-    form01, form02, form12 = (_pair_form(p, F0pi, nu, nw, F0pi[b][e]) for
-                              b, nu, e, nw in ((b0, ns0, b1, ns1), (b0, ns0, b2, ns2),
-                                               (b1, ns1, b2, ns2)))
-    M = v.canon
-    Minv = M.inverse()
+    M, Minv = v.canon, v.canon.inverse()
     found = []
-    for row0, r0 in zip(digs0, res0.tolist()):
-        mask1 = _linear_pair_filter(p, form01, row0, digs1)
-        mask2a = _linear_pair_filter(p, form02, row0, digs2)
-        digs2a, res2a = digs2[mask2a], res2[mask2a]
-        for row1, r1 in zip(digs1[mask1], res1[mask1].tolist()):
-            # up to sign, det(alpha) mod pi = (r0 x r1) . r2
-            cross = [c % p for c in _cross(r0, r1)]
-            if not any(cross):
-                continue
-            mask2 = _linear_pair_filter(p, form12, row1, digs2a)
-            mask2 &= (res2a @ cross) % p != 0
-            for row2 in digs2a[mask2]:
-                bycol = {b0: _digits_to_terms(row0, ns0),
-                         b1: _digits_to_terms(row1, ns1),
-                         b2: _digits_to_terms(row2, ns2)}
-                alpha = MatrixRF.from_terms(p, tuple(zip(bycol[0], bycol[1],
-                                                         bycol[2])))
-                # alpha is in GL3(O): the read checks nu(det alpha) = 0
-                perm = conjugated_link_permutation(alpha)
-                if alpha.star() * F0 * alpha != F0:
-                    continue
-                g = M * alpha * Minv
-                if not is_unitary(g) or apply(g, v) != v:
-                    raise AssertionError(
-                        "enumerated matrix fails the independent re-check")
-                found.append((normalize_mod_homothety(g), perm, alpha))
+    for rows in _digit_triples(p, F0pi, ns):
+        cols = [_digits_to_terms(rows[b], ns[b]) for b in range(3)]
+        alpha = MatrixRF.from_terms(p, tuple(zip(*cols)))
+        # alpha is in GL3(O): the read checks nu(det alpha) = 0
+        perm = conjugated_link_permutation(alpha)
+        if alpha.star() * F0 * alpha != F0:
+            raise AssertionError("enumerated matrix fails alpha* F0 alpha = F0")
+        g = M * alpha * Minv
+        if not is_unitary(g) or apply(g, v) != v:
+            raise AssertionError(
+                "enumerated matrix fails the independent re-check")
+        found.append((normalize_mod_homothety(g), perm, alpha))
     found.sort(key=lambda gpa: _matrix_sort_key(gpa[0]))
     elements = [g for g, _, _ in found]
     if len(set(elements)) != len(elements):

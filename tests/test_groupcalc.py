@@ -248,49 +248,134 @@ def _enumeration_vertices():
     return out + [n_point_base(3), seven_star(3)]
 
 
-def test_column_enumeration_matches_dense_oracle():
-    verts = _enumeration_vertices()
-    assert len(verts) == 1 + 14 + 1 + 26 + 9 + 2
-    budget = groupcalc.DEFAULT_COLUMN_BUDGET
-    for v in verts:
-        F0 = form_pullback(v)
-        D = entry_degree_bounds(F0)
-        F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e].laurent_terms()) for e in range(3)]
-                for a in range(3)]
-        exps = [q for row in F0pi for d in row for q in d]
-        dmax = max(max(row) for row in D)
-        window = (min(exps) - dmax, max(exps) + dmax)
-        got = groupcalc._column_candidates(v.p, F0pi, D, budget)
-        for b in range(3):
-            digs, ns = column_candidates_oracle(
-                v.p, F0pi, [D[a][b] for a in range(3)], b, window, budget)
-            assert got[b][1] == tuple(ns), (v.to_text(), b)
-            assert got[b][0].dtype == digs.dtype
-            assert np.array_equal(got[b][0], digs), (v.to_text(), b)
+def pair_constraint_oracle(p, F0pi, U, ns_u, W, ns_w, target):
+    """Mask, one row per row u of U and one column per row w of W, of the
+    pairs of digit rows with B(u, w) = target, a {pi-exponent: coefficient}
+    dict.
+
+    For each u, g_e = sum_a bar(u_a) F0[a][e] is formed as a dict, with
+    bar(pi^k) = pi^-k; then B(u, w) = sum_e g_e w_e is linear in the
+    digits of w and read on every w at once.
+    """
+    su, sw = np.cumsum([0] + list(ns_u)), np.cumsum([0] + list(ns_w))
+    out = np.zeros((len(U), len(W)), dtype=bool)
+    for i, u in enumerate(U):
+        coeff = {}              # (pi-exponent, digit position of w) -> coefficient
+        for a in range(3):
+            for k in range(ns_u[a]):
+                for e in range(3):
+                    for q, f in F0pi[a][e].items():
+                        for m in range(ns_w[e]):
+                            key = (q - k + m, sw[e] + m)
+                            coeff[key] = coeff.get(key, 0) + int(u[su[a] + k]) * f
+        exps = sorted({q for q, _ in coeff} | set(target))
+        L = np.zeros((len(exps), sum(ns_w)), dtype=np.int64)
+        for (q, j), f in coeff.items():
+            L[exps.index(q), j] += f
+        want = np.array([target.get(q, 0) for q in exps], dtype=np.int64) % p
+        out[i] = np.all(W.astype(np.int64) @ L.T % p == want, axis=1)
+    return out
 
 
-def _assert_columns_match_oracle(p, F0, D, budget=groupcalc.DEFAULT_COLUMN_BUDGET):
-    F0pi = [[groupcalc._laurent_pi_coeffs(F0[a, e].laurent_terms()) for e in range(3)]
-            for a in range(3)]
+def _det3(r):
+    """The determinant of the 3x3 integer matrix with columns r[0], r[1], r[2]."""
+    (a, b, c), (d, e, f), (g, h, i) = zip(*r)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def digit_triples_oracle(p, F0pi, D):
+    """Every triple of column digit rows with alpha* F0 alpha = F0 and
+    nu(det alpha) = 0, both signs: the dense columns of
+    ``column_candidates_oracle``, chained by ``pair_constraint_oracle`` on
+    the pairs (0, 1), (0, 2), (1, 2) and by the determinant of the pi^0
+    digits."""
     exps = [q for row in F0pi for d in row for q in d]
     dmax = max(max(row) for row in D)
     window = (min(exps) - dmax, max(exps) + dmax)
-    got = groupcalc._column_candidates(p, F0pi, D, budget)
-    for b in range(3):
-        digs, ns = column_candidates_oracle(
-            p, F0pi, [D[a][b] for a in range(3)], b, window, budget)
-        assert got[b][1] == tuple(ns), (D, b)
-        assert got[b][0].dtype == digs.dtype
-        assert np.array_equal(got[b][0], digs), (D, b)
+    cols = [column_candidates_oracle(p, F0pi, [D[a][b] for a in range(3)], b,
+                                     window, groupcalc.DEFAULT_COLUMN_BUDGET)
+            for b in range(3)]
+    C0, C1, C2 = (digs for digs, _ in cols)
+    m01, m02, m12 = (pair_constraint_oracle(p, F0pi, cols[b][0], cols[b][1],
+                                            cols[e][0], cols[e][1], F0pi[b][e])
+                     for b, e in ((0, 1), (0, 2), (1, 2)))
+    starts = [np.cumsum([0] + list(ns)) for _, ns in cols]
+
+    def residue(row, b):
+        return [int(row[starts[b][a]]) if cols[b][1][a] else 0 for a in range(3)]
+
+    out = set()
+    for i0, i1 in zip(*np.nonzero(m01)):
+        for i2 in np.flatnonzero(m02[i0] & m12[i1]):
+            rows = (C0[i0], C1[i1], C2[i2])
+            if _det3([residue(r, b) for b, r in enumerate(rows)]) % p:
+                out.add(tuple(tuple(int(d) for d in r) for r in rows))
+    return out
+
+
+def _assert_triples_match_oracle(p, F0, D):
+    """The search's triples, with their negatives, are the oracle's, and
+    the search holds one of each pair +-alpha."""
+    F0pi = [[groupcalc._laurent_pi_coeffs(x) for x in row] for row in F0._terms]
+    ns = [tuple(max(D[a][b] + 1, 0) for a in range(3)) for b in range(3)]
+    got = [tuple(tuple(int(d) for d in rows[b]) for b in range(3))
+           for rows in groupcalc._digit_triples(p, F0pi, ns)]
+    negated = {tuple(tuple(-d % p for d in x) for x in t) for t in got}
+    want = digit_triples_oracle(p, F0pi, D)
+    assert set(got) | negated == want, (p, D)
+    assert len(set(got)) == len(got) == len(want) // (1 if p == 2 else 2)
     return got
+
+
+def test_column_enumeration_matches_dense_oracle():
+    # the digit triples the search accepts, before the per-element
+    # re-checks: columns x pair constraints x residue determinant
+    verts = _enumeration_vertices()
+    assert len(verts) == 1 + 14 + 1 + 26 + 9 + 2
+    found = 0
+    for v in verts:
+        F0 = form_pullback(v)
+        found += len(_assert_triples_match_oracle(v.p, F0,
+                                                  entry_degree_bounds(F0)))
+    assert found == sum(stab_exact(v).order for v in verts)
 
 
 @pytest.mark.parametrize("p", (101, 157))
 def test_column_enumeration_at_the_identity_for_large_primes(p):
-    # p^3 candidates per column; 157 is the largest prime the budget admits
+    # p^3 candidates per column; 157 is the largest prime the budget admits.
+    # The search enumerates column 0 (three columns of three digits), one
+    # row of each pair +-c with B(c, c) = F0[0][0]
     F0 = form_pullback(identity_vertex(p))
-    got = _assert_columns_match_oracle(p, F0, entry_degree_bounds(F0))
-    assert [len(d) for d, _ in got] == [p * (p - 1)] * 3
+    F0pi = [[groupcalc._laurent_pi_coeffs(x) for x in row] for row in F0._terms]
+    D = entry_degree_bounds(F0)
+    assert D == [[0] * 3] * 3
+    digs, ns = column_candidates_oracle(p, F0pi, [0, 0, 0], 0, (0, 1),
+                                        groupcalc.DEFAULT_COLUMN_BUDGET)
+    assert len(digs) == p * (p - 1)
+    first = digs[np.arange(len(digs)), (digs != 0).argmax(axis=1)]
+    want = digs[first <= (p - 1) // 2]
+    diag = groupcalc._constraint(p, F0pi, (1, 1, 1), (1, 1, 1), F0pi[0][0], 1)
+    got = groupcalc._first_column(p, 3, diag)
+    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+@pytest.mark.parametrize("entries", (1, 4))
+def test_digit_triples_do_not_depend_on_the_pair_block(entries, monkeypatch):
+    # pairs (c1, c2) are tested a block of rows of X1 at a time: one row per
+    # block, or a few with a short last block, give the same triples
+    def triples(v):
+        F0 = form_pullback(v)
+        D = entry_degree_bounds(F0)
+        F0pi = [[groupcalc._laurent_pi_coeffs(x) for x in row] for row in F0._terms]
+        ns = [tuple(max(D[a][b] + 1, 0) for a in range(3)) for b in range(3)]
+        return [tuple(tuple(rows[b].tolist()) for b in range(3))
+                for rows in groupcalc._digit_triples(v.p, F0pi, ns)]
+
+    verts = [seven_star(3), n_point_base(3), identity_vertex(5)]
+    verts += [lv.vclass for lv in link(identity_vertex(3))[:6]]
+    want = [triples(v) for v in verts]
+    monkeypatch.setattr(groupcalc, "_PAIR_ENTRIES", entries)
+    assert [triples(v) for v in verts] == want
 
 
 # columns of total 0, 1 and 5 digits, and of 1, 2 and 3 digits
@@ -300,35 +385,28 @@ SMALL_PROFILES = ([[-1, 0, 1], [-1, -1, 1], [-1, -1, 0]],
 
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("D", SMALL_PROFILES)
-@pytest.mark.parametrize("entries", (None, 3))
-def test_column_enumeration_small_profiles_match_oracle(p, D, entries,
-                                                        monkeypatch):
-    # 3 entries: a block of one or three high halves, which divides neither
-    # 2^3 nor 3^3 high halves of the five-digit column
-    if entries is not None:
-        monkeypatch.setattr(groupcalc, "_BLOCK_ENTRIES", entries)
-    for v in (identity_vertex(p), link(identity_vertex(p))[1].vclass):
-        _assert_columns_match_oracle(p, form_pullback(v), D)
-
-
-@pytest.mark.parametrize("entries", (1, 2 * 3 ** 5, 3 ** 11))
-def test_column_enumeration_does_not_depend_on_the_block_size(entries,
-                                                              monkeypatch):
-    # at 7* the 11-digit columns split into 3^5 low and 3^6 high halves:
-    # one high half per block, two (the last block is short), or all
-    verts = [seven_star(3), n_point_base(3), identity_vertex(5)]
-    forms = [(v.p, form_pullback(v)) for v in verts]
-    args = [(p, [[groupcalc._laurent_pi_coeffs(x) for x in row]
-                 for row in F0._terms], entry_degree_bounds(F0))
-            for p, F0 in forms]
-    budget = groupcalc.DEFAULT_COLUMN_BUDGET
-    want = [groupcalc._column_candidates(*a, budget) for a in args]
-    monkeypatch.setattr(groupcalc, "_BLOCK_ENTRIES", entries)
-    for a, cols in zip(args, want):
-        got = groupcalc._column_candidates(*a, budget)
-        for (g, gns), (w, wns) in zip(got, cols):
-            assert gns == wns and g.dtype == w.dtype
-            assert np.array_equal(g, w)
+@pytest.mark.parametrize("link_index", (None, 3))
+def test_column_enumeration_small_profiles_match_oracle(p, D, link_index):
+    # the degree profiles above at [I] (link_index None) or at a vertex of
+    # link([I]): a column of no digits, and columns of unequal lengths
+    I = identity_vertex(p)
+    v = I if link_index is None else link(I)[link_index].vclass
+    F0 = form_pullback(v)
+    _assert_triples_match_oracle(p, F0, D)
+    # each column with digits, enumerated as the search enumerates c0
+    F0pi = [[groupcalc._laurent_pi_coeffs(x) for x in row] for row in F0._terms]
+    exps = [q for row in F0pi for d in row for q in d]
+    window = (min(exps) - 1, max(exps) + 1)
+    for b in range(3):
+        digs, ns = column_candidates_oracle(p, F0pi, [D[a][b] for a in range(3)],
+                                            b, window, 3 ** 5)
+        if sum(ns):
+            diag = groupcalc._constraint(p, F0pi, tuple(ns), tuple(ns),
+                                         F0pi[b][b], 1)
+            got = groupcalc._first_column(p, sum(ns), diag).tolist()
+            both = {tuple(x) for x in got} | {tuple(-d % p for d in x) for x in got}
+            assert both == set(map(tuple, digs.tolist())), (D, b)
+            assert len(got) == len(digs) // (1 if p == 2 else 2)
 
 
 TUBE2_BASIS = (("1", "0", "0"), ("2", "t^-3", "0"), ("0", "0", "t^-3"))
@@ -430,37 +508,76 @@ def _from_pi_coeffs(coeffs, p):
                                   lo, p)
 
 
-def test_integer_pair_filter_matches_ratfunc_oracle(monkeypatch):
-    # each pair form carries its digit counts and target to the filter, so
-    # that every mask stab_exact asks for is checked against the oracle
-    pair_form, integer_filter = groupcalc._pair_form, groupcalc._linear_pair_filter
-    calls = []
-
-    def tagged(p, F0pi, fixed_ns, ns, target):
-        return pair_form(p, F0pi, fixed_ns, ns, target), fixed_ns, ns, target
-
-    def checked(p, form, fixed_row, digs):
-        form, fixed_ns, ns, target = form
-        got = integer_filter(p, form, fixed_row, digs)
-        want = linear_pair_filter_oracle(
-            p, F0, [RatFunc.from_terms(p, c, e) for e, c in
-                    groupcalc._digits_to_terms(fixed_row, fixed_ns)],
-            digs, ns, _from_pi_coeffs(target, p))
-        assert np.array_equal(got, want), (v.to_text(), fixed_row, target)
-        calls.append((int(got.sum()), len(got)))
-        return got
-
-    monkeypatch.setattr(groupcalc, "_pair_form", tagged)
-    monkeypatch.setattr(groupcalc, "_linear_pair_filter", checked)
+def test_integer_pair_filter_matches_ratfunc_oracle():
+    # the linear constraints of the search against RatFunc arithmetic: for
+    # every enumerated c0, each solution space of B(c0, c) = F0[b0][b], cut
+    # by B(c, c) = F0[b][b], is the set of the dense column candidates that
+    # the RatFunc filter passes, and so is each row of the pair mask of
+    # B(c1, c2) = F0[b1][b2]
+    lpc = groupcalc._laurent_pi_coeffs
     verts = [n_point_base(3), seven_star(3)]
     for p in (2, 3):
         verts += [lv.vclass for lv in link(identity_vertex(p))]
+    sizes = []
     for v in verts:
-        F0 = form_pullback(v)     # read by checked(), with v
-        stab_exact(v)
-    # the masks pass some candidates and refuse others
-    assert any(0 < kept < n for kept, n in calls)
-    assert any(kept == 0 < n for kept, n in calls)
+        p = v.p
+        F0 = form_pullback(v)
+        D = entry_degree_bounds(F0)
+        F0pi = [[lpc(x) for x in row] for row in F0._terms]
+        ns = [tuple(max(D[a][b] + 1, 0) for a in range(3)) for b in range(3)]
+        b0, b1, b2 = sorted(range(3), key=lambda b: (sum(ns[b]), b))
+        exps = [q for row in F0pi for d in row for q in d]
+        dmax = max(max(row) for row in D)
+        window = (min(exps) - dmax, max(exps) + dmax)
+        cands = {b: column_candidates_oracle(
+            p, F0pi, [D[a][b] for a in range(3)], b, window,
+            groupcalc.DEFAULT_COLUMN_BUDGET)[0] for b in (b1, b2)}
+
+        def con(b, e, lo=None):
+            return groupcalc._constraint(p, F0pi, ns[b], ns[e], F0pi[b][e], lo)
+
+        def column(x, b):
+            return [RatFunc.from_terms(p, c, e)
+                    for e, c in groupcalc._digits_to_terms(x, ns[b])]
+
+        for x0 in groupcalc._first_column(p, sum(ns[b0]), con(b0, b0, 1)):
+            spaces = []
+            for b in (b1, b2):
+                got = groupcalc._solution_points(p, con(b0, b), x0,
+                                                 con(b, b, 1))
+                mask = linear_pair_filter_oracle(
+                    p, F0, column(x0, b0), cands[b], ns[b],
+                    _from_pi_coeffs(F0pi[b0][b], p))
+                assert sorted(map(tuple, got.tolist())) == \
+                    sorted(map(tuple, cands[b][mask].tolist())), v.to_text()
+                spaces.append(got)
+                sizes.append((len(got), len(cands[b])))
+            X1, X2 = spaces
+            pairs = groupcalc._pair_mask(p, con(b1, b2), X1, X2)
+            for x1, row in zip(X1, pairs):
+                want = linear_pair_filter_oracle(
+                    p, F0, column(x1, b1), X2, ns[b2],
+                    _from_pi_coeffs(F0pi[b1][b2], p))
+                assert np.array_equal(row, want), v.to_text()
+    # the solution spaces hold some candidates and refuse others
+    assert any(0 < kept < n for kept, n in sizes)
+    assert any(kept == 0 < n for kept, n in sizes)
+
+
+def test_constraint_refuses_a_target_it_cannot_reach():
+    # at [I] (entries of F0 at pi^0 and pi^1), B(u, w) on one-digit entries
+    # reaches pi^0 and pi^1 only: a target at pi^3, or at pi^0 on the
+    # diagonal where q >= 1 is imposed, is dropped or refused, not ignored
+    p = 3
+    F0 = form_pullback(identity_vertex(p))
+    F0pi = [[groupcalc._laurent_pi_coeffs(x) for x in row] for row in F0._terms]
+    ns = (1, 1, 1)
+    assert groupcalc._constraint(p, F0pi, ns, ns, {3: 1}) is None
+    assert groupcalc._constraint(p, F0pi, ns, ns, {3: 1}, 1) is None
+    T, tvec = groupcalc._constraint(p, F0pi, ns, ns, {0: 2}, 1)
+    assert tvec.tolist() == [0] * len(T)
+    T, tvec = groupcalc._constraint(p, F0pi, ns, ns, {0: 2, 1: 1})
+    assert sorted(tvec.tolist()) == [1, 2]
 
 
 def test_form_tensor_matches_ratfunc_form():
@@ -525,6 +642,58 @@ def test_residue_determinant_matches_valuation(p):
         assert unit == (alpha.det().to_ratfunc().valuation() == 0), (alpha, res)
         units += unit
     assert 0 < units < 150
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_elimination_mod_p_matches_brute_force(p):
+    # seeded systems A x = y over F_p^n, n <= 5: random (full rank or not,
+    # no rows at all included), with a row that combines two others, with
+    # zero rows, with a repeated row whose right-hand side differs
+    # (inconsistent), all with up to n + 2 rows
+    rng = random.Random(300 + p)
+    seen = set()
+    for n in range(1, 6):
+        X = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+        for trial in range(16):
+            kind = trial % 4
+            m = rng.randrange(0 if kind == 0 else 1, n + 3)
+            A = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)],
+                         dtype=np.int64).reshape(m, n)
+            y = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
+            if kind == 1 and m >= 3:
+                c = rng.randrange(1, p)
+                A[2], y[2] = (A[0] + c * A[1]) % p, (y[0] + c * y[1]) % p
+            elif kind == 2:
+                A[rng.randrange(m)] = 0
+            elif kind == 3:
+                A = np.vstack([A, A[:1]])
+                y = np.append(y, (y[0] + rng.randrange(1, p)) % p)
+            want = {tuple(x) for x in X[np.all(X @ A.T % p == y, axis=1)].tolist()}
+            kernel = np.all(X @ A.T % p == 0, axis=1).sum()
+            rank = n - round(np.log(kernel) / np.log(p))
+            got = [tuple(x) for x in groupcalc._solve_mod_p(A, y, p).tolist()]
+            assert len(set(got)) == len(got), (A, y)
+            assert set(got) == want, (A, y)
+            seen.add(("full" if rank == min(len(A), n) else "deficient",
+                      "solvable" if want else "inconsistent",
+                      "tall" if len(A) > n else "wide",
+                      "zero row" if not np.all(A.any(axis=1)) else "no zero row"))
+    for label in ("full", "deficient", "solvable", "inconsistent", "tall",
+                  "wide", "zero row"):
+        assert any(label in s for s in seen), label
+
+
+def test_stab_exact_re_checks_the_form(monkeypatch):
+    # the search imposes every coefficient of alpha* F0 alpha = F0, so the
+    # full check is a re-check: with the (b1, b2) constraint dropped, a
+    # candidate that fails it reaches the check and raises
+    def dropped(p, con, X, Y):
+        return np.ones((len(X), len(Y)), dtype=bool)
+
+    monkeypatch.setattr(groupcalc, "_pair_mask", dropped)
+    for v in (seven_star(3), identity_vertex(5)):
+        with pytest.raises(AssertionError, match="alpha\\* F0 alpha = F0"):
+            stab_exact(v)
 
 
 # -- exact stabilizers -------------------------------------------------------------
@@ -689,8 +858,9 @@ def test_stab_exact_reports_golden(name):
 @pytest.mark.parametrize("p", [2, 3])
 def test_stab_exact_order_constant_along_orbits(p):
     # order(Stab(g.v)) = order(Stab(v)) for every vertex of link([I]);
-    # y is left out for cost, and u.v exceeds the default digit bound
-    gens = [letter_matrix("x", p), letter_matrix("x", p).inverse()]
+    # u.v exceeds the default digit bound
+    gens = [letter_matrix("x", p), letter_matrix("x", p).inverse(),
+            letter_matrix("y", p)]
     for lv in link(identity_vertex(p)):
         v = lv.vclass
         order = stab_exact(v).order
