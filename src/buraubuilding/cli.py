@@ -24,9 +24,11 @@ from .rep import (MatrixRF, letter_matrix, order_mod_homothety, parse_word,
                   word_evaluate)
 from .building import (VertexClass, canonicalize, identity_vertex, link,
                        link_dot, link_edges)
-from .groupcalc import (RELATION_FAMILIES, kernel_witness_check,
-                        orbit_classify, stab_exact, stab_identity_exact,
-                        stab_words, tube_pattern_check, verify_relations)
+from .groupcalc import (DEFAULT_DIGIT_BOUND, DEFAULT_ORBIT_BUDGET,
+                        DEFAULT_RADIUS, DEFAULT_WORD_DEPTH, RELATION_FAMILIES,
+                        WORD_GENS, kernel_witness_check, orbit_classify,
+                        stab_exact, stab_identity_exact, stab_words,
+                        tube_pattern_check, verify_relations)
 
 CACHE_ENV = "BURAUBUILDING_CACHE_DIR"
 # part of every cache key: bump it whenever a change alters cached results,
@@ -81,36 +83,33 @@ def _read_config_file(path):
             out[k.strip()] = v.strip()
     return out
 
+# config key -> (the flag that sets it, its default); the default's type is
+# the key's type
 _CONFIG_KEYS = {
-    "prime": int, "radius": int, "wordDepth": int, "digitBound": int,
-    "budgetNodes": int, "cacheDir": str, "outputFormat": str,
+    "prime": ("p", 3), "radius": ("radius", DEFAULT_RADIUS),
+    "wordDepth": ("depth", DEFAULT_WORD_DEPTH),
+    "digitBound": ("digit_bound", DEFAULT_DIGIT_BOUND),
+    "budgetNodes": ("budget", DEFAULT_ORBIT_BUDGET),
+    "cacheDir": ("cache_dir", ""), "outputFormat": (None, "text"),
 }
 
 
 def build_config(args) -> RunConfig:
     """Flags win over the optional key=value config file, which wins over defaults."""
-    base = {
-        "prime": 3, "radius": 1, "wordDepth": 3, "digitBound": 8,
-        "budgetNodes": 200_000, "cacheDir": "", "outputFormat": "text",
-    }
-    flagmap = {
-        "prime": "p", "radius": "radius", "wordDepth": "depth",
-        "digitBound": "digit_bound", "budgetNodes": "budget",
-        "cacheDir": "cache_dir",
-    }
+    base = {k: default for k, (_, default) in _CONFIG_KEYS.items()}
     if getattr(args, "config", None):
         for k, v in _read_config_file(args.config).items():
             if k not in _CONFIG_KEYS:
                 raise ValueError("unknown config key %r" % k)
-            if k in flagmap and not hasattr(args, flagmap[k]):
+            flag = _CONFIG_KEYS[k][0]
+            if flag and not hasattr(args, flag):
                 # the subcommand has no such flag, so it reads no such key
                 raise ValueError("config key %r is not read by %s"
                                  % (k, args.command))
-            base[k] = _CONFIG_KEYS[k](v)
-    for key, attr in flagmap.items():
-        v = getattr(args, attr, None)
-        if v is not None:
-            base[key] = v
+            base[k] = type(base[k])(v)
+    for k, (flag, _) in _CONFIG_KEYS.items():
+        if flag and getattr(args, flag, None) is not None:
+            base[k] = getattr(args, flag)
     flags = [f for f in ("json", "dot") if getattr(args, f, False)]
     if len(flags) > 1:
         raise ValueError("--dot and --json exclude each other")
@@ -188,39 +187,46 @@ def _matrix_literal(text):
 
 
 # ---------------------------------------------------------------------------
-# claim commands
+# claim commands: each takes the config and the parsed arguments and returns
+# (claim id, status, data); ``main`` times it and builds the ClaimResult
 
-def cmd_stab_identity(config: RunConfig) -> ClaimResult:
+def cmd_stab_identity(config: RunConfig, args):
     p = check_prime(config.prime)
-    t0 = time.time()
     rpt = stab_identity_exact(p)
     expected = IDENTITY_IMAGE_ORDERS.get(p)
     status = "partial" if expected is None else \
         ("pass" if rpt.image_order == expected else "fail")
     data = rpt.to_json_dict()
     data["expectedImageOrder"] = expected
-    return ClaimResult("stab-identity-p%d" % p, status, data, time.time() - t0)
+    return "stab-identity-p%d" % p, status, data
 
 
-def cmd_stab(config: RunConfig, spec: str, method: str, gens) -> ClaimResult:
+# the flags that each stab --method does not read
+_STAB_UNREAD = {"exact": ("depth", "gens"), "words": ("digit-bound", "budget")}
+
+
+def cmd_stab(config: RunConfig, args):
+    unread = [f for f in _STAB_UNREAD[args.method]
+              if getattr(args, f.replace("-", "_")) is not None]
+    if unread:
+        raise ValueError("--method %s does not read --%s"
+                         % (args.method, " and --".join(unread)))
     p = check_prime(config.prime)
-    v = parse_vertex_spec(spec, p)
-    t0 = time.time()
-    if method == "exact":
+    v = parse_vertex_spec(args.vertex, p)
+    if args.method == "exact":
         rpt = stab_exact(v, digit_bound=config.digit_bound,
                          column_budget=config.budget_nodes * 20)
     else:
-        rpt = stab_words(v, tuple(gens), config.word_depth)
-    data = rpt.to_json_dict()
+        gens = WORD_GENS if args.gens is None else \
+            tuple(g for g in args.gens.split(",") if g)
+        rpt = stab_words(v, gens, config.word_depth)
     status = "pass" if rpt.complete else "partial"
-    return ClaimResult("stab-%s-p%d" % (method, p), status, data,
-                       time.time() - t0)
+    return "stab-%s-p%d" % (args.method, p), status, rpt.to_json_dict()
 
 
-def cmd_link(config: RunConfig, spec: str) -> ClaimResult:
+def cmd_link(config: RunConfig, args):
     p = check_prime(config.prime)
-    v = parse_vertex_spec(spec, p)
-    t0 = time.time()
+    v = parse_vertex_spec(args.vertex, p)
     lk = link(v)
     expected = 2 * (p * p + p + 1)
     dot = config.output_format == "dot"
@@ -235,23 +241,20 @@ def cmd_link(config: RunConfig, spec: str) -> ClaimResult:
         "vertex": v.to_text(),
         "withinLinkDegrees": sorted(set(degrees)) if degrees else None,
     }
-    result = ClaimResult("link-count-p%d" % p, "pass" if ok else "fail",
-                         data, time.time() - t0)
     if dot:
         sys.stdout.write(link_dot(lk, edges))
-    return result
+    return "link-count-p%d" % p, "pass" if ok else "fail", data
 
 
-def cmd_explore(config: RunConfig, gens) -> ClaimResult:
+def cmd_explore(config: RunConfig, args):
     p = check_prime(config.prime)
-    if gens is None:
-        # u and the distinguished vertices are defined at p = 3 only
-        gens = ["x", "y", "u"] if p == 3 else ["x", "y"]
+    # u and the distinguished vertices exist at p = 3 only
+    gens = ("x,y,u" if p == 3 else "x,y") if args.gens is None else args.gens
+    gens = [g for g in gens.split(",") if g]
     if not gens:
         raise ValueError("--gens names no generator")
     for g in gens:
         letter_matrix(g, p)     # a letter with no matrix at p exits 2 here
-    t0 = time.time()
     key = ["explore", __version__, ALGORITHM_VERSION, str(p), ".".join(gens),
            str(config.radius), str(config.budget_nodes)]
     cached = cache_get(config, key)
@@ -276,56 +279,42 @@ def cmd_explore(config: RunConfig, gens) -> ClaimResult:
             data["groupPointsInLink"] = n - 1
     if not data["complete"]:
         status = "partial"
-    return ClaimResult("explore-p%d-r%d" % (p, config.radius), status, data,
-                       time.time() - t0)
+    return "explore-p%d-r%d" % (p, config.radius), status, data
 
 
-def cmd_verify(config: RunConfig) -> ClaimResult:
-    t0 = time.time()
-    reports = verify_relations(config.prime)
+def cmd_verify(config: RunConfig, args):
+    reports = verify_relations()
     ok = all(r.holds_mod_p for r in reports) and \
         all(r.holds_integrally for r in reports if r.holds_integrally is not None)
     data = {"relations": [r.to_json_dict() for r in reports]}
-    return ClaimResult("relations-p3", "pass" if ok else "fail", data,
-                       time.time() - t0)
+    return "relations-p3", "pass" if ok else "fail", data
 
 
-def cmd_witness(config: RunConfig, mod_only: bool, integral_only: bool) -> ClaimResult:
-    if config.prime != 3:
-        raise ValueError("the kernel witness is defined at p = 3 only")
-    t0 = time.time()
+def cmd_witness(config: RunConfig, args):
     rpt = kernel_witness_check()
     data = {"letters": len(rpt.relator)}
     ok = True
-    if not integral_only:
+    if not args.integral_only:
         data["homothetyMod3"] = rpt.holds_mod_p
         ok = ok and rpt.holds_mod_p
-    if not mod_only:
+    if not args.mod_only:
         mi = rpt.integral
         data["homothetyIntegral"] = rpt.holds_integrally
         data["integralEntryDegrees"] = [
             [mi[i, j].maxexp if not mi[i, j].is_zero() else None
              for j in range(3)] for i in range(3)]
         ok = ok and not rpt.holds_integrally
-    return ClaimResult("kernel-witness", "pass" if ok else "fail", data,
-                       time.time() - t0)
+    return "kernel-witness", "pass" if ok else "fail", data
 
 
-def cmd_tube(config: RunConfig, kmax: int) -> ClaimResult:
-    if config.prime != 3:
-        raise ValueError("the tube chain is defined at p = 3 only")
-    t0 = time.time()
-    levels = tube_pattern_check(kmax=kmax, depth=config.word_depth, p=3)
+def cmd_tube(config: RunConfig, args):
+    levels = tube_pattern_check(kmax=args.kmax, depth=config.word_depth)
     ok = all(lv.image_order == (18 if lv.k == 1 else 54) for lv in levels)
     data = {"levels": [lv.to_json_dict() for lv in levels]}
-    return ClaimResult("tube-k%d" % kmax, "pass" if ok else "fail", data,
-                       time.time() - t0)
+    return "tube-k%d" % args.kmax, "pass" if ok else "fail", data
 
 
-def cmd_presentation_export(config: RunConfig) -> ClaimResult:
-    if config.prime != 3:
-        raise ValueError("the presentation data is defined at p = 3 only")
-    t0 = time.time()
+def cmd_presentation_export(config: RunConfig, args):
     gens = {}
     for name in ("x", "y", "u", "h"):
         m = letter_matrix(name, 3)
@@ -339,7 +328,14 @@ def cmd_presentation_export(config: RunConfig) -> ClaimResult:
         "relators": [{"name": name, "word": text}
                      for name, text, _ in RELATION_FAMILIES],
     }
-    return ClaimResult("presentation-export", "pass", data, time.time() - t0)
+    return "presentation-export", "pass", data
+
+
+_COMMANDS = {
+    "stab-identity": cmd_stab_identity, "stab": cmd_stab, "link": cmd_link,
+    "explore": cmd_explore, "verify": cmd_verify, "witness": cmd_witness,
+    "tube": cmd_tube, "presentation-export": cmd_presentation_export,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +370,7 @@ def emit_result(config: RunConfig, result: ClaimResult):
 # argument parsing
 
 _FLAGS = {
+    "p": {"type": int, "help": "prime modulus"},
     "cache-dir": {},
     "radius": {"type": int},
     "depth": {"type": int, "help": "word-search depth"},
@@ -383,8 +380,7 @@ _FLAGS = {
 
 
 def _add_common(sp, *flags):
-    """--p, --config and --json, plus the named flags the subcommand reads."""
-    sp.add_argument("--p", type=int, default=None, help="prime modulus")
+    """--config and --json, plus the named flags the subcommand reads."""
     sp.add_argument("--config", default=None, help="key=value config file")
     for name in flags:
         sp.add_argument("--" + name, **_FLAGS[name])
@@ -402,24 +398,24 @@ def make_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("stab-identity", help="exact stabilizer of the identity vertex")
-    _add_common(sp)
+    _add_common(sp, "p")
 
     sp = sub.add_parser("stab", help="stabilizer of a vertex")
-    _add_common(sp, "depth", "digit-bound", "budget")
+    _add_common(sp, "p", "depth", "digit-bound", "budget")
     sp.add_argument("--vertex", required=True,
                     help="word over named generators, I, or a 3x3 matrix literal")
     sp.add_argument("--method", choices=("exact", "words"), default="exact")
     sp.add_argument("--gens", default=None,
                     help="comma-separated generators for word search "
-                         "(default u,u1,h)")
+                         "(default %s)" % ",".join(WORD_GENS))
 
     sp = sub.add_parser("link", help="link of a vertex")
-    _add_common(sp)
+    _add_common(sp, "p")
     sp.add_argument("--vertex", default="I")
     sp.add_argument("--dot", action="store_true", help="DOT output of the link graph")
 
     sp = sub.add_parser("explore", help="orbit classification of a ball around I")
-    _add_common(sp, "cache-dir", "radius", "budget")
+    _add_common(sp, "p", "cache-dir", "radius", "budget")
     sp.add_argument("--gens", default=None,
                     help="comma-separated generators (default x,y,u at "
                          "p = 3, x,y elsewhere)")
@@ -442,41 +438,13 @@ def make_parser():
     return ap
 
 
-# the flags that each stab --method does not read
-_STAB_UNREAD = {"exact": ("depth", "gens"), "words": ("digit-bound", "budget")}
-
-
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         config = build_config(args)
-        if args.command == "stab-identity":
-            result = cmd_stab_identity(config)
-        elif args.command == "stab":
-            unread = [f for f in _STAB_UNREAD[args.method]
-                      if getattr(args, f.replace("-", "_")) is not None]
-            if unread:
-                raise ValueError("--method %s does not read --%s"
-                                 % (args.method, " and --".join(unread)))
-            gens = "u,u1,h" if args.gens is None else args.gens
-            result = cmd_stab(config, args.vertex, args.method,
-                              [g for g in gens.split(",") if g])
-        elif args.command == "link":
-            result = cmd_link(config, args.vertex)
-        elif args.command == "explore":
-            result = cmd_explore(config, None if args.gens is None else
-                                 [g for g in args.gens.split(",") if g])
-        elif args.command == "verify":
-            result = cmd_verify(config)
-        elif args.command == "witness":
-            result = cmd_witness(config, args.mod_only, args.integral_only)
-        elif args.command == "tube":
-            result = cmd_tube(config, args.kmax)
-        elif args.command == "presentation-export":
-            result = cmd_presentation_export(config)
-        else:
-            raise ValueError("unknown command %r" % args.command)
+        t0 = time.time()
+        claim_id, status, data = _COMMANDS[args.command](config, args)
+        result = ClaimResult(claim_id, status, data, time.time() - t0)
     except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its message: print the message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

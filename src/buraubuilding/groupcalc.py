@@ -213,7 +213,7 @@ def _report(v: VertexClass, method: str, elements, perms, orders,
 
 DEFAULT_DIGIT_BOUND = 8
 DEFAULT_COLUMN_BUDGET = 4_000_000
-_PAIR_ENTRIES = 1 << 20     # pairs (c1, c2) per block: bounds its int64 tables
+_PAIR_ENTRIES = 1 << 20     # point digits or pairs per block: bounds its int64 tables
 
 
 def _laurent_pi_coeffs(terms):
@@ -229,8 +229,8 @@ def _grid(p, n):
     first, in the smallest unsigned dtype holding p - 1 (a byte if p < 257)."""
     import numpy as np
 
-    digits = np.arange(p ** n)[:, None] // p ** np.arange(n) % p
-    grid = digits.astype(np.min_scalar_type(p - 1))
+    digits = np.indices((p,) * n, dtype=np.min_scalar_type(p - 1))
+    grid = np.ascontiguousarray(digits.reshape(n, p ** n)[::-1].T)
     grid.flags.writeable = False
     return grid
 
@@ -299,10 +299,10 @@ def _pair_mask(p, con, X, Y):
 
 
 def _solve_mod_p(A, y, p):
-    """Every solution of A x = y mod p (A, y reduced), one row each.
+    """The solutions of A x = y mod p (A, y reduced) as a point x0 and a
+    basis of the kernel, one row each, or None when there is none.
     Gauss-Jordan elimination on the rows of [A | y], as lists since the
-    systems are small, gives a point x0 and a basis of the kernel; the rows
-    are x0 + sum c_i basis[i] over the grid of the c_i."""
+    systems are small."""
     import numpy as np
 
     n = A.shape[1]
@@ -321,15 +321,30 @@ def _solve_mod_p(A, y, p):
                 rows[i] = [(a - row[c] * b) % p for a, b in zip(row, pivot)]
         pivots.append(c)
     if any(row[n] for row in rows[len(pivots):]):
-        return np.zeros((0, n), dtype=np.int64)
+        return None
     free = [c for c in range(n) if c not in pivots]
     point, basis = [0] * n, [[int(c == f) for c in range(n)] for f in free]
     for row, c in zip(rows, pivots):
         point[c] = row[n]
         for b, f in zip(basis, free):
             b[c] = -row[f] % p
-    basis = np.array(basis, dtype=np.int64).reshape(-1, n)
-    return (np.array(point) + _grid(p, len(free)) @ basis) % p
+    return np.array(point), np.array(basis, dtype=np.int64).reshape(-1, n)
+
+
+def _space_points(p, point, basis, cut):
+    """The rows that cut keeps of the points x0 + sum c_i basis[i] mod p, c
+    over the rows of the grid of F_p^dim, a block of at most _PAIR_ENTRIES
+    digits (one point at least) at a time: the high digits of c give a
+    block's offset, the low ones come from one cached grid."""
+    import numpy as np
+
+    k = len(basis)
+    while k and p ** k * len(point) > _PAIR_ENTRIES:
+        k -= 1
+    offsets = [point] if k == len(basis) else \
+        (point + _grid(p, len(basis) - k) @ basis[k:]) % p
+    blocks = [cut((_grid(p, k) @ basis[:k] + x) % p) for x in offsets]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _digits_to_terms(row, ns):
@@ -353,10 +368,14 @@ def _residues(digs, ns):
 def _solution_points(p, con, x, diag):
     """The columns w with B(x, w) = target under con, a system linear in
     w's digits for the fixed digit row x, and B(w, w) = target under diag:
-    the solution space, point by point, cut by the quadratic."""
+    the solution space, a block of points at a time, cut by the quadratic."""
+    import numpy as np
+
     T, tvec = con
-    W = _solve_mod_p(x @ T % p, tvec, p)
-    return W[_quadratic_mask(p, diag, W)]
+    space = _solve_mod_p(x @ T % p, tvec, p)
+    if space is None:
+        return np.zeros((0, T.shape[2]), dtype=np.int64)
+    return _space_points(p, *space, lambda W: W[_quadratic_mask(p, diag, W)])
 
 
 def _first_column(p, n, diag):
@@ -364,10 +383,13 @@ def _first_column(p, n, diag):
     of each pair +-x: the first nonzero digit lies in 1..(p-1)/2."""
     import numpy as np
 
-    X = _grid(p, n)
-    first = X[np.arange(len(X)), (X != 0).argmax(axis=1)]
-    X = X[(0 < first) & (first <= max((p - 1) // 2, 1))]
-    return X[_quadratic_mask(p, diag, X)]
+    def cut(X):
+        first = X[np.arange(len(X)), (X != 0).argmax(axis=1)]
+        X = X[(0 < first) & (first <= max((p - 1) // 2, 1))]
+        return X[_quadratic_mask(p, diag, X)]
+
+    return _space_points(p, np.zeros(n, dtype=np.int64),
+                         np.eye(n, dtype=np.int64), cut)
 
 
 def _digit_triples(p, F0pi, ns):
@@ -492,6 +514,10 @@ def _matrix_sort_key(g: MatrixRF):
 # ---------------------------------------------------------------------------
 # word search
 
+WORD_GENS = ("u", "u1", "h")
+DEFAULT_WORD_DEPTH = 3
+
+
 def _gen_matrices(gens, p):
     """The matrices of gens (matrices, letter names or words), followed by
     their inverses in the same order."""
@@ -593,6 +619,9 @@ def seven_star(p: int = 3) -> VertexClass:
 # recorded steps is worth trying only for a short cycle
 _ORDER_CAP = 12
 
+DEFAULT_ORBIT_BUDGET = 200_000
+DEFAULT_RADIUS = 1
+
 
 class _Moves(NamedTuple):
     """What an orbit BFS knows before it starts: mats, the generators then
@@ -628,7 +657,8 @@ def _link_seed(I, lk, mats):
     return tuple(seed)
 
 
-def orbit_bfs(start: VertexClass, gens, depth: int, budget: int = 200_000):
+def orbit_bfs(start: VertexClass, gens, depth: int,
+              budget: int = DEFAULT_ORBIT_BUDGET):
     """Vertices reachable from start by generator applications up to depth.
 
     gens are matrices, letter names or words, or the ``_Moves`` that
@@ -736,8 +766,8 @@ class OrbitTable(NamedTuple):
         }
 
 
-def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
-                   orbit_depth: int = 6, budget: int = 200_000,
+def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = DEFAULT_RADIUS,
+                   budget: int = DEFAULT_ORBIT_BUDGET,
                    stab_reports: bool = True) -> OrbitTable:
     """Partition the radius-ball around [I] into orbits of the gens-group.
 
@@ -747,7 +777,7 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
     external numbering of vertices.
 
     link([I]) is enumerated once: the ball is built from it, and every
-    ``orbit_bfs`` starts with a table of its own holding the edges that the
+    ``orbit_bfs``, to depth 6, starts with a table of its own holding the edges that the
     generators fixing [I] induce on it (``_link_seed``).  The generator
     matrices, their orders and that seed are built before any BFS runs,
     so a letter with no matrix at p raises its ValueError here; a ValueError
@@ -765,13 +795,13 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
     if p == 3 and any(str(g) == "u" for g in gens):
         anchors.append(("n-point", n_point_base(p)))
         anchors += [("tube(%d)" % k, v) for k, v, _ in
-                    itertools.islice(tube_chain(p), radius)]
+                    itertools.islice(tube_chain(), radius)]
 
     def orbit(rep):
         """The BFS orbit of rep, or {rep} and an incomplete table."""
         nonlocal complete
         try:
-            return orbit_bfs(rep, moves, orbit_depth, budget)
+            return orbit_bfs(rep, moves, 6, budget)
         except ValueError:
             complete = False
             return {rep}
@@ -802,7 +832,7 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = 1,
             if label in ("group-point", "n-point", "tube(1)"):
                 rpt = stab_exact(rep)
             else:
-                rpt = stab_words(rep, ("u", "u1", "h"), depth=3)
+                rpt = stab_words(rep, WORD_GENS, DEFAULT_WORD_DEPTH)
             entry["stabOrder"] = rpt.order
             entry["stabImageOrder"] = rpt.image_order
             entry["stabComplete"] = rpt.complete
@@ -848,14 +878,13 @@ def _relator_word(text):
     return GroupWord(out)
 
 
-def verify_relations(p: int = 3):
-    """Evaluate the presentation relators mod p; braid-only ones also integrally."""
-    if p != 3:
-        raise ValueError("the relation list involves u, defined at p = 3 only")
+def verify_relations():
+    """Evaluate the presentation relators mod 3 (u is defined at p = 3
+    only); braid-only ones also integrally."""
     out = []
     for name, text, braid_only in RELATION_FAMILIES:
         word = _relator_word(text)
-        m = word_evaluate(word, p)
+        m = word_evaluate(word, 3)
         holds = is_homothety(m) is not None
         integral = None
         if braid_only:
@@ -880,7 +909,7 @@ def kernel_witness_check():
 # ---------------------------------------------------------------------------
 # the tube
 
-def _tube_next(level: VertexClass, p: int, exclude, floor: int):
+def _tube_next(level: VertexClass, exclude, floor: int):
     """The distinguished pair in the link one step farther from the identity.
 
     Fixed points of the stabilizer image that are not in exclude; the pair
@@ -890,7 +919,7 @@ def _tube_next(level: VertexClass, p: int, exclude, floor: int):
     constant along orbits, so w is neither a group point nor an n-point;
     a search that finds no more than floor elements raises AssertionError.
     """
-    rpt = stab_words(level, ("u", "u1", "h"), depth=3)
+    rpt = stab_words(level, WORD_GENS, DEFAULT_WORD_DEPTH)
     if rpt.order <= floor:
         raise AssertionError("word search found %d stabilizer elements, not "
                              "more than the %d of [I] and the n-point"
@@ -900,20 +929,20 @@ def _tube_next(level: VertexClass, p: int, exclude, floor: int):
     for pm in rpt.perms:
         fixed_idx = {i for i in fixed_idx if pm[i] == i}
     cands = [lk[i].vclass for i in sorted(fixed_idx) if lk[i].vclass not in exclude]
-    return _swapped_pair(cands, p, lambda a: True)
+    return _swapped_pair(cands, 3, lambda a: True)
 
 
-def tube_chain(p: int = 3):
-    """Yield (k, 7^(k), its xyx partner) for k = 1, 2, ..., each level
-    computed only when asked for; 7^(1) is ``seven_star``.  The exact
+def tube_chain():
+    """Yield (k, 7^(k), its xyx partner) for k = 1, 2, ... at p = 3, each
+    level computed only when asked for; 7^(1) is ``seven_star``.  The exact
     stabilizer orders of [I] and the n-point, which certify each later
     level, are computed once, when level 2 is asked for."""
-    level, partner = seven_star_pair(p)
+    level, partner = seven_star_pair(3)
     yield 1, level, partner
-    floor = max(stab_exact(identity_vertex(p)).order,
-                stab_exact(n_point_base(p)).order)
+    floor = max(stab_exact(identity_vertex(3)).order,
+                stab_exact(n_point_base(3)).order)
     for k in itertools.count(2):
-        level, partner = _tube_next(level, p, {level, partner}, floor)
+        level, partner = _tube_next(level, {level, partner}, floor)
         yield k, level, partner
 
 
@@ -934,8 +963,9 @@ class TubeLevel(NamedTuple):
         }
 
 
-def tube_pattern_check(kmax: int = 2, depth: int = 3, p: int = 3):
-    """Walk 7^(1) -> ... -> 7^(kmax), word-searching each stabilizer image.
+def tube_pattern_check(kmax: int = 2, depth: int = DEFAULT_WORD_DEPTH):
+    """Walk 7^(1) -> ... -> 7^(kmax) at p = 3, word-searching each
+    stabilizer image.
 
     Level 1 uses exact enumeration; levels >= 2 use word search over
     u, h, alpha_1, ..., alpha_k.  The claimed total order 2*3^(2k+1) is
@@ -944,7 +974,7 @@ def tube_pattern_check(kmax: int = 2, depth: int = 3, p: int = 3):
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     out = []
-    for k, v, _ in itertools.islice(tube_chain(p), kmax):
+    for k, v, _ in itertools.islice(tube_chain(), kmax):
         if k == 1:
             rpt = stab_exact(v)
         else:

@@ -202,7 +202,7 @@ def test_criterion_7_stab_exact(seven_stab):
 # 8. All relation families hold mod 3; [x^2, yxy] also integrally.
 def test_criterion_8_relations():
     t0 = time.time()
-    reports = verify_relations(3)
+    reports = verify_relations()
     ok = all(r.holds_mod_p for r in reports)
     braid = {r.name: r for r in reports if r.holds_integrally is not None}
     ok = ok and braid["[x^2, yxy]"].holds_integrally
@@ -222,7 +222,7 @@ def test_criterion_9_kernel_witness():
 # (18 at level 1, where the enumeration is exact).
 def test_criterion_10_tube():
     t0 = time.time()
-    levels = tube_pattern_check(kmax=3, depth=3, p=3)
+    levels = tube_pattern_check(kmax=3, depth=3)
     ok = len(levels) == 3
     ok = ok and levels[0].image_order == 18 and levels[0].stab_order_found == 54
     ok = ok and all(lv.image_order == 54 for lv in levels[1:])

@@ -225,7 +225,7 @@ def deep_inputs():
     rng = random.Random(20261019)
     out = []
     gens = _letters_and_inverses(3)
-    for k, level, partner in tube_chain(3):
+    for k, level, partner in tube_chain():
         out += [g * v.canon for v in (level, partner) for g in gens]
         if k == 4:
             break

@@ -70,6 +70,11 @@ def test_removed_jobs_flag_is_rejected():
     ("verify", "--radius", "2"),
     ("stab", "--vertex", "I", "--cache-dir", "d"),
     ("explore", "--digit-bound", "3"),
+    # the claims stated at p = 3 only take no --p
+    ("verify", "--p", "3"),
+    ("witness", "--p", "5"),
+    ("tube", "--p", "3"),
+    ("presentation-export", "--p", "3"),
 ])
 def test_flags_a_subcommand_does_not_read_are_rejected(argv):
     proc = _main_subprocess(*argv)
@@ -105,6 +110,7 @@ def test_config_rejects_unknown_key(tmp_path):
 @pytest.mark.parametrize("command, line", [
     ("stab-identity", "radius=2"),
     ("verify", "digitBound=4"),
+    ("verify", "prime=3"),
 ])
 def test_config_keys_a_subcommand_does_not_read_are_rejected(
         command, line, tmp_path):
@@ -246,14 +252,6 @@ def test_verify_pass(capsys):
     d = json.loads(out)
     assert d["status"] == "pass"
     assert len(d["data"]["relations"]) == 9
-
-
-def test_verify_wrong_prime(capsys):
-    assert main(["verify", "--p", "2"]) == 2
-
-
-def test_witness_wrong_prime(capsys):
-    assert main(["witness", "--p", "5"]) == 2
 
 
 def test_witness_variants(capsys):
@@ -571,9 +569,9 @@ def test_explore_checks_the_group_point_count_for_x_y_u_only(
 
 
 def test_internal_error_exits_2_without_traceback(capsys, monkeypatch):
-    def broken(config):
+    def broken(config, args):
         raise AssertionError("enumerated matrix fails the independent re-check")
-    monkeypatch.setattr(cli, "cmd_verify", broken)
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
     assert main(["verify"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: AssertionError:")

@@ -174,7 +174,7 @@ def test_degree_bounds_match_the_field_inverse():
     # the bounds read nu(F0^-1) off adj(F0) and nu(det F0); det F0 need not
     # be a unit, so the reference divides in F_p(t)
     I3 = identity_vertex(3)
-    tube2 = next(itertools.islice(tube_chain(3), 1, 2))[1]
+    tube2 = next(itertools.islice(tube_chain(), 1, 2))[1]
     verts = [identity_vertex(p) for p in (2, 3, 5, 7)]
     verts += [n_point_base(3), seven_star(3), tube2]
     verts += [lv.vclass for lv in link(I3)]
@@ -361,8 +361,10 @@ def test_column_enumeration_at_the_identity_for_large_primes(p):
 
 @pytest.mark.parametrize("entries", (1, 4))
 def test_digit_triples_do_not_depend_on_the_pair_block(entries, monkeypatch):
-    # pairs (c1, c2) are tested a block of rows of X1 at a time: one row per
-    # block, or a few with a short last block, give the same triples
+    # pairs (c1, c2) are tested a block of rows of X1 at a time, and every
+    # point set (c0, and each solution space) is built and cut a block of
+    # points at a time: one row per block, or a few with a short last
+    # block, give the same triples
     def triples(v):
         F0 = form_pullback(v)
         D = entry_degree_bounds(F0)
@@ -373,9 +375,33 @@ def test_digit_triples_do_not_depend_on_the_pair_block(entries, monkeypatch):
 
     verts = [seven_star(3), n_point_base(3), identity_vertex(5)]
     verts += [lv.vclass for lv in link(identity_vertex(3))[:6]]
+    # the (points, digits) of each block that reaches the quadratic cut
+    quadratic_mask, shapes = groupcalc._quadratic_mask, []
+
+    def spy(p, con, X):
+        shapes.append(X.shape)
+        return quadratic_mask(p, con, X)
+
+    monkeypatch.setattr(groupcalc, "_quadratic_mask", spy)
     want = [triples(v) for v in verts]
+    whole, shapes[:] = max(m for m, _ in shapes), []
     monkeypatch.setattr(groupcalc, "_PAIR_ENTRIES", entries)
     assert [triples(v) for v in verts] == want
+    # a block holds at most `entries` digits, or one point
+    assert all(m * n <= max(entries, n) for m, n in shapes)
+    assert max(m for m, _ in shapes) < whole
+
+
+@pytest.mark.parametrize("p, n", [(2, 0), (2, 6), (3, 4), (5, 3), (7, 2),
+                                  (257, 1), (257, 2)])
+def test_grid_is_the_base_p_digit_table(p, n):
+    # row m holds the base-p digits of m, lowest first, in the smallest
+    # unsigned dtype that holds p - 1
+    grid = groupcalc._grid(p, n)
+    want = [[m // p ** k % p for k in range(n)] for m in range(p ** n)]
+    assert grid.tolist() == want
+    assert grid.dtype == (np.uint8 if p < 257 else np.uint16)
+    assert not grid.flags.writeable
 
 
 # columns of total 0, 1 and 5 digits, and of 1, 2 and 3 digits
@@ -671,7 +697,10 @@ def test_elimination_mod_p_matches_brute_force(p):
             want = {tuple(x) for x in X[np.all(X @ A.T % p == y, axis=1)].tolist()}
             kernel = np.all(X @ A.T % p == 0, axis=1).sum()
             rank = n - round(np.log(kernel) / np.log(p))
-            got = [tuple(x) for x in groupcalc._solve_mod_p(A, y, p).tolist()]
+            space = groupcalc._solve_mod_p(A, y, p)
+            got = [] if space is None else [
+                tuple((space[0] + np.array(c, dtype=np.int64) @ space[1]) % p)
+                for c in itertools.product(range(p), repeat=len(space[1]))]
             assert len(set(got)) == len(got), (A, y)
             assert set(got) == want, (A, y)
             seen.add(("full" if rank == min(len(A), n) else "deficient",
@@ -899,7 +928,7 @@ def test_seven_star_pair_swap():
 
 
 def test_tube_chain_is_the_tube_walk():
-    chain = list(itertools.islice(tube_chain(3), 2))
+    chain = list(itertools.islice(tube_chain(), 2))
     assert [k for k, _, _ in chain] == [1, 2]
     assert chain[0][1:] == seven_star_pair(3)
     xyx = word_evaluate(parse_word("x.y.x"), 3)
@@ -919,7 +948,7 @@ def test_tube_walk_refuses_a_word_search_at_the_floor(monkeypatch):
                             perms=rpt.perms[:6])
 
     monkeypatch.setattr(groupcalc, "stab_words", six)
-    chain = tube_chain(3)
+    chain = tube_chain()
     assert next(chain)[0] == 1
     with pytest.raises(AssertionError, match="found 6 stabilizer elements"):
         next(chain)
@@ -1151,17 +1180,12 @@ def test_link_group_words_distinct():
 # -- relations and the witness ---------------------------------------------------
 
 def test_relations_all_hold():
-    reports = verify_relations(3)
+    reports = verify_relations()
     assert len(reports) == 9
     assert all(r.holds_mod_p for r in reports)
     braid = [r for r in reports if r.holds_integrally is not None]
     assert all(r.holds_integrally for r in braid)
     assert any(r.name == "[x^2, yxy]" for r in braid)
-
-
-def test_relations_wrong_prime():
-    with pytest.raises(ValueError):
-        verify_relations(5)
 
 
 def test_kernel_witness():
