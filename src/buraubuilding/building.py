@@ -13,28 +13,15 @@ det N.  Every reader here works on the Laurent terms (minexp, coeffs) of
 the matrices (``laurent_valuation``, ``laurent_pi_digits``), and no
 rational-function arithmetic runs.
 
-``canonicalize`` eliminates on pi-adic digit lists truncated modulo
-pi^(D+1), D = nu(det) of the basis scaled into O^3 (Cohen's HNF modulo D,
-worked over F_p[[pi]]): the lattice contains pi^D * O^3, so the truncation
-does not change the class.  The window shrinks as the pivots are found:
-once row r has its pivot pi^a, the remaining columns span, in the remaining
-rows, a lattice with nu(det) lowered by a, so those rows are kept modulo
-pi^(D+1-a), and the last row needs only a_3 + 1 digits.  Each step updates
-only the rows after its pivot row, whose pivot (pi^a) and cleared entries
-(0) are known and not stored.
-``canonicalize(M, D, B)`` gives the class of the column span of M B, and
-``apply`` and ``link`` pass their two factors (g and v.canon, v.canon and a
-lifted basis) with D = nu(det) known, so neither forms the product.  The
-digits have one source, ``_window_digits``: it reads the window of
-pi^-m (M B) straight from the digit rows of the two factors, which each
-matrix builds once, the digit at pi^k being the coefficient of t^-k.  A
-matrix holds Laurent terms only (``MatrixRF`` refuses a non-Laurent entry
-when it is built), so none is met here.  Only the three entries below the
-diagonal are built from digits: the diagonal is three monomials and the
-rest is zero.  The canonical matrix keeps its terms, so the next product
-does not read them again, and a vertex is keyed on p, its exponents and
-its three entries below the diagonal, each boxed as a normalized rational
-function (the one use of ``arith.RatFunc`` outside the tests).
+``canonicalize`` eliminates on pi-adic digits truncated modulo pi^(D+1),
+D = nu(det) of the basis scaled into O^3 (Cohen's HNF modulo D, worked over
+F_p[[pi]]), packed one per slot of an int (Kronecker substitution), a row
+of the window per int; it inverts no unit until the end.  It reads the
+class of M B from the packed digit rows that each factor builds once, so
+``apply`` and ``link`` form no product.  Only the three entries below the
+diagonal are built from digits; a vertex is keyed on p, its exponents and
+those three entries, each boxed as a normalized rational function (the one
+use of ``arith.RatFunc`` outside the tests).
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -66,8 +53,8 @@ from .arith import (
     INF,
     RatFunc,
     inv_mod,
-    laurent_from_pi_digits,
     laurent_pi_digits,
+    laurent_trim,
     laurent_valuation,
     render_laurent_data,
 )
@@ -128,45 +115,18 @@ def identity_vertex(p) -> VertexClass:
 
 
 def canonicalize(M: MatrixRF, det_valuation=None, B=None) -> VertexClass:
-    """Canonical lattice-class representative of the column span of M B,
-    B the identity when omitted.
-
-    Column operations over GL3(O) and global scaling do not change the
-    output; the result is lower triangular with diagonal pi^(a_i) and
-    min a_i = 0.
-
-    The elimination runs on pi-adic digits of pi^-m * M B modulo pi^n,
-    n = D+1, D = nu(det) - 3m, for m at most the least entry valuation, so
-    that the entries lie in O: the lattice L contains pi^D * O^3, so a column
-    changed by an element of pi^(D+1) * O^3 keeps nu(det) = D and still
-    generates L, and the canonical form of L is unique.  The window then
-    shrinks.  When row r has its pivot pi^a, with the unit scaled away and
-    the rest of row r cleared, the columns after r span, in the rows after
-    r, a lattice with nu(det) = n - 1 - a, which contains
-    pi^(n-1-a) * O^k; so from then on those rows are kept modulo pi^(n-a),
-    by the same argument.  The windows go n, n - a_1, a_3 + 1 (pivots
-    before the homothety), and each multiplier, the digits of row r from
-    pi^a on, fills the next window exactly.  The known rows are not
-    updated: the pivot row is pi^a and the cleared entries are 0.  The
-    final reduction modulo the pivots needs one product, for entry (2, 0);
-    then each entry below the diagonal is its first a_row digits.
-
-    The digits have one source, ``_window_digits``, which reads them
-    straight from the digit rows of M and B, so the product M B is never
-    formed: ``apply`` passes g and v.canon, ``link`` v.canon and a lifted
-    basis.  There m is the least val(M_il) + val(B_lj) over the nonzero
-    pairs of factor entries, a lower bound on the product's least
-    valuation.  When leading terms cancel, m is below the true valuation
-    m', the window grows by 3(m' - m) and every pivot by m' - m, and the
-    homothety takes the class to the same canonical form.  Only the three
-    entries below the diagonal are built from digits; the diagonal entries
-    are monomials and the others zero.  The terms are cached on ``canon``
-    for the next product.
-
-    B of another p or var raises ValueError, as ``M * B`` does.
-    ``det_valuation`` is nu(det M B) when the caller knows it (``apply`` and
-    ``link`` do); without it nu(det M) + nu(det B) is computed.  An infinite
-    valuation, that is a singular M or B, raises ValueError.
+    """Canonical lattice-class representative of the column span of M B
+    (B = I when omitted): lower triangular with diagonal pi^(a_i), min a_i
+    = 0.  It eliminates on the packed digits of pi^-m * M B modulo pi^n,
+    n = D+1, D = nu(det) - 3m (``_window_digits``), which the lattice's
+    pi^D * O^3 makes exact.  Row 1's pivot pi^a_1 * unit clears row 1 by
+    col_j <- unit * col_j - (col_j[1] / pi^a_1) * pivot, with no inverse,
+    and rows 2 and 3 are then kept modulo pi^(n-a_1); row 2 gives a_2, and
+    a_3 = n - 1 - a_1 - a_2.  Only then does ``_series_inverse`` make the
+    pivots of rows 1 and 2 monic.  If leading terms cancel, m lies below
+    the least valuation and the homothety absorbs it.  ``det_valuation``,
+    when given, must be nu(det M B) exactly, since a_3 is read from it; a
+    singular M or B, or B of another p or var, raises ValueError.
     """
     p = M.p
     if B is None:
@@ -177,56 +137,57 @@ def canonicalize(M: MatrixRF, det_valuation=None, B=None) -> VertexClass:
         det_valuation = M.det_valuation() + B.det_valuation()
     if det_valuation == INF:
         raise ValueError("singular matrix does not define a lattice")
-    n, cols = _window_digits(M, B, p, det_valuation)
-    exps = [0, 0, 0]
+    ar = _slot_arith(p)
+    S, piece, reduce, neg, coeffs, _ = ar
+    n, G, rows = _window_digits(M, B, det_valuation, ar)
+    exps, live, units, below = [], [0, 1, 2], [], []
+    for r in (0, 1):
+        row, wmask = rows[r], (1 << S * n) - 1
+        # pivot: the least first nonzero slot of row r over the live columns
+        best, a = None, n
+        for j in live:
+            x = row >> S * G * j & wmask
+            if x:
+                v = ((x & -x).bit_length() - 1) // S
+                if v < a:
+                    best, a = j, v
+        live.remove(best)
+        exps.append(a)
+        n, wmask = n - a, wmask >> S * a
+        units.append(row >> S * (G * best + a) & wmask)
+        below += [rows[i] >> S * G * best & wmask for i in range(r + 1, 3)]
+        if r:
+            break
+        keep = wmask << S * G * live[0] | wmask << S * G * live[1]
+        lam, minus_unit = row >> S * a & keep, neg(units[0])
+        for i, x in ((1, below[0]), (2, below[1])):
+            # col_j <- unit * col_j - lam_j * pivot for the live j, in all of
+            # row i at once; with no multiplier they only drop digits
+            if not lam:
+                rows[i] &= keep
+            elif 2 * n <= piece:
+                rows[i] = reduce((minus_unit * rows[i] + x * lam) & keep)
+            else:
+                rows[i] = _dot(keep, ((minus_unit, rows[i]), (x, lam)), ar)
+    # a0 + a1 + a2 = nu(det) = the first window less 1
+    exps.append(n - 1)
 
-    # rows above r are zero in every column >= r, and after step r the pivot
-    # is pi^a and the rest of row r is zero: neither is stored, so each step
-    # updates the rows after r only
-    for r in range(3):
-        # pivot: minimum-valuation entry of row r among columns >= r
-        best, bestval = None, n
-        for j in range(r, 3):
-            v = _order(cols[j][r])
-            if v < bestval:
-                best, bestval = j, v
-        cols[r], cols[best] = cols[best], cols[r]
-        a = exps[r] = bestval
-        piv = cols[r]
-        # the columns after r span, in the rows after r, a lattice with
-        # nu(det) = n - 1 - a, which contains pi^(n-1-a) * O^k: rows after r
-        # are kept modulo pi^(n-a) from here on
-        unit, n = piv[r][a:], n - a
-        rows = range(r + 1, 3)
-        # scaling by any unit congruent to the inverse mod pi^n leaves the
-        # pivot pi^a modulo the window of row r
-        unit_inv = _series_inverse(unit, p) \
-            if unit[0] != 1 or any(unit[1:]) else None
-        for i in rows:
-            piv[i] = piv[i][:n]
-            if unit_inv and any(piv[i]):
-                piv[i] = _muladd([0] * n, unit_inv, piv[i], p)
-        live = [i for i in rows if any(piv[i])]
-        for j in rows:
-            col = cols[j]
-            lam = [-d for d in col[r][a:]]
-            for i in rows:
-                col[i] = col[i][:n]
-                if i in live and any(lam):
-                    col[i] = _muladd(col[i], lam, piv[i], p)
-
-    # reduce below-diagonal entries modulo the row pivot pi^(a_i): with
-    # q = (1, 0) / pi^a1, (2, 0) becomes (2, 0) - q * (2, 1), and then each
-    # entry is its first a_i digits
+    # unit pivots in columns 0 and 1, on the digits read below; then with
+    # q = (1, 0) / pi^a1, (2, 0) becomes (2, 0) - q * (2, 1)
     a0, a1, a2 = exps
-    c0, c1 = cols[0], cols[1]
-    q = [-d for d in c0[1][a1:a1 + a2]]
-    below = (c0[1][:a1], _muladd(c0[2][:a2], q, c1[2], p), c1[2][:a2])
+    p10, p20, p21 = below
+    m2, m12 = (1 << S * a2) - 1, (1 << S * (a1 + a2)) - 1
+    w0 = _series_inverse(units[0] & m12, a1 + a2, p)
+    w1 = _series_inverse(units[1] & m2, a2, p)
+    e10 = p10 & m12 if w0 == 1 else _dot(m12, ((p10, w0),), ar)
+    e21 = p21 & m2 if w1 == 1 else _dot(m2, ((p21, w1),), ar)
+    e20 = _dot(m2, ((p20, w0), (neg(e10 >> S * a1), e21)), ar) if a2 else 0
 
-    # homothety: make the minimum diagonal exponent 0; only the entries
-    # below the diagonal are built from digits
+    # homothety: each entry below the diagonal is its first a_row digits
     mn = min(exps)
-    e10, e20, e21 = (laurent_from_pi_digits(d, -mn) for d in below)
+    e10 = laurent_trim(coeffs(e10, a1), 1 + mn - a1)
+    e20 = laurent_trim(coeffs(e20, a2), 1 + mn - a2)
+    e21 = laurent_trim(coeffs(e21, a2), 1 + mn - a2)
     zero = (0, ())
     canon = MatrixRF.from_terms(p, (
         ((mn - a0, (1,)), zero, zero),
@@ -235,74 +196,112 @@ def canonicalize(M: MatrixRF, det_valuation=None, B=None) -> VertexClass:
     return VertexClass(p, canon, [a - mn for a in exps])
 
 
-def _window_digits(A, B, p, D):
-    """(n, cols): cols[j][i] is the list of the digits of pi^-m * (A B)[i, j]
-    at pi^0 .. pi^(n-1), n = D - 3m + 1, for matrices A and B whose product
-    has nu(det) = D, read from their digit rows (``MatrixRF._digit_rows``),
-    which each matrix builds once.
+@lru_cache(maxsize=None)
+def _slot_arith(p):
+    """(S, piece, reduce, neg, coeffs, pack): digit k of a row is bits
+    [kS, kS + S) of an int; a slot over a reduced one takes ``piece`` digit
+    products.  The slot width is the one branch: 8 bits when p(p-1) < 256,
+    reduced and negated by ``bytes.translate`` (wide slots there cost about
+    20% more per call); else S >= 2N + 2 bits, N those of a reduced slot
+    plus 255 products, so that in x * M, M = 2^(N+l) // p + 1 and
+    2^(l-1) <= p < 2^l, each slot's bits from N + l on are its value // p
+    (Granlund and Montgomery's invariant division).  pack(c) is the row of
+    the coefficients c of t^(1-k) .. t^0; coeffs(x, k) gives them back."""
+    if p * (p - 1) < 256:
+        def remap(table):
+            return lambda x: int.from_bytes(x.to_bytes(
+                (x.bit_length() + 7) >> 3, "little").translate(table), "little")
 
-    m is the least val(A[i][l]) + val(B[l][j]) over the nonzero pairs, a
-    lower bound on the least valuation of the product's entries, so every
-    entry of pi^-m * (A B) lies in O.  Each term product is added straight
-    into the window, reduced mod p as it goes: the coefficient of t^k is the
-    digit at pi^-k, and the pairs of coefficients whose digit falls at or
-    past pi^n are skipped.  A pair of monomials adds one digit.
-    """
-    # each nonzero entry as (its column, nu, its digits from pi^nu on)
-    a = A._digit_rows()[0]
-    b, least = B._digit_rows()
-    m = min([va + least[q] for row in a for q, va, _ in row if b[q]])
-    n = D - 3 * m + 1
-    cols = [[None] * 3, [None] * 3, [None] * 3]
-    for i, row in enumerate(a):
-        acc = [0] * n, [0] * n, [0] * n
-        for q, va, f in row:
-            for j, vb, g in b[q]:
-                o = va + vb - m
-                if o >= n:
-                    continue
-                t = acc[j]
-                if len(g) == 1:
-                    if len(f) == 1:
-                        t[o] = (t[o] + f[0] * g[0]) % p
-                        continue
-                    x, y = g, f
-                else:
-                    x, y = f, g
-                for k, c in enumerate(x[:n - o], o):
-                    if c:
-                        for h, d in enumerate(y[:n - k], k):
-                            t[h] = (t[h] + c * d) % p
-        cols[0][i], cols[1][i], cols[2][i] = acc
-    return n, cols
+        return (8, (256 - p) // (p - 1) ** 2,
+                remap(bytes(k % p for k in range(256))),
+                remap(bytes(-k % p for k in range(256))),
+                lambda x, k: (x & (1 << 8 * k) - 1).to_bytes(k, "big"),
+                lambda c: int.from_bytes(bytes(c), "big"))
+
+    N, l = (p - 1 + 255 * (p - 1) ** 2).bit_length(), p.bit_length()
+    S, M = -(-(2 * N + 2) // 8) * 8, (1 << N + l) // p + 1
+
+    @lru_cache(maxsize=None)
+    def slots(c):
+        ones = ((1 << S * c) - 1) // ((1 << S) - 1)
+        return p * ones, ((1 << S - N - l) - 1) * ones
+
+    def reduce(x):
+        return x - p * (x * M >> N + l & slots(-(-x.bit_length() // S))[1])
+
+    return (S, 255, reduce,
+            lambda x: reduce(slots(-(-x.bit_length() // S))[0] - x),
+            lambda x, k: [x >> S * i & (1 << S) - 1 for i in range(k)][::-1],
+            lambda c: int.from_bytes(b"".join([d.to_bytes(S // 8, "big")
+                                               for d in c]), "big"))
 
 
-def _order(digits):
-    """Index of the first nonzero digit, len(digits) if there is none."""
-    for k, d in enumerate(digits):
-        if d:
-            return k
-    return len(digits)
+def _dot(mask, pairs, ar):
+    """The reduced row of sum(x * y) & mask over pairs of reduced rows, for
+    any number of digit products per slot: each x is split into pieces of
+    ``piece`` digits, and the sum is reduced after each piece's product,
+    which fits over a reduced sum, so no product leaves its segment."""
+    S, piece, reduce = ar[:3]
+    acc = 0
+    for x, y in pairs:
+        for off in range(0, x.bit_length(), S * piece):
+            acc = reduce((acc + ((x >> off & (1 << S * piece) - 1) * y << off))
+                         & mask)
+    return acc
 
 
-def _series_inverse(u, p):
-    """Digits of the inverse of the unit with digits u, modulo pi^len(u)."""
-    c = inv_mod(u[0], p)
-    w = [c]
-    for k in range(1, len(u)):
-        w.append(-sum(u[i] * w[k - i] for i in range(1, k + 1)) * c % p)
+@lru_cache(maxsize=1 << 14)
+def _series_inverse(u, k, p):
+    """The reduced row of u^-1 mod pi^k for a unit u, a reduced row of k
+    digits, by Newton's iteration: if u w = 1 + pi^j d mod pi^(j+h), h <= j,
+    then w - pi^j d w is the inverse mod pi^(j+h).  Memoized: 89-98% of the
+    explore claims' calls repeat a unit, and 2^14 entries keep 92.0% hits
+    on the 23,750 units of orbit_classify(3, radius=2) (92.7% unbounded)."""
+    ar = _slot_arith(p)
+    S, neg = ar[0], ar[3]
+    w, j = inv_mod(u & ((1 << S) - 1), p) if k else 0, 1
+    while j < k:
+        h = min(j, k - j)
+        d = _dot((1 << S * (j + h)) - 1, ((u, w),), ar) >> S * j
+        w |= _dot((1 << S * h) - 1, ((neg(d), w),), ar) << S * j
+        j += h
     return w
 
 
-def _muladd(e, lam, f, p):
-    """e + lam * f on digit lists, modulo pi^len(e)."""
-    out = list(e)
-    n = len(out)
-    for i, x in enumerate(lam):
-        if x:
-            for k in range(i, n):
-                out[k] += x * f[k - i]
-    return [c % p for c in out]
+def _window_digits(A, B, D, ar):
+    """(n, G, rows): entry j of rows[i] is the reduced digit row of
+    pi^-m * (A B)[i, j] mod pi^n at slot G j, n = D - 3m + 1, m the least
+    val(A[i][l]) + val(B[l][j]); G is at least 2n and the span of any entry
+    product, so no product leaves its segment."""
+    S, piece, reduce, _, _, pack = ar
+    a, _, top, _ = A._packed_rows(pack)
+    rows_b, least, top_b, longest = B._packed_rows(pack)
+    m = INF
+    for row in a:
+        for q, va, _, _ in row:
+            if va + least[q] < m:
+                m = va + least[q]
+    n = D - 3 * m + 1
+    G = max(2 * n, top + top_b - m)
+    b = []
+    for row, lo in zip(rows_b, least):
+        y = 0
+        for j, nu, d, _ in row:
+            y += d << S * (G * j + nu - lo)
+        b.append(y)
+    mask = ((1 << S * n) - 1) * (1 + (1 << S * G) + (1 << 2 * S * G))
+    rows = []
+    for row in a:
+        pairs, terms, acc = [], 0, 0
+        for q, va, f, lf in row:
+            if va + least[q] - m < n:
+                x = f << S * (va + least[q] - m)
+                pairs.append((x, b[q]))
+                acc += x * b[q]
+                terms += min(lf, longest[q])
+        rows.append(reduce(acc & mask) if terms <= piece
+                    else _dot(mask, pairs, ar))
+    return n, G, rows
 
 
 def apply(g: MatrixRF, v: VertexClass) -> VertexClass:

@@ -57,17 +57,17 @@ def normalize_mod_homothety(A: MatrixRF) -> MatrixRF:
     return A.scale(LaurentPoly.term(lead, -m, A.p, A.var))
 
 
-def perm_group_order(perms):
-    """Order of the permutation group generated by the given tuples.
+def perm_group(perms):
+    """(order, gens) of the permutation group the given tuples generate.
 
-    A permutation becomes a generator only when it lies outside the group H
-    closed so far.  The closure then grows in two steps: the products
-    h s of the known elements with the new generator s, all new since H is
-    a group; then each new element times every generator, until no product
-    is new.  The set holds the identity and is closed under multiplication
-    by every generator, so it is the group.  Elements that are a group
-    already (an exact report's permutations) need few generators: the
-    closure costs the group order times their number, not its square.
+    A permutation becomes a generator, in gens, only when it lies outside
+    the group H closed so far.  The closure then grows in two steps: the
+    products h s of the known elements with the new generator s, all new
+    since H is a group; then each new element times every generator, until
+    no product is new.  The set holds the identity and is closed under
+    multiplication by every generator, so it is the group.  Elements that
+    are a group already (an exact report's permutations) need few
+    generators: the closure costs the order times their number, not its square.
     """
     seen, gens = None, []
     for pm in perms:
@@ -88,29 +88,23 @@ def perm_group_order(perms):
                         seen.add(prod)
                         nxt.append(prod)
             frontier = nxt
-    return len(seen) if seen else 1
+    return (len(seen) if seen else 1), gens
 
 
 def perm_orbit_sizes(perms, n):
-    """Sorted orbit-size multiset of the group generated by perms on n points."""
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for pm in perms:
-        for i in range(n):
-            a, b = find(i), find(pm[i])
-            if a != b:
-                parent[a] = b
-    sizes = {}
+    """Sorted orbit-size multiset of the group generated by perms on n points:
+    the generators ``perm_group`` took give the same orbits as all of perms."""
+    seen, sizes = [False] * n, []
     for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(sizes.values()))
+        if not seen[i]:
+            seen[i], orbit = True, [i]
+            for j in orbit:
+                for pm in perms:
+                    if not seen[pm[j]]:
+                        seen[pm[j]] = True
+                        orbit.append(pm[j])
+            sizes.append(len(orbit))
+    return tuple(sorted(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +187,7 @@ def _report(v: VertexClass, method: str, elements, perms, orders,
     orders mod homothety; an "exact" report is complete, and must contain the
     identity and have an image order dividing its order."""
     p = v.p
-    image_order = perm_group_order(perms)
+    image_order, gens = perm_group(perms)
     if method == "exact":
         if MatrixRF.identity(p) not in elements:
             raise AssertionError("the identity is missing from the stabilizer")
@@ -204,7 +198,7 @@ def _report(v: VertexClass, method: str, elements, perms, orders,
         vertex=v, method=method, complete=method == "exact",
         elements=tuple(elements), order=len(elements), image_order=image_order,
         element_orders=tuple(sorted(orders)),
-        image_orbit_sizes=perm_orbit_sizes(perms, 2 * (p * p + p + 1)),
+        image_orbit_sizes=perm_orbit_sizes(gens, 2 * (p * p + p + 1)),
         bounds=bounds, perms=tuple(perms))
 
 

@@ -19,8 +19,8 @@ A product is formed when it is written: ``A * B`` checks p and var and
 forms one ``laurent_dot`` per entry, so every error is raised at ``*`` and
 no reader forms anything later.  ``building.canonicalize`` takes two
 factors instead of their product when it needs only its class, and reads
-the digits straight from their digit rows (``_digit_rows``), built once per
-matrix, so ``building.apply`` forms no product.
+the digits straight from their packed digit rows (``_packed_rows``), built
+once per matrix, so ``building.apply`` forms no product.
 
 ``word_evaluate`` does not call the product: it keeps the running product of
 a word as nine integers, each entry's coefficients packed into W-bit slots
@@ -49,6 +49,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .arith import (
+    INF,
     LaurentPoly,
     check_prime,
     laurent_dot,
@@ -66,7 +67,7 @@ class MatrixRF:
     held as the Laurent terms (minexp, coeffs) of its entries; every entry
     read is a ``LaurentPoly`` built from them."""
 
-    __slots__ = ("p", "var", "_det_valuation", "_terms", "_inverse", "_digits")
+    __slots__ = ("p", "var", "_det_valuation", "_terms", "_inverse", "_packed")
 
     def __init__(self, p, rows, var="t"):
         """The matrix of the given entries, each read once as its Laurent
@@ -82,13 +83,13 @@ class MatrixRF:
             raise ValueError("matrix entry is not a Laurent polynomial")
         self.p, self.var = p, var
         self._terms = tuple(flat[:3]), tuple(flat[3:6]), tuple(flat[6:])
-        self._det_valuation = self._inverse = self._digits = None
+        self._det_valuation = self._inverse = self._packed = None
 
     @classmethod
     @lru_cache(maxsize=None)
     def identity(cls, p, var="t"):
         """The identity; cached, so repeated calls share one matrix and
-        build its digit rows (``_digit_rows``) once."""
+        build its packed digit rows (``_packed_rows``) once."""
         return cls.from_terms(p, _IDENTITY_TERMS, var)
 
     @classmethod
@@ -98,7 +99,7 @@ class MatrixRF:
         ends as ``laurent_dot`` returns them."""
         out = cls.__new__(cls)
         out.p, out.var, out._terms = p, var, terms
-        out._det_valuation = out._inverse = out._digits = None
+        out._det_valuation = out._inverse = out._packed = None
         return out
 
     @property
@@ -130,19 +131,25 @@ class MatrixRF:
             p, tuple(tuple(laurent_dot(r, col, p) for col in cols)
                      for r in self._terms), self.var)
 
-    def _digit_rows(self):
-        """(rows, least): rows[i] lists the nonzero entries of row i as
-        (column, nu, digits), the pi-adic digits from pi^nu on, which are
-        the coefficients reversed (the digit at pi^k is the coefficient of
-        t^-k); least[i] is the least nu in row i, None for a zero row.
-        Built once per matrix, for ``building._window_digits``."""
-        if self._digits is None:
-            rows = tuple(tuple((j, 1 - e - len(c), c[::-1])
-                               for j, (e, c) in enumerate(row) if c)
-                         for row in self._terms)
-            self._digits = rows, tuple(min([x[1] for x in r]) if r else None
-                                       for r in rows)
-        return self._digits
+    def _packed_rows(self, pack):
+        """(rows, least, top, longest) for ``building._window_digits``,
+        built once: rows[i] lists row i's nonzero entries as (column, nu,
+        pack(coeffs), length), the digits from pi^nu on; least[i], longest[i]
+        are its least nu (+inf if none) and longest entry; top is max nu+len."""
+        if self._packed is None:
+            rows, least, longest, top = [], [], [], -INF
+            for row in self._terms:
+                r, lo, k = [], INF, 0
+                for j, (e, c) in enumerate(row):
+                    if c:
+                        r.append((j, 1 - e - len(c), pack(c), len(c)))
+                        lo, k = min(lo, 1 - e - len(c)), max(k, len(c))
+                        top = max(top, 1 - e)
+                rows.append(r)
+                least.append(lo)
+                longest.append(k)
+            self._packed = rows, least, top, longest
+        return self._packed
 
     def _cofactors(self, i):
         """The cofactors of row i as Laurent terms, each one ``laurent_dot``:

@@ -171,13 +171,15 @@ def _scale_column(M, j, unit):
 
 @pytest.fixture(scope="module")
 def oracle_inputs():
-    """Seeded matrices at p = 2, 3, 5, 7: letters and their inverses times
+    """Seeded matrices at p = 2, 3, 5, 7, at p = 11 and 13, where the 8-bit
+    digit slots split a multiplier, and at p = 17 and 257, where the slots
+    are wider (at 257 a digit reaches 256): letters and their inverses times
     the vertices of a random walk from [I], with a column scaled by the
     Laurent unit 1 + c*pi = (t + c)/t in a third of them, plus random
     column operations on the resulting classes."""
     rng = random.Random(20261018)
     out = []
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 11, 13, 17, 257):
         letters = ["s1", "s2", "s3", "x", "y"] + (["u"] if p == 3 else [])
         gens = [letter_matrix(a, p) for a in letters]
         gens += [g.inverse() for g in gens]
@@ -208,10 +210,93 @@ def test_canonicalize_matches_exact_elimination(oracle_inputs):
         assert got == want
 
 
+def _spy_on_windows_and_splits(monkeypatch):
+    """(windows, splits): the window lengths n that ``_window_digits`` gives
+    at each p, and the p at which ``_dot`` split a factor of more than
+    ``piece`` digits, whose one product could pass a slot."""
+    windows, splits = {}, set()
+    window, dot = building._window_digits, building._dot
+    primes = {id(building._slot_arith(p)): p
+              for p in (2, 3, 5, 7, 11, 13, 17, 257)}
+
+    def spy_window(A, B, D, ar):
+        out = window(A, B, D, ar)
+        windows.setdefault(A.p, []).append(out[0])
+        return out
+
+    def spy_dot(mask, pairs, ar):
+        if any(x.bit_length() > ar[0] * ar[1] for x, _ in pairs):
+            splits.add(primes[id(ar)])
+        return dot(mask, pairs, ar)
+
+    monkeypatch.setattr(building, "_window_digits", spy_window)
+    monkeypatch.setattr(building, "_dot", spy_dot)
+    return windows, splits
+
+
+def test_slot_boundaries_are_met(oracle_inputs, monkeypatch):
+    # the seeded inputs meet each slot rule: 8-bit slots up to p = 13, and
+    # at p = 11 and 13 a product of two rows can pass a slot, so a factor
+    # is split; 40-bit slots at 17 and 56-bit ones at 257, where the digit
+    # 256 occurs.  On every input, a letter g and the input as the two
+    # factors, with nu(det) passed, as apply and link pass theirs, give the
+    # class of the formed product
+    assert [building._slot_arith(p)[0] for p in (2, 13, 17, 257)] == \
+        [8, 8, 40, 56]
+    windows, splits = _spy_on_windows_and_splits(monkeypatch)
+    rng = random.Random(20261020)
+    for M in oracle_inputs:
+        g = rng.choice(_letters_and_inverses(M.p))
+        got = canonicalize(g, g.det_valuation() + M.det_valuation(), M)
+        want = canonicalize(g * M)
+        assert (got.exps, got.to_text()) == (want.exps, want.to_text())
+        assert got == want and hash(got) == hash(want)
+    assert {11, 13} <= splits
+    assert any(256 in c for M in oracle_inputs if M.p == 257
+               for row in M._terms for _, c in row)
+    assert set(windows) == {2, 3, 5, 7, 11, 13, 17, 257}
+
+
 def _letters_and_inverses(p):
     letters = ["s1", "s2", "s3", "x", "y"] + (["u"] if p == 3 else [])
     gens = [letter_matrix(a, p) for a in letters]
     return gens + [g.inverse() for g in gens]
+
+
+def test_slot_reduction_matches_each_slot_mod_p():
+    # rows of random slots up to the most a slot takes, a reduced digit
+    # plus ``piece`` digit products: reduce gives each slot mod p, neg its
+    # negative, and coeffs and pack go between rows and coefficients
+    rng = random.Random(20261023)
+    for p in (2, 3, 7, 13, 17, 257, 65537, 2 ** 61 - 1):
+        S, piece, reduce, neg, coeffs, pack = building._slot_arith(p)
+        top = p - 1 + piece * (p - 1) ** 2
+        assert top < 1 << S
+        for c in (0, 1, 5, 40):
+            vals = [rng.choice((0, top, rng.randint(0, top))) for _ in range(c)]
+            x = sum(v << S * i for i, v in enumerate(vals))
+            r = reduce(x)
+            assert [r >> S * i & (1 << S) - 1 for i in range(c + 1)] == \
+                [v % p for v in vals] + [0]
+            assert neg(r) == sum(-v % p << S * i for i, v in enumerate(vals))
+            digits = [v % p for v in vals][::-1]
+            assert pack(digits) == r and list(coeffs(r, c)) == digits
+
+
+def test_slots_past_64_bits_match_the_oracle():
+    # at p = 2^61 - 1 a slot is 264 bits wide: a random walk from [I], each
+    # step as one matrix and as two factors, against the oracle
+    p = 2 ** 61 - 1
+    assert building._slot_arith(p)[0] == 264
+    rng = random.Random(20261022)
+    gens = _letters_and_inverses(p)
+    v = canonicalize_oracle(MatrixRF.identity(p))
+    for _ in range(30):
+        g = rng.choice(gens)
+        want = canonicalize_oracle(g * v.canon)
+        for got in (canonicalize(g * v.canon), building.apply(g, v)):
+            assert (got.exps, got.to_text()) == (want.exps, want.to_text())
+        v = want
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +343,46 @@ def test_canonicalize_matches_exact_elimination_on_deep_inputs(deep_inputs):
         # the window shrinks from nu(det) + 1 to a_3 + 1 digits
         shrunk += got.exps[0] + got.exps[1] > 0
     assert len(deep_inputs) >= 150 and shrunk >= 0.9 * len(deep_inputs)
+
+
+def test_digits_of_p_minus_1_meet_every_slot_bound(monkeypatch):
+    # entries whose digits are all p - 1 make every digit product (p-1)^2,
+    # the most a slot bound allows for: rows of one, two and three entries
+    # of 1 to 9 digits, as two factors and as their formed product
+    windows, splits = _spy_on_windows_and_splits(monkeypatch)
+    for p in (2, 3, 5, 7, 11, 13, 17, 257):
+        for k in (0, 1, 3, 8):
+            c = LaurentPoly(p, [p - 1] * (k + 1), -k)
+            d = LaurentPoly(p, [p - 1] * (k // 2 + 1), 0)
+            one, zero = LaurentPoly(p, [1], 0), LaurentPoly(p, [], 0)
+            A = MatrixRF(p, ((c, zero, zero), (d, c, zero), (c, d, c)))
+            B = MatrixRF(p, ((c, d, one), (one, c, d), (d, one, c)))
+            if B.det().is_zero():
+                continue
+            for X, Y in ((A, B), (B, A), (B, B)):
+                got = canonicalize(X, None, Y)
+                for want in (canonicalize(X * Y), canonicalize_oracle(X * Y)):
+                    assert (got.exps, got.to_text()) == \
+                        (want.exps, want.to_text()), (p, k)
+    assert {7, 11, 13} <= splits
+
+
+def test_deep_windows_split_their_products(deep_inputs, monkeypatch):
+    # at p = 5 and 7 the deep inputs give windows of 7 digits and more,
+    # where one 8-bit product of two window rows would pass a slot, so
+    # ``_dot`` splits it; the forms match the oracle, also as two factors
+    # with nu(det) passed
+    windows, splits = _spy_on_windows_and_splits(monkeypatch)
+    rng = random.Random(20261021)
+    deep = [M for M in deep_inputs if M.p in (5, 7)]
+    for M in deep:
+        g = rng.choice(_letters_and_inverses(M.p))
+        got = canonicalize(g, g.det_valuation() + M.det_valuation(), M)
+        for want in (canonicalize(g * M), canonicalize_oracle(g * M)):
+            assert (got.exps, got.to_text()) == (want.exps, want.to_text())
+    for p in (5, 7):
+        assert len(windows[p]) >= 20 and min(windows[p]) >= 7, p
+    assert {5, 7} <= splits
 
 
 def _assert_canonical_from_factor_pair(A, B):

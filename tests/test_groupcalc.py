@@ -24,7 +24,7 @@ from buraubuilding.groupcalc import (
     normalize_mod_homothety,
     orbit_bfs,
     orbit_classify,
-    perm_group_order,
+    perm_group,
     perm_orbit_sizes,
     seven_star,
     seven_star_pair,
@@ -53,16 +53,14 @@ from pi_adic import field_rows
 
 def test_perm_group_order():
     # <(0 1 2)> and <(0 1), (0 1 2)> on three letters
-    assert perm_group_order([(1, 2, 0)]) == 3
-    assert perm_group_order([(1, 0, 2), (1, 2, 0)]) == 6
+    assert perm_group([(1, 2, 0)]) == (3, [(1, 2, 0)])
+    assert perm_group([(1, 0, 2), (1, 2, 0)])[0] == 6
 
 
-def perm_group_order_oracle(perms):
-    """The group closed by breadth-first search with every permutation a
-    generator."""
+def perm_group_oracle(perms):
+    """The elements of the group closed by breadth-first search with every
+    permutation a generator, sorted."""
     gens = [tuple(pm) for pm in perms]
-    if not gens:
-        return 1
     n = len(gens[0])
     seen = {tuple(range(n))}
     frontier = list(seen)
@@ -75,7 +73,7 @@ def perm_group_order_oracle(perms):
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return len(seen)
+    return sorted(seen)
 
 
 def test_perm_group_order_matches_bfs_closure():
@@ -88,19 +86,49 @@ def test_perm_group_order_matches_bfs_closure():
     for n in (3, 4, 5, 6, 7):
         for k in (1, 2, 3):
             gens = [tuple(rng.sample(range(n), n)) for _ in range(k)]
-            if perm_group_order_oracle(gens) > len(set(gens)):
+            if len(perm_group_oracle(gens)) > len(set(gens)):
                 cases.append(gens)
     # a subgroup of S_6 that moves {0, 1, 2} and {3, 4, 5} as blocks
     cases.append([(1, 2, 0, 3, 4, 5), (3, 4, 5, 0, 1, 2), (1, 0, 2, 4, 3, 5)])
     assert len(cases) >= 18
     for perms in cases:
-        assert perm_group_order(perms) == perm_group_order_oracle(perms)
-    assert perm_group_order([]) == 1
-    assert perm_group_order([(0, 1, 2)]) == 1
+        assert perm_group(perms)[0] == len(perm_group_oracle(perms))
+    assert perm_group([]) == (1, [])
+    assert perm_group([(0, 1, 2)]) == (1, [])
 
 
 def test_perm_orbit_sizes():
     assert perm_orbit_sizes([(1, 0, 2, 3)], 4) == (1, 1, 2)
+
+
+def test_orbit_sizes_from_the_generators_perm_group_took():
+    # seeded random groups on up to 9 points, their elements shuffled, and
+    # the exact reports at [I]: the few generators perm_group takes give
+    # the orbit sizes of all the elements
+    rng = random.Random(20261020)
+    cases = [stab_identity_exact(p).perms for p in (2, 3, 5, 7)]
+    for n in (3, 5, 7, 9):
+        for k in (1, 2, 3):
+            # a product of short cycles, so that some groups are intransitive
+            gens = []
+            for _ in range(k):
+                pts = rng.sample(range(n), rng.randint(2, n))
+                pm = list(range(n))
+                for a, b in zip(pts, pts[1:] + pts[:1]):
+                    pm[a] = b
+                gens.append(tuple(pm))
+            elements = perm_group_oracle(gens)
+            rng.shuffle(elements)
+            cases.append(elements)
+    shapes = set()
+    for perms in cases:
+        n = len(perms[0])
+        order, gens = perm_group(perms)
+        assert order == len(set(perms)) and len(gens) < order
+        assert perm_orbit_sizes(gens, n) == perm_orbit_sizes(perms, n)
+        shapes.add(perm_orbit_sizes(perms, n))
+    # transitive and intransitive groups both occur
+    assert any(len(s) == 1 for s in shapes) and any(len(s) > 1 for s in shapes)
 
 
 def entry_map(m, f):
@@ -827,7 +855,7 @@ def test_stab_exact_matches_identity_enumeration():
         assert len(mats) == rpt.order == order, p
         assert {normalize_mod_homothety(g) for g in mats} == \
             set(rpt.elements), p
-        assert perm_group_order(perms) == rpt.image_order, p
+        assert perm_group(perms)[0] == rpt.image_order, p
         assert perm_orbit_sizes(perms, len(perms[0])) == \
             rpt.image_orbit_sizes, p
         assert tuple(sorted(order_mod_homothety(g) for g in mats)) == \
