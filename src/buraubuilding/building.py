@@ -53,6 +53,7 @@ from .arith import (
     INF,
     RatFunc,
     inv_mod,
+    laurent_dot,
     laurent_pi_digits,
     laurent_trim,
     laurent_valuation,
@@ -338,6 +339,21 @@ def relative_position(v1: VertexClass, v2: VertexClass):
 
 def is_adjacent(v1: VertexClass, v2: VertexClass) -> bool:
     return relative_position(v1, v2) in ((0, 0, 1), (0, 1, 1))
+
+
+def distance_to_identity(v: VertexClass) -> int:
+    """d([I], v), the link distance: e3 - e1 of the elementary divisors of
+    v.canon, read with no inverse.  v.canon is lower triangular with
+    diagonal pi^(a0, a1, a2), so e1 + e2, the least valuation of a 2x2
+    minor, is that of a product of two diagonal entries, of a0 * e21,
+    a2 * e10 or of e10 * e21 - pi^a1 * e20."""
+    a0, a1, a2 = v.exps
+    e10, e20, e21 = _below(v.canon._terms)
+    n10, n20, n21 = (laurent_valuation(x) for x in (e10, e20, e21))
+    minor = laurent_dot((e10, (-a1, (v.p - 1,))), (e21, e20), v.p)
+    e12 = min(a0 + a1, a0 + a2, a1 + a2, a0 + n21, a2 + n10,
+              laurent_valuation(minor))
+    return a0 + a1 + a2 - e12 - min(0, n10, n20, n21)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .building import (
     apply,
     canonicalize,
     conjugated_link_permutation,
+    distance_to_identity,
     identity_vertex,
     link,
 )
@@ -620,11 +621,13 @@ DEFAULT_RADIUS = 1
 class _Moves(NamedTuple):
     """What an orbit BFS knows before it starts: mats, the generators then
     their inverses (``_gen_matrices``); orders[i], the order of mats[i]
-    modulo homothety, or None above ``_ORDER_CAP``; and seed[i], a dict of
-    images mats[i].v known for free (``_link_seed``)."""
+    modulo homothety, or None above ``_ORDER_CAP``; seed[i], a dict of
+    images mats[i].v known for free; and reach[i] = d([I], mats[i].[I]),
+    or None before ``_link_seed``."""
     mats: list
     orders: tuple
     seed: tuple
+    reach: Optional[tuple] = None
 
 
 def _moves(gens, p) -> _Moves:
@@ -635,24 +638,29 @@ def _moves(gens, p) -> _Moves:
     return _Moves(mats, orders + orders, tuple({} for _ in mats))
 
 
-def _link_seed(I, lk, mats):
-    """seed[i] maps lk[j] to lk[perm[j]], fixed points included, for each
-    generator mats[i] that fixes I (one ``apply`` each), with perm its
-    ``conjugated_link_permutation`` (I.canon is the identity, so the
-    conjugate is mats[i] itself), and seed[i + k] is the inverse map.  A
-    generator that moves I seeds nothing."""
+def _link_seed(I, lk, moves: _Moves) -> _Moves:
+    """moves with its seed and reach, from one ``apply`` of each generator
+    mats[i] to I.  If mats[i] fixes I, seed[i] maps lk[j] to lk[perm[j]],
+    fixed points included, with perm its ``conjugated_link_permutation``
+    (I.canon is the identity, so the conjugate is mats[i] itself), and
+    seed[i + k] is the inverse map; a generator that moves I seeds
+    nothing.  reach[i + k] = reach[i], as d(I, g^-1.I) = d(g.I, I)."""
+    mats = moves.mats
     k = len(mats) // 2
     seed = [{} for _ in mats]
+    reach = []
     for i, g in enumerate(mats[:k]):
-        if apply(g, I) == I:
+        gI = apply(g, I)
+        reach.append(distance_to_identity(gI))
+        if gI == I:
             images = [lk[j] for j in conjugated_link_permutation(g)]
             seed[i] = dict(zip(lk, images))
             seed[i + k] = dict(zip(images, lk))
-    return tuple(seed)
+    return moves._replace(seed=tuple(seed), reach=tuple(reach + reach))
 
 
 def orbit_bfs(start: VertexClass, gens, depth: int,
-              budget: int = DEFAULT_ORBIT_BUDGET):
+              budget: int = DEFAULT_ORBIT_BUDGET, radius: Optional[int] = None):
     """Vertices reachable from start by generator applications up to depth.
 
     gens are matrices, letter names or words, or the ``_Moves`` that
@@ -674,25 +682,45 @@ def orbit_bfs(start: VertexClass, gens, depth: int,
     its inverse each cost an apply at a vertex they fix: a one-level BFS
     from [I] by x and y makes the 4 applies that ``perfbench`` pins.  The
     link seed does hold the fixed points of its permutations.  Every edge
-    equals the ``apply`` it replaces, so the set, the frontier order and
-    the point where the budget trips are those of the plain BFS.
+    equals the ``apply`` it replaces, so without radius the set, the
+    frontier order and the point where the budget trips are those of the
+    plain BFS.
+
+    With radius R (gens a ``_Moves`` with reach, from ``orbit_classify``)
+    only the set within the R-ball of [I] is exact: an edge that misses the
+    table is not applied if d(v) - reach[i] > R + s * max(reach), s the
+    steps left after it, since g is an isometry and d(g.v) >= d(v) -
+    d(g.I, I) (README).  This is on only when the plain BFS cannot trip the
+    budget: when the reduced words of length <= depth number <= budget.
     """
     moves = gens if isinstance(gens, _Moves) else _moves(gens, start.p)
     mats = moves.mats
     n = len(mats)
+    if radius is not None and 1 + sum(n * (n - 1) ** j
+                                      for j in range(depth)) > budget:
+        radius = None
+    reach = (0,) * n if radius is None else moves.reach
     edges = [dict(images) for images in moves.seed]
-    steps = [(m, edges[i], edges[(i + n // 2) % n], moves.orders[i])
+    steps = [(m, edges[i], edges[(i + n // 2) % n], moves.orders[i], reach[i])
              for i, m in enumerate(mats)]
     seen = {start}
     frontier = [start]
-    for _ in range(depth):
+    for level in range(depth):
         nxt = []
+        limit = None if radius is None else \
+            radius + (depth - level - 1) * max(reach)
         for v in frontier:
-            for m, forward, back, c in steps:
+            d = None
+            for m, forward, back, c, r in steps:
                 w = forward.get(v)
                 if w is None:
                     w = _order_walk(back, v, c)
                     if w is None:
+                        if limit is not None:
+                            if d is None:
+                                d = distance_to_identity(v)
+                            if d - r > limit:
+                                continue
                         w = apply(m, v)
                         if w == v:
                             continue
@@ -771,19 +799,19 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = DEFAULT_RADIUS,
     external numbering of vertices.
 
     link([I]) is enumerated once: the ball is built from it, and every
-    ``orbit_bfs``, to depth 6, starts with a table of its own holding the edges that the
-    generators fixing [I] induce on it (``_link_seed``).  The generator
-    matrices, their orders and that seed are built before any BFS runs,
-    so a letter with no matrix at p raises its ValueError here; a ValueError
-    from a BFS is then only a tripped budget.
+    ``orbit_bfs``, to depth 6, starts with a table of its own holding the
+    edges that the generators fixing [I] induce on it (``_link_seed``).
+    Each BFS is pruned to the ball, all it keeps of an orbit.  The
+    generator matrices, their orders, reaches and that seed are built
+    before any BFS runs, so a letter with no matrix at p raises its
+    ValueError here; a ValueError from a BFS is then only a tripped budget.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     I = identity_vertex(p)
     lk = [lv.vclass for lv in link(I)]
     B = _ball(I, lk, radius)
-    moves = _moves(gens, p)
-    moves = moves._replace(seed=_link_seed(I, lk, moves.mats))
+    moves = _link_seed(I, lk, _moves(gens, p))
     complete = True
     anchors = [("group-point", I)]
     if p == 3 and any(str(g) == "u" for g in gens):
@@ -795,7 +823,7 @@ def orbit_classify(p: int, gens=("x", "y", "u"), radius: int = DEFAULT_RADIUS,
         """The BFS orbit of rep, or {rep} and an incomplete table."""
         nonlocal complete
         try:
-            return orbit_bfs(rep, moves, 6, budget)
+            return orbit_bfs(rep, moves, 6, budget, radius)
         except ValueError:
             complete = False
             return {rep}

@@ -13,6 +13,7 @@ from buraubuilding.building import (
     VertexClass,
     apply,
     canonicalize,
+    distance_to_identity,
     identity_vertex,
     induced_link_permutation,
     is_adjacent,
@@ -643,6 +644,16 @@ def test_relative_position_matches_minor_oracle(p):
         seen.add(got)
     # two link vertices may lie at distance 2, in any of three positions
     assert seen == {(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 0, 2), (0, 1, 2), (0, 2, 2)}
+
+
+@pytest.mark.parametrize("p, radius", [(2, 3), (3, 3), (5, 2)])
+def test_distance_to_identity_is_the_spread_of_the_relative_position(p, radius):
+    # and the link distance at which ball() finds the vertex: the orbit
+    # BFS prunes by it
+    I = identity_vertex(p)
+    for v, d in ball(p, radius).items():
+        e = relative_position(I, v)
+        assert distance_to_identity(v) == e[-1] - e[0] == d, v
 
 
 def test_adjacency_symmetric():

@@ -14,9 +14,11 @@ from buraubuilding.building import (
     identity_vertex,
     induced_link_permutation,
     link,
+    relative_position,
 )
 from buraubuilding.groupcalc import (
     LINK_GROUP_WORDS,
+    ball,
     entry_degree_bounds,
     form_pullback,
     kernel_witness_check,
@@ -1096,44 +1098,73 @@ def _orbit_cases():
 
 def _link_seeded(p, gens, mats):
     """The orbit_bfs generators that orbit_classify builds, with their link
-    seed, and the seed's edges read by apply: mats[i].v for every v in
-    link([I]) and every generator mats[i] that fixes [I]."""
+    seed and reach, and the seed's edges read by apply: mats[i].v for every
+    v in link([I]) and every generator mats[i] that fixes [I]."""
     I = identity_vertex(p)
     lk = [lv.vclass for lv in link(I)]
     k = len(gens)
     fixing = [i for i in range(k) if apply(mats[i], I) == I]
     seed = [(v, i, apply(mats[i], v)) for i in fixing for v in lk]
-    moves = groupcalc._moves(gens, p)
-    return moves._replace(seed=groupcalc._link_seed(I, lk, moves.mats)), seed
+    return groupcalc._link_seed(I, lk, groupcalc._moves(gens, p)), seed
+
+
+def reduced_words(n, depth):
+    """The number of reduced words of length <= depth in n matrices that
+    are k generators and their inverses."""
+    return 1 + sum(n * (n - 1) ** j for j in range(depth))
 
 
 def test_orbit_bfs_matches_plain_bfs(monkeypatch):
     calls = []
     counting = counting_apply(calls)
+
+    def counted_bfs(*args):
+        calls.clear()
+        monkeypatch.setattr(groupcalc, "apply", counting)
+        try:
+            return orbit_bfs(*args)
+        except ValueError:
+            return None
+        finally:
+            monkeypatch.undo()
+
+    balls = {(p, r): set(ball(p, r)) for p in (2, 3, 5) for r in (1, 2)}
+    pruned = applies_saved = 0
     for p, gens, start, depth in _orbit_cases():
         mats = [letter_matrix(g, p) for g in gens]
         mats += [m.inverse() for m in mats]
-        variants = [(gens, ())]
-        if "x" in gens:
-            variants.append(_link_seeded(p, gens, mats))
-        for arg, seed in variants:
-            size = len(plain_orbit_bfs(start, mats, depth, 10 ** 9, seed)[0])
+        moves, seed = _link_seeded(p, gens, mats)
+        words = reduced_words(len(mats), depth)
+        for arg, seed in ((gens, ()), (moves, seed)):
+            full, _, full_applies = plain_orbit_bfs(start, mats, depth,
+                                                    10 ** 9, seed)
+            size = len(full)
             # the same set, the same applies, and the budget trips at the
-            # same vertex, after the same applies
+            # same vertex, after the same applies; a radius changes none
+            # of them while the plain BFS could trip the budget
             for budget in {1, size // 2, size - 1, size}:
                 want, trips, applies = plain_orbit_bfs(start, mats, depth,
                                                        budget, seed)
-                calls.clear()
-                monkeypatch.setattr(groupcalc, "apply", counting)
-                try:
-                    got = orbit_bfs(start, arg, depth, budget)
-                except ValueError:
-                    got = None
-                monkeypatch.undo()
-                case = (p, gens, start, depth, budget, bool(seed))
-                assert (got is None) == trips == (size > budget), case
-                assert got is None or got == want, case
-                assert len(calls) == applies, case
+                radii = (None, 1, 2) if arg is moves and budget < words \
+                    else (None,)
+                for radius in radii:
+                    got = counted_bfs(start, arg, depth, budget, radius)
+                    case = (p, gens, start, depth, budget, bool(seed), radius)
+                    assert (got is None) == trips == (size > budget), case
+                    assert got is None or got == want, case
+                    assert len(calls) == applies, case
+            if arg is not moves:
+                continue
+            # pruned to the ball: within it, the set of the plain BFS
+            for radius in (1, 2):
+                got = counted_bfs(start, moves, depth, words, radius)
+                B = balls[p, radius]
+                case = (p, gens, start, depth, radius)
+                assert got <= full and got & B == full & B, case
+                pruned += got < full
+                applies_saved += full_applies - len(calls)
+    # the radius did prune, and saved applies overall
+    assert pruned and applies_saved > 0, (pruned, applies_saved)
 
 
 def test_orbit_bfs_closes_a_generator_cycle_with_one_apply_fewer(monkeypatch):
@@ -1164,8 +1195,8 @@ def test_link_seed_edges_equal_apply():
         gens = letters + (("u", "u1", "h", "w") if p == 3 else ())
         I = identity_vertex(p)
         lk = [lv.vclass for lv in link(I)]
-        mats = groupcalc._gen_matrices(gens, p)
-        seed = groupcalc._link_seed(I, lk, mats)
+        moves = groupcalc._link_seed(I, lk, groupcalc._moves(gens, p))
+        mats, seed = moves.mats, moves.seed
         k = len(gens)
         for i, g in enumerate(gens):
             fixes = apply(mats[i], I) == I
@@ -1173,6 +1204,22 @@ def test_link_seed_edges_equal_apply():
                 want = [apply(mats[j], v) if fixes else None for v in lk]
                 assert [seed[j].get(v) for v in lk] == want, (p, g)
         assert any(seed), p
+
+
+def test_link_seed_reach_is_the_distance_each_matrix_moves_identity():
+    # x fixes [I], y and s1, s2, s3 move it to a neighbour, and u two steps
+    want = {"x": 0, "y": 1, "s1": 1, "s2": 1, "s3": 1, "u": 2}
+    for p in (2, 3, 5, 7):
+        gens = ("x", "y", "s1", "s2", "s3") + (("u",) if p == 3 else ())
+        I = identity_vertex(p)
+        lk = [lv.vclass for lv in link(I)]
+        moves = groupcalc._link_seed(I, lk, groupcalc._moves(gens, p))
+        got = []
+        for m in moves.mats:
+            e = relative_position(I, apply(m, I))
+            got.append(e[-1] - e[0])
+        # a matrix and its inverse move [I] equally far
+        assert list(moves.reach) == got == [want[g] for g in gens] * 2, p
 
 
 def test_orbit_classify_refuses_a_letter_undefined_at_p():
@@ -1183,6 +1230,21 @@ def test_orbit_classify_refuses_a_letter_undefined_at_p():
 # sha256 prefixes of the orbit table JSON of orbit_classify(3, radius=1,
 # stab_reports=False), taken when every anchor ran its own BFS
 CLASSIFY_P3_DIGESTS = {None: "aa622c230d2a0f15", 100: "2e9235fa68c21225"}
+
+
+@pytest.mark.parametrize("p, gens, radius", [
+    (2, ("x", "y"), 1), (2, ("x", "y"), 2), (2, ("x", "y"), 3),
+    (2, ("s1", "s2"), 2), (3, ("s1", "s2"), 1)])
+def test_orbit_classify_pruned_tables_equal_plain_ones(p, gens, radius,
+                                                       monkeypatch):
+    # p = 3 with x, y, u at radius 1 is pinned by CLASSIFY_P3_DIGESTS,
+    # which were taken on the plain BFS
+    pruned = orbit_classify(p, gens, radius, stab_reports=False)
+    plain_bfs = orbit_bfs
+    monkeypatch.setattr(groupcalc, "orbit_bfs",
+                        lambda start, moves, depth, budget, radius:
+                        plain_bfs(start, moves, depth, budget))
+    assert pruned == orbit_classify(p, gens, radius, stab_reports=False)
 
 
 @pytest.mark.parametrize("budget", [None, 100])
