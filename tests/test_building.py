@@ -477,11 +477,15 @@ def test_apply_forms_no_product_and_keys_on_three_entries(monkeypatch):
     for g in gens:
         g.det_valuation()
     dots, built = [], []
-    dot, init = rep.laurent_dot, RatFunc.__init__
+    dot, product, init = rep.laurent_dot, rep._product_terms, RatFunc.__init__
 
     def counting_dot(*args):
         dots.append(1)
         return dot(*args)
+
+    def counting_product(*args):
+        dots.append(1)
+        return product(*args)
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
@@ -489,6 +493,7 @@ def test_apply_forms_no_product_and_keys_on_three_entries(monkeypatch):
 
     v = identity_vertex(p)
     monkeypatch.setattr(rep, "laurent_dot", counting_dot)
+    monkeypatch.setattr(rep, "_product_terms", counting_product)
     monkeypatch.setattr(RatFunc, "__init__", counting_init)
     for g in gens:
         v = apply(g, v)

@@ -59,9 +59,10 @@ def test_perm_group_order():
     assert perm_group([(1, 0, 2), (1, 2, 0)])[0] == 6
 
 
-def perm_group_oracle(perms):
+def perm_group_oracle(perms, limit=None):
     """The elements of the group closed by breadth-first search with every
-    permutation a generator, sorted."""
+    permutation a generator, sorted; None once more than ``limit`` are
+    found."""
     gens = [tuple(pm) for pm in perms]
     n = len(gens[0])
     seen = {tuple(range(n))}
@@ -74,6 +75,8 @@ def perm_group_oracle(perms):
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
+        if limit is not None and len(seen) > limit:
+            return None
         frontier = nxt
     return sorted(seen)
 
@@ -106,20 +109,23 @@ def test_perm_orbit_sizes():
 def test_orbit_sizes_from_the_generators_perm_group_took():
     # seeded random groups on up to 9 points, their elements shuffled, and
     # the exact reports at [I]: the few generators perm_group takes give
-    # the orbit sizes of all the elements
+    # the orbit sizes of all the elements.  A group of more than 7! = 5040
+    # elements (all of S8 or S9, say) is drawn again.
     rng = random.Random(20261020)
     cases = [stab_identity_exact(p).perms for p in (2, 3, 5, 7)]
     for n in (3, 5, 7, 9):
         for k in (1, 2, 3):
-            # a product of short cycles, so that some groups are intransitive
-            gens = []
-            for _ in range(k):
-                pts = rng.sample(range(n), rng.randint(2, n))
-                pm = list(range(n))
-                for a, b in zip(pts, pts[1:] + pts[:1]):
-                    pm[a] = b
-                gens.append(tuple(pm))
-            elements = perm_group_oracle(gens)
+            elements = None
+            while elements is None:
+                # a product of cycles, so that some groups are intransitive
+                gens = []
+                for _ in range(k):
+                    pts = rng.sample(range(n), rng.randint(2, n))
+                    pm = list(range(n))
+                    for a, b in zip(pts, pts[1:] + pts[:1]):
+                        pm[a] = b
+                    gens.append(tuple(pm))
+                elements = perm_group_oracle(gens, limit=5040)
             rng.shuffle(elements)
             cases.append(elements)
     shapes = set()

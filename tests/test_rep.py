@@ -436,26 +436,195 @@ def test_product_raises_at_the_product():
         MatrixRF(3, rows)
 
 
+def _terms_matrix(p, entries, var="t"):
+    """The matrix of nine Laurent terms (minexp, coeffs), row by row."""
+    return MatrixRF.from_terms(
+        p, (tuple(entries[:3]), tuple(entries[3:6]), tuple(entries[6:])), var)
+
+
+def _random_terms(rng, p, exps=(-4, 3), longest=5, size=3):
+    """The terms of a random entry, zero in about a quarter of the draws:
+    coefficients mod p, or of |c| <= size over Z, with nonzero ends."""
+    if rng.random() < 0.25:
+        return 0, ()
+
+    def coeff(zero):
+        if p is not None:
+            return rng.randrange(0 if zero else 1, p)
+        c = rng.randint(0 if zero else 1, size)
+        return c if rng.random() < 0.5 else -c
+
+    n = rng.randint(1, longest)
+    c = [coeff(False)] + [coeff(True) for _ in range(n - 2)]
+    if n > 1:
+        c.append(coeff(False))
+    return rng.randint(*exps), tuple(c)
+
+
+def _random_terms_matrix(rng, p, var="t", **kw):
+    return _terms_matrix(p, [_random_terms(rng, p, **kw) for _ in range(9)], var)
+
+
+@pytest.fixture
+def product(monkeypatch):
+    """A function of two factors that checks their product against
+    ``_eager_product`` and returns the bytes per slot it was packed at
+    (1 for the 8-bit slots, which take no ``_pack``)."""
+    from buraubuilding import rep
+    widths = []
+    pack = rep._pack
+
+    def counting(coeffs, w8, signed):
+        widths.append(w8)
+        return pack(coeffs, w8, signed)
+
+    monkeypatch.setattr(rep, "_pack", counting)
+
+    def check(a, b):
+        widths.clear()
+        got = a * b
+        assert got._terms == _eager_product(a, b)
+        assert (got.p, got.var) == (a.p, a.var)
+        assert len(set(widths)) <= 1
+        return widths[0] if widths else 1
+
+    return check
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_product_slots_of_8_bits_hold_up_to_255(product, p):
+    # entries of L digits p - 1: the middle slot of each product entry sums
+    # 3 L (p - 1)^2 digit products, the bound the slot must hold
+    top = 255 // (3 * (p - 1) ** 2)
+    assert 3 * top * (p - 1) ** 2 <= 255 < 3 * (top + 1) * (p - 1) ** 2
+    for L, width in ((top, 1), (top + 1, 8)):
+        for shift in (0, 1):
+            a = _terms_matrix(p, [(-L // 2, (p - 1,) * L)] * 9)
+            b = _terms_matrix(p, [(k * shift, (p - 1,) * L) for k in range(9)])
+            assert product(a, b) == width
+            assert product(b, a) == width
+    # the shorter factor's longest entry sets the bound
+    long = _terms_matrix(p, [(-3, (p - 1,) * 200)] * 9)
+    short = _terms_matrix(p, [(2, (p - 1,))] * 9)
+    assert product(long, short) == product(short, long) == 1
+
+
+@pytest.mark.parametrize("p", [11, 17, 257, 2 ** 61 - 1])
+def test_product_wide_slots_match_the_laurent_dot_product(product, p):
+    rng = random.Random(20261021 + p % 1000)
+    width = 16 if p > 1 << 32 else 8
+    for _ in range(30):
+        a, b = (_random_terms_matrix(rng, p) for _ in range(2))
+        assert product(a, b) in (1, width)
+    for L in (1, 5, 21):
+        full = _terms_matrix(p, [(0, (p - 1,) * L)] * 9)
+        assert product(full, full) == width
+    if p == 2 ** 61 - 1:
+        # 3 L (p - 1)^2 passes 2^128 from L = 22 on
+        full = _terms_matrix(p, [(0, (p - 1,) * 22)] * 9)
+        assert product(full, full) == 24
+
+
+def test_product_over_z_balances_its_slots(product):
+    rng = random.Random(20261022)
+    for _ in range(30):
+        a, b = (_random_terms_matrix(rng, None, size=2 ** 72) for _ in range(2))
+        assert product(a, b) in (1, 24)
+    for _ in range(30):
+        a, b = (_random_terms_matrix(rng, None) for _ in range(2))
+        assert product(a, b) in (1, 8)
+    # one-term entries of |c| = m: the middle slots sum 3 m^2, of either
+    # sign, which 64-bit balanced slots hold while it is below 2^63
+    top = math.isqrt((2 ** 63 - 1) // 3)
+    assert 3 * top ** 2 < 2 ** 63 <= 3 * (top + 1) ** 2
+    for m, width in ((top, 8), (top + 1, 16)):
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a = _terms_matrix(None, [(0, (sa * m,))] * 9)
+            b = _terms_matrix(None, [(k, (sb * m,)) for k in range(9)])
+            assert product(a, b) == product(b, a) == width
+
+
+def test_product_spreads_exponents_from_t_minus_20_to_t_20(product):
+    rng = random.Random(20261023)
+    for p in (None, 2, 3, 5, 7, 11):
+        for _ in range(20):
+            a, b = (_random_terms_matrix(rng, p, exps=(-20, 20))
+                    for _ in range(2))
+            product(a, b)
+        # single digits at both ends of the range in each factor
+        ends = [(-20, (1,)), (0, ()), (20, (1,))] * 3
+        m = _terms_matrix(p, ends)
+        product(m, m)
+        product(m, m.transpose())
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11])
+def test_product_of_zero_rows_columns_and_cancelling_entries(product, p):
+    rng = random.Random(20261024 + (p or 0))
+    zero = (0, ())
+    for i in range(3):
+        a, b = (_random_terms_matrix(rng, p) for _ in range(2))
+        rows = [list(r) for r in a._terms]
+        rows[i] = [zero] * 3
+        a = _terms_matrix(p, rows[0] + rows[1] + rows[2])
+        cols = [list(r) for r in b._terms]
+        for r in cols:
+            r[i] = zero
+        b = _terms_matrix(p, cols[0] + cols[1] + cols[2])
+        product(a, b)
+        assert (a * b)._terms[i] == (zero,) * 3
+        assert all(r[i] == zero for r in (a * b)._terms)
+        product(b, a)
+    nothing = _terms_matrix(p, [zero] * 9)
+    m = _random_terms_matrix(rng, p)
+    for x, y in ((nothing, m), (m, nothing), (nothing, nothing)):
+        product(x, y)
+        assert (x * y)._terms == ((zero,) * 3,) * 3
+
+    # with f = t^-2 + t^-1 + 1 + t and g = 1, entry (0, 0) is f - f = 0
+    # and (0, 1) is f + (g - f) = g, both ends cancelled
+    one, minus = (0, (1,)), -1 % p if p else -1
+    f, g_minus_f = (-2, (1, 1, 1, 1)), (-2, (minus, minus, 0, minus))
+    a = _terms_matrix(p, [one, one, zero] + [(1, (1,))] * 6)
+    b = _terms_matrix(p, [f, f, zero, (-2, (minus,) * 4), g_minus_f, zero,
+                          (3, (1,)), zero, one])
+    product(a, b)
+    assert (a * b)._terms[0][:2] == (zero, one)
+
+
+def test_product_over_s(product):
+    # var "s", of the Squier form J, multiplies as var "t" does
+    rng = random.Random(20261025)
+    for p in (None, 2, 3, 5, 7, 11):
+        for _ in range(10):
+            a, b = (_random_terms_matrix(rng, p, var="s") for _ in range(2))
+            product(a, b)
+    for p in (2, 3, 5, 11):
+        J = squier_form(p)
+        product(J, J)
+        product(J.star(), J)
+
+
 def test_a_product_read_twice_forms_its_terms_once(monkeypatch):
     from buraubuilding import rep
     calls = []
-    dot = rep.laurent_dot
+    kernel = rep._product_terms
 
     def counting(*args):
         calls.append(1)
-        return dot(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(rep, "laurent_dot", counting)
+    monkeypatch.setattr(rep, "_product_terms", counting)
     a, b = burau_generator(1, 3), burau_generator(2, 3)
     m = a * b
-    assert len(calls) == 9
+    assert len(calls) == 1
     first = m._terms
     # every later reader goes through the formed terms
     for read in (lambda: m.rows, lambda: hash(m), lambda: str(m),
                  lambda: is_homothety(m), lambda: m == m):
         read()
     assert m._terms is first
-    assert len(calls) == 9
+    assert len(calls) == 1
 
 
 def test_orders_and_powers_form_no_product_past_their_last_read(monkeypatch):
@@ -633,12 +802,14 @@ def test_det_valuation_matches_det():
 # -- packed word evaluation ----------------------------------------------------
 
 def word_evaluate_oracle(w, p):
-    """The left-to-right ``MatrixRF`` product of the letter matrices, one
-    ``__mul__`` per letter: the reference for the packed chain."""
+    """The left-to-right product of the letter matrices, one
+    ``_eager_product`` (a ``laurent_dot`` per entry) per letter: the
+    reference for the packed chain, which shares no kernel with it."""
     out = MatrixRF.identity(p)
     for name, sgn in w:
         m = letter_matrix(name, p)
-        out = out * (m if sgn > 0 else m.inverse())
+        out = MatrixRF.from_terms(
+            p, _eager_product(out, m if sgn > 0 else m.inverse()))
     return out
 
 
