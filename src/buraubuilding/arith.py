@@ -1,20 +1,21 @@
-"""Exact arithmetic over F_p: polynomials, Laurent polynomials in t and s
-(s^2 = t), normalized rational functions, the degree valuation, the bar
-involution t -> 1/t, and pi-adic expansion at the uniformizer pi = 1/t.
-``LaurentPoly`` is the one Laurent type: over F_p, or over Z with ``p=None``
-(the integral Burau matrices).
+"""Exact arithmetic over F_p: Laurent polynomials in t and s (s^2 = t), the
+degree valuation, the bar involution t -> 1/t, and pi-adic expansion at the
+uniformizer pi = 1/t.  ``LaurentPoly`` is the one Laurent type: over F_p, or
+over Z with ``p=None`` (the integral Burau matrices).
 
-Polynomials over F_p are represented as trimmed tuples of ints in [0, p),
-index = exponent.  All values are immutable; every operation is a pure
-function, so everything here is safe to share between workers.
+A Laurent polynomial is given by its terms (minexp, coeffs): coeffs a tuple
+of ints (in [0, p) mod p) with nonzero ends, empty for zero.  All values are
+immutable; every operation is a pure function, so everything here is safe
+to share between workers.
 
 Every matrix entry in the Burau setting is a Laurent polynomial.  A matrix
-holds its entries' Laurent terms (minexp, coeffs) and computes on those
-with ``laurent_dot``, ``laurent_valuation`` and ``laurent_pi_digits``; an
-entry read is a ``LaurentPoly`` view of them, for every p.  ``RatFunc`` is
-the test oracles' reference field F_p(t), with its field arithmetic and its
-gcd path (``pgcd``, ``pdivmod``, ``pmonic``), and the box of the entries of
-a vertex key (``building.VertexClass``).
+holds its entries' Laurent terms and computes on those with
+``laurent_dot``, ``laurent_valuation`` and ``laurent_pi_digits``; an entry
+read is a ``LaurentPoly`` view of them, for every p.  Nothing here divides
+polynomials: ``RatFunc`` is only the box of the entries of a vertex key
+(``building.VertexClass``), a Laurent polynomial written num / den in the
+normal form of F_p(t).  The field F_p(t) itself, with its gcd, is the test
+oracles' reference (``tests/pi_adic.py``).
 """
 
 from __future__ import annotations
@@ -78,41 +79,7 @@ def inv_mod(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial tuples over F_p  (index = exponent, trimmed)
-
-def ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def pdeg(a):
-    """Degree; -1 for the zero polynomial."""
-    return len(a) - 1
-
-
-def padd(a, b, p):
-    n = max(len(a), len(b))
-    return ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def pneg(a, p):
-    return tuple((-x) % p for x in a)
-
-
-def pmul(a, b, p):
-    """Product over F_p, or the unreduced product over Z when p is None."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return ptrim(out if p is None else [c % p for c in out])
-
+# Laurent terms (minexp, coeffs): the kernels of the matrix code
 
 def laurent_dot(xs, ys, p):
     """The dot product sum x_k * y_k of two vectors of Laurent polynomials,
@@ -165,52 +132,6 @@ def laurent_trim(coeffs, minexp):
     while not coeffs[lo]:
         lo += 1
     return minexp + lo, tuple(coeffs[lo:hi])
-
-
-def pscale(a, c, p):
-    c %= p
-    if c == 0:
-        return ()
-    return ptrim([(x * c) % p for x in a])
-
-
-def pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    binv = inv_mod(b[-1], p)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * binv) % p
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return ptrim(q), ptrim(a)
-
-
-def pgcd(a, b, p):
-    while b:
-        a, b = b, pdivmod(a, b, p)[1]
-    return pmonic(a, p)
-
-
-def pmonic(a, p):
-    if not a:
-        return ()
-    return pscale(a, inv_mod(a[-1], p), p)
-
-
-def pshift(a, k):
-    """Multiply by x^k (k >= 0)."""
-    if not a:
-        return ()
-    return (0,) * k + tuple(a)
-
-
-def preverse(a):
-    """x^deg(a) * a(1/x), trimmed."""
-    return ptrim(reversed(a))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +225,9 @@ class LaurentPoly:
     def __mul__(self, other):
         self._check(other)
         # the unreduced product; the constructor reduces it mod p
-        prod = pmul(self.coeffs, other.coeffs, None)
-        return LaurentPoly(self.p, prod, self.minexp + other.minexp, self.var)
+        e, prod = laurent_dot((self.laurent_terms(),), (other.laurent_terms(),),
+                              None)
+        return LaurentPoly(self.p, prod, e, self.var)
 
     def inverse(self):
         """Inverse of a unit c*t^k (c = +-1 over Z); ZeroDivisionError otherwise."""
@@ -336,7 +258,7 @@ class LaurentPoly:
         return hash((self.p, self.var, self.minexp, self.coeffs))
 
     def laurent_terms(self):
-        """(minexp, coeffs), as ``RatFunc.laurent_terms`` reads a RatFunc."""
+        """(minexp, coeffs), the form the Laurent kernels compute on."""
         return self.minexp, self.coeffs
 
     # -- the operations named in the interface ------------------------------
@@ -368,11 +290,6 @@ class LaurentPoly:
         """The image mod p of a polynomial over Z."""
         return LaurentPoly(p, self.coeffs, self.minexp, self.var)
 
-    def to_ratfunc(self):
-        if self.p is None:
-            raise ValueError("a RatFunc needs a modulus; reduce_mod(p) first")
-        return RatFunc.from_terms(self.p, self.coeffs, self.minexp, self.var)
-
     # -- text ----------------------------------------------------------------
     def __repr__(self):
         return "LaurentPoly(%s)" % self
@@ -382,49 +299,19 @@ class LaurentPoly:
 
 
 class RatFunc:
-    """Normalized quotient of polynomials over F_p.
-
-    Invariants: den != 0, gcd(num, den) = 1, den monic; zero is 0/1.
-    """
+    """A Laurent polynomial of F_p(t) in the normal form num / den of the
+    reference field: den monic, gcd(num, den) = 1, zero is 0/1.  It is the
+    box of a vertex key's entries (``building.VertexClass``), built by
+    ``from_terms`` with no division; it has no arithmetic, and equality is
+    equality of (p, var, num, den)."""
 
     __slots__ = ("p", "var", "num", "den")
 
-    def __init__(self, p, num, den, var="t", normalize=True):
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if normalize:
-            num = ptrim(c % p for c in num)
-            den = ptrim(c % p for c in den)
-            if not den:
-                raise ZeroDivisionError("rational function with zero denominator")
-            if not num:
-                den = (1,)
-            else:
-                g = pgcd(num, den, p)
-                if pdeg(g) > 0:
-                    num = pdivmod(num, g, p)[0]
-                    den = pdivmod(den, g, p)[0]
-                c = inv_mod(den[-1], p)
-                num = pscale(num, c, p)
-                den = pscale(den, c, p)
+    def __init__(self, p, num, den, var="t"):
         self.p = p
         self.var = var
         self.num = tuple(num)
         self.den = tuple(den)
-
-    # -- constructors -------------------------------------------------------
-    @classmethod
-    def zero(cls, p, var="t"):
-        return cls(p, (), (1,), var, normalize=False)
-
-    @classmethod
-    def one(cls, p, var="t"):
-        return cls(p, (1,), (1,), var, normalize=False)
-
-    @classmethod
-    def const(cls, c, p, var="t"):
-        c %= p
-        return cls(p, (c,) if c else (), (1,), var, normalize=False)
 
     @classmethod
     def from_terms(cls, p, coeffs, minexp, var="t"):
@@ -433,66 +320,8 @@ class RatFunc:
         num / t^k with t not dividing num when k > 0.  The arguments are
         those of the ``LaurentPoly`` constructor."""
         if minexp >= 0:
-            return cls(p, (0,) * minexp + coeffs, (1,), var, normalize=False)
-        return cls(p, coeffs, (0,) * -minexp + (1,), var, normalize=False)
-
-    @classmethod
-    def from_pi_digits(cls, digits, lo, p):
-        """sum digits[j] * pi^(lo+j) for digits in [0, p); see
-        ``laurent_pi_digits``."""
-        minexp, coeffs = laurent_from_pi_digits(digits, lo)
-        return cls.from_terms(p, coeffs, minexp)
-
-    # -- structure ----------------------------------------------------------
-    def is_zero(self):
-        return not self.num
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("modulus mismatch: %d vs %d" % (self.p, other.p))
-        if self.var != other.var:
-            raise ValueError("variable mismatch: %s vs %s" % (self.var, other.var))
-
-    # -- field operations ---------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        p = self.p
-        a, b = self.den, other.den
-        num = padd(pmul(self.num, b, p), pmul(other.num, a, p), p)
-        return RatFunc(p, num, pmul(a, b, p), self.var)
-
-    def __neg__(self):
-        return RatFunc(self.p, pneg(self.num, self.p), self.den, self.var,
-                       normalize=False)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        p = self.p
-        return RatFunc(p, pmul(self.num, other.num, p), pmul(self.den, other.den, p),
-                       self.var)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RatFunc(self.p, self.den, self.num, self.var)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RatFunc.one(self.p, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return cls(p, (0,) * minexp + coeffs, (1,), var)
+        return cls(p, coeffs, (0,) * -minexp + (1,), var)
 
     def __eq__(self, other):
         return (isinstance(other, RatFunc) and self.p == other.p
@@ -501,76 +330,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.p, self.var, self.num, self.den))
-
-    # -- valuation and friends ------------------------------------------------
-    def valuation(self):
-        """nu(num/den) = deg(den) - deg(num); +inf for zero."""
-        if self.is_zero():
-            return INF
-        return pdeg(self.den) - pdeg(self.num)
-
-    def involution(self):
-        """Substitute t -> 1/t (or s -> 1/s), renormalized."""
-        if self.is_zero():
-            return self
-        p = self.p
-        dn, dd = pdeg(self.num), pdeg(self.den)
-        num = preverse(self.num)
-        den = preverse(self.den)
-        if dd > dn:
-            num = pshift(num, dd - dn)
-        elif dn > dd:
-            den = pshift(den, dn - dd)
-        return RatFunc(p, num, den, self.var)
-
-    def to_laurent(self):
-        """Convert to a LaurentPoly; den must be a power of t."""
-        terms = self.laurent_terms()
-        if terms is None:
-            raise ValueError("not a Laurent polynomial: denominator %s"
-                             % (render_laurent_data(self.den, 0, self.var),))
-        return LaurentPoly(self.p, terms[1], terms[0], self.var)
-
-    def laurent_terms(self):
-        """(minexp, coeffs) with nonzero ends, as in ``LaurentPoly``, when den
-        is a power of t; None otherwise."""
-        den = self.den
-        k = len(den) - 1
-        if den.count(0) != k:
-            return None
-        num = self.num
-        z = 0
-        while z < len(num) and not num[z]:
-            z += 1
-        return z - k, num[z:]
-
-    def shift_pi(self, k):
-        """Multiply by pi^k = t^(-k)."""
-        if self.is_zero():
-            return self
-        if k >= 0:
-            return RatFunc(self.p, self.num, pshift(self.den, k), self.var)
-        return RatFunc(self.p, pshift(self.num, -k), self.den, self.var)
-
-    def residue(self):
-        """Image in the residue field O/pi*O = F_p; requires nu >= 0."""
-        v = self.valuation()
-        if v is INF:
-            return 0
-        if v < 0:
-            raise ValueError("element not in the valuation ring (nu = %s)" % v)
-        if v > 0:
-            return 0
-        return (self.num[-1] * inv_mod(self.den[-1], self.p)) % self.p
-
-    def __repr__(self):
-        return "RatFunc(%s)" % (self,)
-
-    def __str__(self):
-        num = render_laurent_data(self.num, 0, self.var)
-        if self.den == (1,):
-            return num
-        return "(%s)/(%s)" % (num, render_laurent_data(self.den, 0, self.var))
 
 
 # ---------------------------------------------------------------------------

