@@ -385,28 +385,22 @@ def render_laurent_data(coeffs, minexp, var):
 
 
 def parse_laurent(text, p, var="t"):
-    """Parse the grammar `c*t^k` joined by `+` (e.g. `2+t+t^2`, `t^-1`)."""
+    """Parse the grammar `c*t^k` joined by `+` (e.g. `2+t+t^2`, `t^-1`);
+    ValueError for an empty text or a term outside the grammar, named."""
     text = text.replace(" ", "")
-    if text in ("", "0"):
-        return LaurentPoly.zero(p, var)
+    if not text:
+        raise ValueError("empty polynomial (zero is written 0)")
     out = LaurentPoly.zero(p, var)
     for term in text.split("+"):
-        if not term:
-            raise ValueError("empty term in %r" % text)
-        c, k = 1, 0
-        if "*" in term:
-            cs, term = term.split("*", 1)
-            c = int(cs)
-        if term.startswith(var):
-            rest = term[len(var):]
-            if rest.startswith("^"):
-                k = int(rest[1:])
-            elif rest == "":
-                k = 1
+        cs, _, mono = term.partition("*") if "*" in term else ("1", "", term)
+        try:
+            if mono == var:
+                c, k = int(cs), 1
+            elif mono.startswith(var + "^"):
+                c, k = int(cs), int(mono[len(var) + 1:])
             else:
-                raise ValueError("bad term %r" % term)
-        else:
-            c = c * int(term)
-            k = 0
+                c, k = int(cs) * int(mono), 0
+        except ValueError:
+            raise ValueError("term %r of %r is not c*%s^k" % (term, text, var)) from None
         out = out + LaurentPoly.term(c, k, p, var)
     return out

@@ -183,6 +183,10 @@ def _matrix_literal(text):
     out = [r.split(",") for r in rows]
     if len(out) != 3 or any(len(r) != 3 for r in out):
         raise ValueError("matrix literal must be 3x3")
+    for i, row in enumerate(out):
+        if "" in row:
+            raise ValueError("matrix literal entry (%d, %d) is empty"
+                             % (i + 1, row.index("") + 1))
     return out
 
 

@@ -1,7 +1,12 @@
 """The reduced Burau representation of B4 (mod p and integral), the Squier
 form J, unitarity testing, word evaluation, homothety detection, element
-orders, and the named constant matrices u, h, u1, alpha_k, beta2, M19 and
-the kernel witness word.
+orders, and the named constants: the matrices u (p = 3), beta2 (p = 5) and
+M19, and the words u1, alpha_k, h and the kernel witness.  At p = 3, u1,
+alpha_k and h lie in Γ = <x, y, u> modulo homothety, h = 2 t^16 W for
+W = x^-1.y^-1.x^-1.u^-1.x^-1.u^-1.u^-1.u^-1.y^-1.x.y^-1.x^-1.u^-1.u^-1.x^-1,
+so a word search over them (``groupcalc.stab_words``) counts elements of
+Γ, while ``groupcalc.stab_exact`` counts the stabilizer in the whole
+Laurent unitary group U (g* J g = J).
 
 ``MatrixRF`` is the one 3x3 matrix type, over F_p[t, 1/t], or over
 Z[t, 1/t] when ``p`` is None.  Its only state is the Laurent terms
@@ -506,16 +511,6 @@ _U_P3 = [["2+t+t^2", "2+t^2", "2+2*t+2*t^2"],
          ["2+2*t^2", "2+t+2*t^2", "2+t+t^2"],
          ["2+t", "2+t", "2+2*t"]]
 
-# Order-3 unitary matrix whose link action at the distinguished fixed
-# vertex commutes with the actions of u and u1 without lying in the group
-# they generate.  The variant with entry (1,0) equal to 2t+2t^2+2t^4 that
-# is sometimes quoted is not unitary; the exact stabilizer enumeration
-# singles out this matrix (constant term 2, not 2t), which matches the
-# quoted one in the other eight entries.
-_H_P3 = [["1+t^4", "1+t^2+t^4", "1+t+2*t^2+2*t^3"],
-         ["2+2*t^2+2*t^4", "2+t^2+2*t^4", "2+2*t+t^2+t^3"],
-         ["0", "0", "2*t^2"]]
-
 _BETA2_P5 = [["4", "1+2*t+2*t^2", "3+t"],
              ["1+t", "4+2*t", "2+2*t"],
              ["1", "4+3*t+4*t^2", "2+2*t"]]
@@ -536,7 +531,7 @@ KERNEL_WORD_TEXT = (
 )
 
 def named_word(name: str) -> GroupWord:
-    """Words for the named elements: x, y, w, u1, alpha<k>, kernel_word."""
+    """Words for the named elements: x, y, w, u1, h, alpha<k>, kernel_word."""
     if name == "x":
         return parse_word("s1.s2.s3")
     if name == "y":
@@ -546,7 +541,10 @@ def named_word(name: str) -> GroupWord:
     if name == "u1":
         c = parse_word("x.y.x")
         return c.inverse() * parse_word("u") * c
-    if name.startswith("alpha"):
+    if name == "h":
+        return parse_word("x^-1.y^-1.x^-1.u^-1.x^-1.u^-1.u^-1.u^-1.y^-1.x."
+                          "y^-1.x^-1.u^-1.u^-1.x^-1")
+    if name.startswith("alpha") and name[5:].isdecimal():
         k = int(name[5:])
         if k < 1:
             raise ValueError("alpha index must be >= 1")
@@ -564,14 +562,14 @@ _HOME_PRIME = {"u": 3, "h": 3, "beta2": 5}
 
 
 def named_matrix(name: str, p: int) -> MatrixRF:
-    """The transcribed constant matrices u, h (p = 3), beta2 (p = 5), M19."""
+    """The constant matrices u, h = 2 t^16 W (p = 3), beta2 (p = 5), M19."""
     if name in _HOME_PRIME and p != _HOME_PRIME[name]:
         raise ValueError("%s is defined at p = %d, not p = %d"
                          % (name, _HOME_PRIME[name], p))
     if name == "u":
         return MatrixRF.from_strings(_U_P3, 3)
     if name == "h":
-        return MatrixRF.from_strings(_H_P3, 3)
+        return word_evaluate(named_word("h"), 3).scale(LaurentPoly.term(2, 16, 3))
     if name == "beta2":
         return MatrixRF.from_strings(_BETA2_P5, 5)
     if name == "M19":
@@ -592,7 +590,8 @@ def letter_matrix(name: str, p: Optional[int]) -> MatrixRF:
         raise KeyError("letter %r is not defined integrally" % name)
     if name in ("u", "h", "beta2", "M19"):
         return named_matrix(name, p)
-    if name in ("x", "y", "w", "u1") or name.startswith("alpha"):
+    if name in ("x", "y", "w", "u1") or \
+            name.startswith("alpha") and name[5:].isdecimal():
         return word_evaluate(named_word(name), p)
     raise KeyError("letter %r has no matrix at p = %d" % (name, p))
 

@@ -488,3 +488,11 @@ def test_render_parse_round_trip():
     for _ in range(50):
         a = random_laurent(rng, 5)
         assert parse_laurent(render_laurent_data(a.coeffs, a.minexp, "t"), 5) == a
+
+
+def test_parse_refuses_an_empty_text():
+    # zero is written 0; the terms outside the grammar are named through
+    # the CLI (test_matrix_literal_names_a_term_outside_the_grammar)
+    assert L("0", 3).is_zero() and L("-2*t+t^-1", 3) == L("t+t^-1", 3)
+    with pytest.raises(ValueError, match="empty polynomial"):
+        L("", 3)

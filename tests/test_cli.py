@@ -406,6 +406,37 @@ def test_unknown_letter_error_prints_the_message_without_quotes(capsys):
     assert capsys.readouterr().err == "error: letter 'q' has no matrix at p = 3\n"
 
 
+def test_alpha_without_an_index_is_an_unknown_letter(capsys):
+    for spec in ("alpha", "alphax", "u.alpha"):
+        assert main(["stab", "--vertex", spec]) == 2
+        name = spec.split(".")[-1]
+        assert capsys.readouterr().err == \
+            "error: letter '%s' has no matrix at p = 3\n" % name
+    assert main(["stab", "--vertex", "alpha0"]) == 2
+    assert capsys.readouterr().err == "error: alpha index must be >= 1\n"
+
+
+def test_matrix_literal_refuses_an_empty_entry(capsys):
+    # an empty entry is not read as 0: these would be a permutation matrix
+    # and the identity
+    for argv, err in (
+            (["stab", "--vertex", "[[,1,0],[1,0,0],[0,0,1]]"], "(1, 1)"),
+            (["link", "--vertex", "[[1,,0],[0,1,0],[0,0,1]]"], "(1, 2)"),
+            (["link", "--vertex", "[[1,0,0],[0,1,0],[0,0, ]]"], "(3, 3)")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == \
+            ("", "error: matrix literal entry %s is empty\n" % err)
+
+
+def test_matrix_literal_names_a_term_outside_the_grammar(capsys):
+    for entry, term in (("t^2-1", "t^2-1"), ("-t", "-t"), ("t^", "t^"),
+                        ("1+-t", "-t"), ("1++t", ""), ("2*tx", "2*tx")):
+        spec = "[[%s,0,0],[0,1,0],[0,0,1]]" % entry
+        assert main(["stab", "--vertex", spec]) == 2
+        assert capsys.readouterr().err == \
+            "error: term %r of %r is not c*t^k\n" % (term, entry)
+
+
 def test_stab_word_search_partial(capsys):
     code = main(["stab", "--p", "3", "--vertex", "M19", "--method", "words",
                  "--gens", "u", "--depth", "2", "--json"])

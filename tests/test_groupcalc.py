@@ -18,6 +18,7 @@ from buraubuilding.building import (
 )
 from buraubuilding.groupcalc import (
     LINK_GROUP_WORDS,
+    WORD_GENS,
     ball,
     entry_degree_bounds,
     form_pullback,
@@ -48,6 +49,7 @@ from buraubuilding.rep import (
     squier_form,
     word_evaluate,
 )
+from homothety_closure import closure_mod_homothety
 from pi_adic import RatFunc, field_rows, to_ratfunc
 
 
@@ -486,6 +488,21 @@ def test_stab_exact_tube2_within_a_raised_budget():
         (486, 54, (1, 1, 3, 3, 9, 9))
     words = stab_words(tube2, ("u", "h", "alpha1", "alpha2"), 1)
     assert set(words.elements) <= set(rpt.elements)
+
+
+def test_gamma_words_generate_the_exact_stabilizers():
+    # u, u1 and h are words in x, y and u (h up to homothety): the elements
+    # a word search finds generate the whole exact stabilizer in U at the
+    # n-point and at 7*, though at 7* it finds only 44 of the 54
+    npoint, seven = n_point_base(3), seven_star(3)
+    for v, found in ((npoint, 6), (seven, 44)):
+        words = stab_words(v, WORD_GENS, 3)
+        assert len(words.elements) == found
+        exact = set(stab_exact(v).elements)
+        assert closure_mod_homothety(words.elements) == exact
+    # without h the words at 7* generate a third of it
+    words = stab_words(seven, ("u", "u1", "alpha1"), 3)
+    assert len(closure_mod_homothety(words.elements)) == 18 == len(exact) // 3
 
 
 def test_pulled_back_form_bar_symmetry():

@@ -73,8 +73,17 @@ def test_h_is_a_word_in_x_y_u_up_to_homothety():
     # h = 2 t^16 W(x, y, u) mod 3, so h lies in <x, y, u> up to that scalar
     w = parse_word("x^-1.y^-1.x^-1.u^-1.x^-1.u^-1.u^-1.u^-1.y^-1.x.y^-1."
                    "x^-1.u^-1.u^-1.x^-1")
-    assert letter_matrix("h", 3) == word_evaluate(w, 3).scale(
-        LaurentPoly.term(2, 16, 3))
+    assert named_word("h") == w
+    h = letter_matrix("h", 3)
+    assert h == word_evaluate(w, 3).scale(LaurentPoly.term(2, 16, 3))
+    # the order-3 unitary matrix formerly transcribed as h, entry for entry
+    golden = [["1+t^4", "1+t^2+t^4", "1+t+2*t^2+2*t^3"],
+              ["2+2*t^2+2*t^4", "2+t^2+2*t^4", "2+2*t+t^2+t^3"],
+              ["0", "0", "2*t^2"]]
+    assert h == MatrixRF.from_strings(golden, 3)
+    assert order_mod_homothety(h) == 3
+    with pytest.raises(ValueError, match="h is defined at p = 3, not p = 5"):
+        letter_matrix("h", 5)
 
 
 def test_named_matrices_unitary():
